@@ -1169,8 +1169,8 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       // re-writing of result bytes (this is where the join's Fig. 7 gains
       // come from: Hadoop rewrites the whole window's output every
       // recurrence).
-      WindowReport report;
-      report.recurrence = recurrence;
+      std::vector<std::shared_ptr<const FlatKvBuffer>> pair_outputs;
+      size_t output_records = 0;
       for (PaneId l = panes.first; l < panes.last; ++l) {
         for (PaneId r = panes.first; r < panes.last; ++r) {
           for (int32_t part = 0; part < num_partitions; ++part) {
@@ -1182,9 +1182,16 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
             const CacheStore::Entry* entry =
                 store_->Find(CacheKey::FromName(sig->name));
             REDOOP_CHECK(entry != nullptr);
-            entry->payload()->AppendToKeyValues(&report.output);
+            pair_outputs.push_back(entry->payload());
+            output_records += pair_outputs.back()->size();
           }
         }
+      }
+      WindowReport report;
+      report.recurrence = recurrence;
+      report.output.reserve(output_records);
+      for (const auto& pair_output : pair_outputs) {
+        pair_output->AppendToKeyValues(&report.output);
       }
       SortByKey(&report.output);
       report.output_records = static_cast<int64_t>(report.output.size());

@@ -105,10 +105,7 @@ FlatKvBuffer CombinePartition(const FlatKvBuffer& flat,
     }
   }
   // One sorted materialization of the (combined, smaller) output.
-  FlatKvBuffer combined = combine_out.TakeFlat();
-  FlatKvBuffer bucket = combined.SortedCopy();
-  bucket.ShrinkToFit();
-  return bucket;
+  return combine_out.flat().SortedCopy();
 }
 
 }  // namespace
@@ -460,9 +457,8 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
     const Partitioner* partitioner, int32_t num_partitions) {
   MapPayloadResult out;
   MapContext context;
-  // Most mappers emit about one pair per record; ShrinkToFit on the final
-  // buckets trims any over-reservation before they are retained for the
-  // whole shuffle.
+  // Most mappers emit about one pair per record. The context is scratch:
+  // only the exactly-sized buckets below outlive this call.
   context.Reserve(static_cast<size_t>(record_end - record_begin));
   const std::vector<Record>& rows = file->rows();  // Decoded once, memoized.
   for (int64_t r = record_begin; r < record_end; ++r) {
@@ -476,10 +472,14 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
   out.output_bytes = output.total_logical_bytes();
   std::vector<uint32_t> pair_partition(output.size());
   std::vector<size_t> partition_counts(static_cast<size_t>(num_partitions), 0);
+  std::vector<size_t> partition_bytes(static_cast<size_t>(num_partitions), 0);
   for (size_t i = 0; i < output.size(); ++i) {
-    const int32_t p = partitioner->Partition(output.key(i), num_partitions);
+    const std::string_view key = output.key(i);
+    const int32_t p = partitioner->Partition(key, num_partitions);
     pair_partition[i] = static_cast<uint32_t>(p);
     ++partition_counts[static_cast<size_t>(p)];
+    partition_bytes[static_cast<size_t>(p)] +=
+        key.size() + output.value(i).size();
   }
   std::vector<std::vector<uint32_t>> partition_indices(
       static_cast<size_t>(num_partitions));
@@ -503,9 +503,8 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
     } else {
       SortSliceIndices(output, &idx);
       FlatKvBuffer bucket;
-      bucket.Reserve(idx.size());
+      bucket.Reserve(idx.size(), partition_bytes[p]);
       for (uint32_t i : idx) bucket.AppendFrom(output, i);
-      bucket.ShrinkToFit();
       buckets[p] = std::move(bucket);
     }
     out.bucket_bytes[p] = buckets[p].total_logical_bytes();
@@ -1381,6 +1380,11 @@ JobResult JobRunner::Run(const JobSpec& spec) {
 
   if (result.status.ok()) {
     // Assemble output and caches in deterministic partition order.
+    size_t output_records = 0;
+    for (const auto& task : run.reduces) {
+      if (task->output != nullptr) output_records += task->output->size();
+    }
+    result.output.reserve(output_records);
     for (auto& task : run.reduces) {
       result.shuffle_time_total += task->timing.shuffle;
       result.reduce_time_total += task->timing.read + task->timing.sort +

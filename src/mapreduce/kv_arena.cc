@@ -21,14 +21,32 @@ int CompareBytes(std::string_view a, std::string_view b) {
 
 }  // namespace
 
+void FlatKvBuffer::Reserve(size_t pairs, size_t bytes) {
+  slices_.reserve(pairs);
+  if (bytes == 0) return;
+  if (chunks_.empty() ||
+      chunks_.back().capacity - chunks_.back().used < bytes) {
+    OpenChunk(bytes);
+  }
+}
+
+void FlatKvBuffer::OpenChunk(size_t capacity) {
+  Chunk chunk;
+  chunk.capacity = capacity;
+  chunk.data = std::make_unique_for_overwrite<char[]>(capacity);
+  chunks_.push_back(std::move(chunk));
+  REDOOP_CHECK(chunks_.size() <= (1ull << 32))
+      << "FlatKvBuffer chunk index overflow";
+}
+
 uint64_t FlatKvBuffer::Allocate(size_t n) {
   if (chunks_.empty() || chunks_.back().capacity - chunks_.back().used < n) {
-    Chunk chunk;
-    chunk.capacity = n > kChunkSize ? n : kChunkSize;
-    chunk.data = std::make_unique<char[]>(chunk.capacity);
-    chunks_.push_back(std::move(chunk));
-    REDOOP_CHECK(chunks_.size() <= (1ull << 32))
-        << "FlatKvBuffer chunk index overflow";
+    const size_t next =
+        chunks_.empty()
+            ? kMinChunkSize
+            : std::clamp(2 * chunks_.back().capacity, kMinChunkSize,
+                         kMaxChunkSize);
+    OpenChunk(std::max(n, next));
   }
   Chunk& chunk = chunks_.back();
   REDOOP_CHECK(chunk.used <= (1ull << 32) - n)
@@ -241,26 +259,15 @@ void SortSliceIndicesWith(const FlatKvBuffer& buf,
 FlatKvBuffer FlatKvBuffer::SortedCopy() const {
   const std::vector<uint32_t> order = SortedOrder();
   FlatKvBuffer sorted;
-  sorted.Reserve(order.size());
+  sorted.Reserve(order.size(), data_bytes());
   for (uint32_t i : order) sorted.AppendFrom(*this, i);
   return sorted;
 }
 
-void FlatKvBuffer::ShrinkToFit() {
-  slices_.shrink_to_fit();
-  if (chunks_.empty()) return;
-  // Only the last chunk can have unreferenced tail capacity; earlier
-  // chunks were closed because they could not fit the next pair.
-  Chunk& last = chunks_.back();
-  if (last.used == last.capacity) return;
-  if (last.used == 0) {
-    chunks_.pop_back();
-    return;
-  }
-  auto trimmed = std::make_unique<char[]>(last.used);
-  std::memcpy(trimmed.get(), last.data.get(), last.used);
-  last.data = std::move(trimmed);
-  last.capacity = last.used;
+size_t FlatKvBuffer::data_bytes() const {
+  size_t total = 0;
+  for (const Chunk& chunk : chunks_) total += chunk.used;
+  return total;
 }
 
 void FlatKvBuffer::Clear() {
@@ -277,7 +284,6 @@ std::vector<KeyValue> FlatKvBuffer::ToKeyValues() const {
 }
 
 void FlatKvBuffer::AppendToKeyValues(std::vector<KeyValue>* out) const {
-  out->reserve(out->size() + size());
   for (size_t i = 0; i < size(); ++i) {
     out->emplace_back(std::string(key(i)), std::string(value(i)),
                       logical_bytes(i));
@@ -285,8 +291,10 @@ void FlatKvBuffer::AppendToKeyValues(std::vector<KeyValue>* out) const {
 }
 
 FlatKvBuffer FlatKvBuffer::FromKeyValues(std::span<const KeyValue> kvs) {
+  size_t bytes = 0;
+  for (const KeyValue& kv : kvs) bytes += kv.key.size() + kv.value.size();
   FlatKvBuffer buf;
-  buf.Reserve(kvs.size());
+  buf.Reserve(kvs.size(), bytes);
   for (const KeyValue& kv : kvs) buf.Append(kv.key, kv.value, kv.logical_bytes);
   return buf;
 }
@@ -380,17 +388,19 @@ class FlatLoserTree {
 
 FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs) {
   size_t total = 0;
+  size_t total_bytes = 0;
   size_t non_empty = 0;
   const FlatKvBuffer* last = nullptr;
   for (const FlatKvBuffer* run : runs) {
     total += run->size();
+    total_bytes += run->data_bytes();
     if (!run->empty()) {
       ++non_empty;
       last = run;
     }
   }
   FlatKvBuffer merged;
-  merged.Reserve(total);
+  merged.Reserve(total, total_bytes);
   if (non_empty == 0) return merged;
   if (non_empty == 1) {  // Single run: a straight byte copy, no compares.
     for (size_t i = 0; i < last->size(); ++i) merged.AppendFrom(*last, i);

@@ -67,9 +67,11 @@ class FlatKvBuffer {
   FlatKvBuffer(const FlatKvBuffer&) = delete;
   FlatKvBuffer& operator=(const FlatKvBuffer&) = delete;
 
-  /// Pre-sizes the slice index (one entry per expected pair). Arena chunks
-  /// grow on demand; over-reservation is trimmed by ShrinkToFit().
-  void Reserve(size_t pairs) { slices_.reserve(pairs); }
+  /// Pre-sizes the slice index (one entry per expected pair) and, when
+  /// `bytes` > 0, opens one chunk of exactly `bytes` key+value bytes — a
+  /// copy of known size then lands in a single right-sized chunk. Without
+  /// a byte reservation chunks grow on demand (see kMinChunkSize).
+  void Reserve(size_t pairs, size_t bytes = 0);
 
   void Append(std::string_view key, std::string_view value,
               int32_t logical_bytes);
@@ -97,6 +99,9 @@ class FlatKvBuffer {
   }
   int32_t logical_bytes(size_t i) const { return slices_[i].logical_bytes; }
   int64_t total_logical_bytes() const { return total_logical_bytes_; }
+  /// Key+value bytes held: the sum of every pair's key and value lengths,
+  /// i.e. what a copy of this buffer reserves.
+  size_t data_bytes() const;
 
   /// The pair's 8-byte big-endian normalized key prefix (see KvSortEntry).
   uint64_t prefix(size_t i) const { return NormalizedPrefix(key(i)); }
@@ -120,11 +125,6 @@ class FlatKvBuffer {
   /// grouping) are sequential.
   FlatKvBuffer SortedCopy() const;
 
-  /// Trims slack: unreferenced tail capacity of the current chunk and the
-  /// slice index's over-reservation. Call before retaining a buffer beyond
-  /// the build (e.g. map buckets kept for the whole shuffle).
-  void ShrinkToFit();
-
   void Clear();
 
   /// Materialization to the string representation (job results, the
@@ -134,6 +134,8 @@ class FlatKvBuffer {
                     logical_bytes(i));
   }
   std::vector<KeyValue> ToKeyValues() const;
+  /// Does not reserve: a caller filling one vector from many buffers
+  /// reserves the total once (per-call reserves regrow it quadratically).
   void AppendToKeyValues(std::vector<KeyValue>* out) const;
   static FlatKvBuffer FromKeyValues(std::span<const KeyValue> kvs);
 
@@ -154,10 +156,13 @@ class FlatKvBuffer {
   int64_t HostBytes() const;
 
  private:
-  /// 256 KiB chunks: big enough that slab overhead is noise, small enough
-  /// that a short bucket does not pin megabytes. A pair larger than the
-  /// chunk payload gets its own exactly-sized chunk.
-  static constexpr size_t kChunkSize = 256 * 1024;
+  /// Open-ended growth: the first chunk holds 4 KiB and each new one
+  /// doubles its predecessor up to 256 KiB, so a buffer of two pairs pays
+  /// for 4 KiB while a large one still amortizes to 256 KiB slabs. A pair
+  /// larger than the next chunk gets its own exactly-sized chunk. Chunk
+  /// storage is not zero-initialized: nothing may read past `used`.
+  static constexpr size_t kMinChunkSize = 4 * 1024;
+  static constexpr size_t kMaxChunkSize = 256 * 1024;
 
   struct Chunk {
     std::unique_ptr<char[]> data;
@@ -171,6 +176,7 @@ class FlatKvBuffer {
   }
   /// Returns the address of `n` fresh bytes, opening a chunk if needed.
   uint64_t Allocate(size_t n);
+  void OpenChunk(size_t capacity);
 
   std::vector<Chunk> chunks_;
   std::vector<KvSlice> slices_;

@@ -204,31 +204,46 @@ Event& EventJournal::Append(double time, std::string type) {
   return e;
 }
 
+void EventJournal::SetRetentionBudget(int64_t max_bytes) {
+  retention_budget_ = max_bytes;
+  if (retention_budget_ <= 0) return;
+  // Appends made without a budget sealed nothing: charge them now, all
+  // but the newest (its .With chain may still grow). Events appended while
+  // unbounded skip the span-orphan checks, wherever they are sealed.
+  while (sealed_sizes_.size() + 1 < events_.size()) {
+    const int64_t bytes =
+        static_cast<int64_t>(events_[sealed_sizes_.size()].ToJson().size()) +
+        1;  // +'\n'
+    sealed_sizes_.push_back(bytes);
+    sealed_bytes_ += bytes;
+  }
+}
+
 void EventJournal::SealAndEvict() {
+  // Without a budget nothing is ever evicted, so sizes are not worth a
+  // JSON rendering; SetRetentionBudget seals the backlog if one arrives.
+  if (retention_budget_ <= 0) return;
   // The newest event's fluent .With chain completes before the next
   // Append, so its serialized size is only knowable (and charged) here.
   if (events_.size() > sealed_sizes_.size()) {
     const int64_t bytes =
         static_cast<int64_t>(events_.back().ToJson().size()) + 1;  // +'\n'
-    if (retention_budget_ > 0) {
-      // A span end whose begin was already evicted is dropped at the seal
-      // point: retaining it would fabricate an end-without-begin span.
-      const std::string end_key = SpanEndKey(events_.back());
-      if (!end_key.empty() && pending_orphan_ends_.erase(end_key) > 0) {
-        dropped_bytes_ += bytes;
-        ++dropped_events_;
-        events_.pop_back();
-        return;
-      }
-      // A fresh begin supersedes any stale orphan entry for its key (the
-      // key now names a new, fully retained span whose end must survive).
-      const std::string begin_key = SpanBeginKey(events_.back());
-      if (!begin_key.empty()) pending_orphan_ends_.erase(begin_key);
+    // A span end whose begin was already evicted is dropped at the seal
+    // point: retaining it would fabricate an end-without-begin span.
+    const std::string end_key = SpanEndKey(events_.back());
+    if (!end_key.empty() && pending_orphan_ends_.erase(end_key) > 0) {
+      dropped_bytes_ += bytes;
+      ++dropped_events_;
+      events_.pop_back();
+      return;
     }
+    // A fresh begin supersedes any stale orphan entry for its key (the
+    // key now names a new, fully retained span whose end must survive).
+    const std::string begin_key = SpanBeginKey(events_.back());
+    if (!begin_key.empty()) pending_orphan_ends_.erase(begin_key);
     sealed_sizes_.push_back(bytes);
     sealed_bytes_ += bytes;
   }
-  if (retention_budget_ <= 0) return;
   while (sealed_bytes_ > retention_budget_ && !sealed_sizes_.empty()) {
     const std::string begin_key = SpanBeginKey(events_.front());
     dropped_bytes_ += sealed_sizes_.front();

@@ -128,14 +128,16 @@ class EventJournal {
   /// reference is valid until the next Append. With a retention budget
   /// set, the previous event's size is sealed here and the oldest events
   /// are evicted while the sealed bytes exceed the budget (the newest
-  /// event is always retained).
+  /// event is always retained). An unbounded journal seals nothing, so it
+  /// never serializes an event on Append.
   Event& Append(double time, std::string type);
 
   /// Caps retained serialized bytes; <= 0 (the default) means unbounded.
   /// May be set or changed at any point before or between Appends (same
-  /// single-writer thread); shrinking the budget evicts on the next
-  /// Append.
-  void SetRetentionBudget(int64_t max_bytes) { retention_budget_ = max_bytes; }
+  /// single-writer thread). Setting a budget seals the events appended
+  /// while unbounded (all but the newest) in one pass; shrinking the
+  /// budget evicts on the next Append.
+  void SetRetentionBudget(int64_t max_bytes);
   int64_t retention_budget() const { return retention_budget_; }
   /// Events / serialized bytes evicted by the retention budget so far
   /// (or restored from a parsed "journal.truncated" marker).
@@ -190,7 +192,8 @@ class EventJournal {
   std::deque<Event> events_;
   std::vector<std::pair<std::string, std::string>> common_fields_;
   /// Serialized size of each sealed event; parallel prefix of events_
-  /// (the newest event is unsealed until the next Append).
+  /// (the newest event is unsealed until the next Append). Filled only
+  /// while a retention budget applies.
   std::deque<int64_t> sealed_sizes_;
   int64_t sealed_bytes_ = 0;
   int64_t retention_budget_ = 0;  ///< <= 0: unbounded.

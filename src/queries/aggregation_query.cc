@@ -1,23 +1,67 @@
 #include "queries/aggregation_query.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
 
 namespace redoop {
 
-AggregateValue AggregateValue::Parse(const std::string& s) {
+namespace {
+
+/// Reads what sscanf's "%ld" reads at `*pos` — leading whitespace, an
+/// optional sign, then decimal digits — and advances past it. Out-of-range
+/// values clamp to INT64_MIN / INT64_MAX as glibc's strtol does. Returns
+/// false, leaving `*out` alone, when no digits follow.
+bool ScanInt64(std::string_view s, size_t* pos, int64_t* out) {
+  size_t i = *pos;
+  while (i < s.size() && (s[i] == ' ' || (s[i] >= '\t' && s[i] <= '\r'))) {
+    ++i;
+  }
+  const bool negative = i < s.size() && s[i] == '-';
+  if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
+  uint64_t magnitude = 0;
+  const auto [end, ec] =
+      std::from_chars(s.data() + i, s.data() + s.size(), magnitude);
+  if (ec == std::errc::invalid_argument) return false;
+  constexpr uint64_t kMaxMagnitude = std::numeric_limits<int64_t>::max();
+  if (ec == std::errc::result_out_of_range) {
+    magnitude = std::numeric_limits<uint64_t>::max();
+  }
+  if (!negative) {
+    *out = static_cast<int64_t>(std::min(magnitude, kMaxMagnitude));
+  } else if (magnitude > kMaxMagnitude) {
+    *out = std::numeric_limits<int64_t>::min();
+  } else {
+    *out = -static_cast<int64_t>(magnitude);
+  }
+  *pos = static_cast<size_t>(end - s.data());
+  return true;
+}
+
+}  // namespace
+
+AggregateValue AggregateValue::Parse(std::string_view s) {
   AggregateValue v;
-  const int matched =
-      std::sscanf(s.c_str(), "%ld:%ld:%ld", &v.count, &v.sum, &v.max);
-  REDOOP_CHECK(matched == 3) << "malformed aggregate value: " << s;
+  size_t pos = 0;
+  const bool ok = ScanInt64(s, &pos, &v.count) && pos < s.size() &&
+                  s[pos++] == ':' && ScanInt64(s, &pos, &v.sum) &&
+                  pos < s.size() && s[pos++] == ':' &&
+                  ScanInt64(s, &pos, &v.max);
+  REDOOP_CHECK(ok) << "malformed aggregate value: " << s;
   return v;
 }
 
 std::string AggregateValue::Serialize() const {
-  return StringPrintf("%ld:%ld:%ld", count, sum, max);
+  std::string out;
+  for (const int64_t v : {count, sum, max}) {
+    char digits[20];  // "-9223372036854775808" is the longest int64.
+    if (!out.empty()) out += ':';
+    out.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+  }
+  return out;
 }
 
 void AggregateValue::Merge(const AggregateValue& other) {
@@ -29,13 +73,19 @@ void AggregateValue::Merge(const AggregateValue& other) {
 void AggregationMapper::Map(const Record& record,
                             MapContext* context) const {
   // The measure is the final comma-separated field of the value.
-  const size_t pos = record.value.rfind(',');
+  const size_t comma = record.value.rfind(',');
   int64_t measure = 0;
-  if (pos != std::string::npos) {
+  if (comma != std::string::npos) {
     // Tolerate non-integer tails (e.g. FFG's "-1.25") by reading the
-    // leading integer part.
-    std::sscanf(record.value.c_str() + pos + 1, "%ld", &measure);
-    if (measure < 0) measure = -measure;
+    // leading integer part. A tail below INT64_MIN clamps there, whose
+    // magnitude saturates to INT64_MAX instead of overflowing.
+    size_t pos = comma + 1;
+    ScanInt64(record.value, &pos, &measure);
+    if (measure == std::numeric_limits<int64_t>::min()) {
+      measure = std::numeric_limits<int64_t>::max();
+    } else if (measure < 0) {
+      measure = -measure;
+    }
   }
   AggregateValue v;
   v.count = 1;

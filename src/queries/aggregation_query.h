@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/recurring_query.h"
 
@@ -19,7 +20,9 @@ struct AggregateValue {
   int64_t sum = 0;
   int64_t max = 0;
 
-  static AggregateValue Parse(const std::string& s);
+  /// Reads "count:sum:max" exactly as sscanf("%ld:%ld:%ld") does; a value
+  /// that is not three integers aborts ("malformed aggregate value").
+  static AggregateValue Parse(std::string_view s);
   std::string Serialize() const;
   void Merge(const AggregateValue& other);
 };

@@ -1,6 +1,6 @@
-// Unit tests for the flat KV arena: slice layout, the normalized-prefix
-// sort, flat merge, KvRange views, and the scratch materialization the
-// string Reduce adapter relies on.
+// Unit tests for the flat KV arena: slice layout, chunk sizing, the
+// normalized-prefix sort, flat merge, KvRange views, and the scratch
+// materialization the string Reduce adapter relies on.
 #include "mapreduce/kv_arena.h"
 
 #include <algorithm>
@@ -44,14 +44,88 @@ TEST(FlatKvBufferTest, RoundTripsThroughKeyValues) {
   EXPECT_EQ(buf.ToKeyValues(), kvs);
 }
 
+/// HostBytes() of the slice index alone, for `pairs` reserved pairs — what
+/// a buffer's footprint is beyond its chunks.
+int64_t SliceIndexBytes(size_t pairs) {
+  FlatKvBuffer probe;
+  probe.Reserve(pairs);
+  return probe.HostBytes();
+}
+
+/// A buffer of `n` pairs with keys long enough to share 8-byte prefixes,
+/// appended in descending key order so sorting has work to do.
+FlatKvBuffer DescendingPairs(size_t n) {
+  FlatKvBuffer buf;
+  for (size_t i = n; i > 0; --i) {
+    buf.Append("key-" + std::to_string(i), "value-" + std::to_string(i * 7),
+               16);
+  }
+  return buf;
+}
+
 TEST(FlatKvBufferTest, PairLargerThanChunkGetsOwnChunk) {
   FlatKvBuffer buf;
-  const std::string big(1 << 20, 'x');  // 1 MiB > 256 KiB chunk.
+  buf.Reserve(3);
+  const int64_t slice_bytes = buf.HostBytes();
+  const std::string big(1 << 20, 'x');  // 1 MiB > the 256 KiB cap.
   buf.Append("small", "pair", 8);
+  const int64_t first_chunk = buf.HostBytes() - slice_bytes;
+  EXPECT_EQ(first_chunk, 4 * 1024);
   buf.Append("big", big, 4);
+  EXPECT_EQ(buf.HostBytes() - slice_bytes, first_chunk + 3 + (1 << 20))
+      << "the oversized pair gets one chunk of exactly its bytes";
   buf.Append("after", "big", 8);
+  EXPECT_EQ(buf.HostBytes() - slice_bytes,
+            first_chunk + 3 + (1 << 20) + 256 * 1024)
+      << "growth after an oversized chunk resumes at the cap";
+  EXPECT_EQ(buf.key(0), "small");
   EXPECT_EQ(buf.value(1), big);
   EXPECT_EQ(buf.key(2), "after");
+}
+
+TEST(FlatKvBufferTest, OpenEndedChunksGrowFrom4KiBTo256KiB) {
+  constexpr size_t kPairs = 8000;
+  FlatKvBuffer buf;
+  buf.Reserve(kPairs);  // Fixes the slice index so deltas are chunks.
+  int64_t last = buf.HostBytes();
+  std::vector<int64_t> chunks;
+  const std::string value(96, 'v');
+  for (size_t i = 0; i < kPairs; ++i) {
+    buf.Append("kkkk", value, 8);  // 100 bytes per pair.
+    if (buf.HostBytes() != last) {
+      chunks.push_back(buf.HostBytes() - last);
+      last = buf.HostBytes();
+    }
+  }
+  const std::vector<int64_t> expected = {
+      4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10,
+      128 << 10, 256 << 10, 256 << 10, 256 << 10};
+  EXPECT_EQ(chunks, expected);
+  EXPECT_EQ(buf.data_bytes(), kPairs * 100);
+}
+
+TEST(FlatKvBufferTest, ReservedBucketHoldsOneExactChunk) {
+  // A map partition bucket: the pair count and key+value bytes are known
+  // before the copy, and the reservation exceeds the open-ended cap.
+  const FlatKvBuffer source = DescendingPairs(20000);
+  ASSERT_GT(source.data_bytes(), 256u * 1024);
+  FlatKvBuffer bucket;
+  bucket.Reserve(source.size(), source.data_bytes());
+  for (size_t i = 0; i < source.size(); ++i) bucket.AppendFrom(source, i);
+  EXPECT_EQ(bucket.HostBytes(),
+            SliceIndexBytes(source.size()) +
+                static_cast<int64_t>(source.data_bytes()));
+  EXPECT_EQ(bucket.ToKeyValues(), source.ToKeyValues());
+}
+
+TEST(FlatKvBufferTest, SortedCopyHoldsOneExactChunk) {
+  const FlatKvBuffer source = DescendingPairs(20000);
+  const FlatKvBuffer sorted = source.SortedCopy();
+  EXPECT_TRUE(sorted.IsSorted());
+  EXPECT_EQ(sorted.data_bytes(), source.data_bytes());
+  EXPECT_EQ(sorted.HostBytes(),
+            SliceIndexBytes(source.size()) +
+                static_cast<int64_t>(source.data_bytes()));
 }
 
 TEST(FlatKvBufferTest, ViewsStableAcrossAppends) {
@@ -108,18 +182,6 @@ TEST(FlatKvBufferTest, SortedOrderMatchesKeyValueLess) {
       << "prefix sort must equal stable (key, value) sort";
 }
 
-TEST(FlatKvBufferTest, ShrinkToFitPreservesContents) {
-  FlatKvBuffer buf;
-  buf.Reserve(1000);
-  buf.Append("k1", "v1", 8);
-  buf.Append("k2", "v2", 8);
-  const int64_t before = buf.HostBytes();
-  buf.ShrinkToFit();
-  EXPECT_LT(buf.HostBytes(), before);
-  EXPECT_EQ(buf.key(0), "k1");
-  EXPECT_EQ(buf.value(1), "v2");
-}
-
 TEST(MergeFlatRunsTest, MergesSortedRunsStably) {
   FlatKvBuffer a;
   a.Append("a", "1", 8);
@@ -145,6 +207,23 @@ TEST(MergeFlatRunsTest, SingleAndEmptyRuns) {
   EXPECT_EQ(MergeFlatRuns(single).size(), 1u);
   const std::vector<const FlatKvBuffer*> none = {};
   EXPECT_TRUE(MergeFlatRuns(none).empty());
+}
+
+TEST(MergeFlatRunsTest, ResultHoldsOneExactChunk) {
+  const FlatKvBuffer a = DescendingPairs(9000).SortedCopy();
+  const FlatKvBuffer b = DescendingPairs(7000).SortedCopy();
+  const FlatKvBuffer empty;
+  const std::vector<const FlatKvBuffer*> runs = {&a, &empty, &b};
+  const FlatKvBuffer merged = MergeFlatRuns(runs);
+  ASSERT_EQ(merged.size(), a.size() + b.size());
+  EXPECT_TRUE(merged.IsSorted());
+  const size_t bytes = a.data_bytes() + b.data_bytes();
+  EXPECT_EQ(merged.HostBytes(), SliceIndexBytes(merged.size()) +
+                                    static_cast<int64_t>(bytes));
+  // The single-run fast path copies into the same exact reservation.
+  const std::vector<const FlatKvBuffer*> single = {&empty, &a};
+  EXPECT_EQ(MergeFlatRuns(single).HostBytes(),
+            SliceIndexBytes(a.size()) + static_cast<int64_t>(a.data_bytes()));
 }
 
 TEST(KvRangeTest, ContiguousAndIndexViews) {

@@ -814,6 +814,84 @@ TEST(EventJournalTest, TruncationMarkerRoundTripsThroughJsonl) {
   EXPECT_EQ(parsed.ToJsonl(), jsonl) << "parse -> serialize is identity";
 }
 
+/// Appends events [begin, end) of a deterministic stream of overlapping
+/// task spans: even steps start task step/2, odd steps finish the task
+/// started three steps of that kind earlier (or tick before there is
+/// one), so eviction hits span begins whose ends are still to come.
+void AppendOverlappingSpans(obs::EventJournal* journal, int begin, int end) {
+  for (int i = begin; i < end; ++i) {
+    const double t = static_cast<double>(i);
+    if (i % 2 == 0) {
+      journal->Append(t, obs::event::kTaskStart).With("task", i / 2);
+    } else if (i / 2 >= 3) {
+      journal->Append(t, obs::event::kTaskFinish)
+          .With("task", i / 2 - 3)
+          .With("ms", 1.5 * i);
+    } else {
+      journal->Append(t, "tick").With("i", i);
+    }
+  }
+}
+
+TEST(EventJournalTest, LateBudgetSealsBacklogLikeAnEarlyOne) {
+  constexpr int kBacklog = 40;
+  constexpr int kTotal = 300;
+  obs::EventJournal sizer;
+  AppendOverlappingSpans(&sizer, 0, kBacklog);
+  int64_t backlog_bytes = 0;
+  for (const obs::Event& e : sizer.events()) {
+    backlog_bytes += static_cast<int64_t>(e.ToJson().size()) + 1;
+  }
+  for (const int64_t budget :
+       {backlog_bytes, backlog_bytes + 100, 3 * backlog_bytes}) {
+    obs::EventJournal early;
+    early.SetRetentionBudget(budget);
+    AppendOverlappingSpans(&early, 0, kTotal);
+    obs::EventJournal late;
+    AppendOverlappingSpans(&late, 0, kBacklog);
+    late.SetRetentionBudget(budget);
+    AppendOverlappingSpans(&late, kBacklog, kTotal);
+    ASSERT_GT(early.dropped_events(), 0) << "budget " << budget;
+    EXPECT_EQ(late.ToJsonl(), early.ToJsonl()) << "budget " << budget;
+    EXPECT_EQ(late.dropped_events(), early.dropped_events());
+    EXPECT_EQ(late.dropped_bytes(), early.dropped_bytes());
+  }
+}
+
+TEST(EventJournalTest, ShrinkingALateBudgetEvictsPinnedCounts) {
+  // Pinned counts: sealing every event at Append, unbounded journals
+  // included, evicts exactly this for the sequence below, and sealing
+  // only under a budget must match it.
+  obs::EventJournal journal;
+  AppendOverlappingSpans(&journal, 0, 120);
+  journal.SetRetentionBudget(1 << 20);  // Roomy: seals, evicts nothing.
+  AppendOverlappingSpans(&journal, 120, 200);
+  EXPECT_EQ(journal.dropped_events(), 0);
+  journal.SetRetentionBudget(2048);
+  EXPECT_EQ(journal.dropped_events(), 0) << "shrinking evicts on Append";
+  AppendOverlappingSpans(&journal, 200, 201);
+  EXPECT_EQ(journal.size(), 38u);
+  EXPECT_EQ(journal.dropped_events(), 163);
+  EXPECT_EQ(journal.dropped_bytes(), 8431);
+  EXPECT_EQ(journal.events().front().time(), 160.0);
+  AppendOverlappingSpans(&journal, 201, 260);
+  EXPECT_EQ(journal.size(), 39u);
+  EXPECT_EQ(journal.dropped_events(), 221);
+  EXPECT_EQ(journal.dropped_bytes(), 11523);
+  EXPECT_EQ(journal.events().front().time(), 218.0);
+  // Unbounded again, then a budget once more: the second backlog is
+  // sealed with the span orphans of the first bounded phase still pending.
+  journal.SetRetentionBudget(0);
+  AppendOverlappingSpans(&journal, 260, 320);
+  EXPECT_EQ(journal.dropped_events(), 221) << "unbounded never evicts";
+  journal.SetRetentionBudget(1536);
+  AppendOverlappingSpans(&journal, 320, 340);
+  EXPECT_EQ(journal.size(), 29u);
+  EXPECT_EQ(journal.dropped_events(), 311);
+  EXPECT_EQ(journal.dropped_bytes(), 16383);
+  EXPECT_EQ(journal.events().front().time(), 308.0);
+}
+
 TEST(ObservabilityIntegrationTest, DriverOwnsContextWhenNoneProvided) {
   RecurringQuery query = MakeAggregationQuery(1, "own", 1, 200, 40, 4);
   Cluster cluster(6, SmallClusterConfig());

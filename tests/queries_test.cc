@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "common/random.h"
 #include "queries/aggregation_query.h"
@@ -38,6 +41,28 @@ TEST(AggregateValueTest, MergeCombines) {
 
 TEST(AggregateValueTest, ParseRejectsGarbage) {
   EXPECT_DEATH(AggregateValue::Parse("not-a-value"), "malformed");
+  EXPECT_DEATH(AggregateValue::Parse("1:2"), "malformed");
+  EXPECT_DEATH(AggregateValue::Parse("1 :2:3"), "malformed");
+  EXPECT_DEATH(AggregateValue::Parse(""), "malformed");
+}
+
+TEST(AggregateValueTest, CodecMatchesScanfAndPrintf) {
+  // Parse reads what sscanf("%ld:%ld:%ld") reads, clamping included, and
+  // Serialize writes what printf("%ld:%ld:%ld") writes.
+  const char* inputs[] = {"3:123:99", " 3: -4:+5", "1:2:3trailing",
+                          "-9223372036854775808:9223372036854775807:0",
+                          "99999999999999999999:-99999999999999999999:7"};
+  for (const char* input : inputs) {
+    long count = 0, sum = 0, max = 0;
+    ASSERT_EQ(std::sscanf(input, "%ld:%ld:%ld", &count, &sum, &max), 3);
+    const AggregateValue v = AggregateValue::Parse(input);
+    EXPECT_EQ(v.count, count) << input;
+    EXPECT_EQ(v.sum, sum) << input;
+    EXPECT_EQ(v.max, max) << input;
+    char printed[96];
+    std::snprintf(printed, sizeof(printed), "%ld:%ld:%ld", count, sum, max);
+    EXPECT_EQ(v.Serialize(), printed) << input;
+  }
 }
 
 // ---------------------------- Aggregation -----------------------------------
@@ -62,6 +87,46 @@ TEST(AggregationMapperTest, ToleratesNonNumericTail) {
   EXPECT_EQ(context.output()[0].value, "1:1:1") << "|-1| truncated to 1";
   mapper.Map(Record(0, "k", "nocommas", 100), &context);
   EXPECT_EQ(context.output()[1].value, "1:0:0");
+}
+
+TEST(AggregationMapperTest, MeasureParseMatchesSscanf) {
+  // The measure is the magnitude of what sscanf("%ld") reads from the last
+  // field. The one deliberate difference: below INT64_MIN sscanf clamps to
+  // INT64_MIN, whose negation overflows; the mapper saturates to INT64_MAX.
+  struct Case {
+    const char* tail;
+    int64_t measure;
+    bool differs_from_sscanf;
+  };
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const Case cases[] = {
+      {"42", 42, false},
+      {" 42", 42, false},
+      {"+7", 7, false},
+      {"-1.25", 1, false},
+      {"", 0, false},
+      {"abc", 0, false},
+      {"12345678901234567890", kMax, false},
+      {"99999999999999999999", kMax, false},
+      {"-12345678901234567890", kMax, true},
+      {"-99999999999999999999", kMax, true},
+  };
+  AggregationMapper mapper;
+  for (const Case& c : cases) {
+    long scanned = 0;
+    std::sscanf(c.tail, "%ld", &scanned);
+    if (c.differs_from_sscanf) {
+      EXPECT_EQ(scanned, std::numeric_limits<long>::min()) << c.tail;
+    } else {
+      EXPECT_EQ(scanned < 0 ? -scanned : scanned, c.measure) << c.tail;
+    }
+    MapContext context;
+    mapper.Map(Record(0, "k", std::string("a,b,") + c.tail, 100), &context);
+    ASSERT_EQ(context.output().size(), 1u);
+    const std::string m = std::to_string(c.measure);
+    EXPECT_EQ(context.output()[0].value, "1:" + m + ":" + m)
+        << "tail \"" << c.tail << "\"";
+  }
 }
 
 TEST(AggregationReducerTest, MergesGroups) {
