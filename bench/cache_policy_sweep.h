@@ -1,21 +1,19 @@
 #ifndef REDOOP_BENCH_CACHE_POLICY_SWEEP_H_
 #define REDOOP_BENCH_CACHE_POLICY_SWEEP_H_
 
-// Shared policy × budget sweep for the capacity-bounded CacheStore: runs a
-// fig6-shaped aggregation (WCC) and a fig7-shaped join (FFG) under every
-// eviction policy at budgets derived from the unbounded run's measured
-// working set (peak store bytes), and asserts every bounded run's window
-// outputs are byte-identical to the unbounded reference — evictions may
-// only change the work volume, never the answers.
+// Budget sweep for the capacity-bounded CacheStore: runs a fig6-shaped
+// aggregation (WCC) and a fig7-shaped join (FFG) at byte budgets derived
+// from the unbounded run's measured working set (peak store bytes), and
+// asserts every bounded run's window outputs are byte-identical to the
+// unbounded reference — evictions may only change the work volume, never
+// the answers.
 //
-// Used by two front ends with the same cells:
-//   - bench_harness's `cache_policy` suite entry (metrics land in
-//     BENCH_redoop.json / the smoke baseline), and
-//   - the standalone bench/bench_cache_policy.cc binary (own JSON +
-//     bench/baselines/cache_policy_smoke.json, CI perf-smoke).
+// It has one front end: bench_harness's `cache_policy` suite entry
+// (`bench_harness --only=cache_policy`; metrics land in BENCH_redoop.json
+// and the smoke baseline bench/baselines/smoke.json).
 //
 // Every emitted quantity is simulated/deterministic (byte-identical at any
-// --threads), so the documents are cmp-able baselines.
+// --threads), so the smoke document is a cmp-able baseline.
 
 #include <cmath>
 #include <cstdint>
@@ -26,7 +24,6 @@
 
 #include "bench/bench_util.h"
 #include "cluster/cluster.h"
-#include "core/eviction_policy.h"
 #include "core/redoop_driver.h"
 #include "mapreduce/counters.h"
 #include "queries/aggregation_query.h"
@@ -38,7 +35,7 @@
 
 namespace redoop::bench {
 
-/// Scale knobs for the sweep (mirrors the harness's smoke/full split).
+/// Scale knobs for the sweep; the harness fills them from its own scale.
 struct CachePolicyScale {
   int32_t nodes = kClusterNodes;
   int64_t windows = kNumWindows;
@@ -50,23 +47,9 @@ struct CachePolicyScale {
   int32_t threads = 1;
 };
 
-inline CachePolicyScale CachePolicyFullScale() { return CachePolicyScale(); }
-
-inline CachePolicyScale CachePolicySmokeScale() {
-  CachePolicyScale s;
-  s.nodes = 6;
-  s.windows = 3;
-  s.win = 1800;
-  s.batch_interval = 60;
-  s.reducers = 4;
-  s.rps_factor = 0.25;
-  return s;
-}
-
-/// One (workload, policy, budget) cell of the sweep.
+/// One (workload, budget) cell of the sweep.
 struct CachePolicyCell {
   std::string workload;      // "agg" | "join".
-  std::string policy;        // EvictionPolicyName, or "unbounded".
   std::string budget_label;  // "unbounded" | "budget_25pct" | ...
   int64_t budget_bytes = 0;  // 0 = unbounded.
   double total_s = 0.0;
@@ -125,13 +108,11 @@ struct SweepRun {
 };
 
 inline SweepRun RunOnce(const CachePolicyScale& s, const RecurringQuery& query,
-                        bool join, int64_t budget_bytes,
-                        EvictionPolicyKind policy) {
+                        bool join, int64_t budget_bytes) {
   auto feed = join ? SweepFfgFeed(s) : SweepWccFeed(s);
   Cluster cluster(s.nodes, Config());
   RedoopDriverOptions options;
   options.cache.budget_bytes = budget_bytes;
-  options.cache.eviction_policy = policy;
   options.runner.threads = s.threads;
   RedoopDriver driver(&cluster, feed.get(), query, options);
   SweepRun run;
@@ -150,12 +131,11 @@ inline double SweepHitRate(const RunReport& run) {
   return hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
 }
 
-inline CachePolicyCell MakeCell(const char* workload, std::string policy,
+inline CachePolicyCell MakeCell(const char* workload,
                                 std::string budget_label, int64_t budget,
                                 const SweepRun& run) {
   CachePolicyCell cell;
   cell.workload = workload;
-  cell.policy = std::move(policy);
   cell.budget_label = std::move(budget_label);
   cell.budget_bytes = budget;
   cell.total_s = run.report.TotalResponseTime();
@@ -169,17 +149,13 @@ inline CachePolicyCell MakeCell(const char* workload, std::string policy,
 }  // namespace cache_policy_internal
 
 /// Runs the full sweep: per workload, one unbounded reference (its peak
-/// store footprint defines the working set), then every policy at budgets
-/// of {25%, 5%, 1%} of that working set for the aggregation and the
-/// tightest budget (1%) for the join. Every bounded cell's outputs are
-/// compared byte-for-byte against the unbounded reference.
+/// store footprint defines the working set), then budgets of {25%, 5%, 1%}
+/// of that working set for the aggregation and the tightest budget (1%)
+/// for the join. Every bounded cell's outputs are compared byte-for-byte
+/// against the unbounded reference.
 inline CachePolicySweepResult RunCachePolicySweep(const CachePolicyScale& s) {
   using namespace cache_policy_internal;  // NOLINT
   CachePolicySweepResult result;
-  constexpr EvictionPolicyKind kPolicies[] = {
-      EvictionPolicyKind::kLru, EvictionPolicyKind::kFifo,
-      EvictionPolicyKind::kS3Fifo, EvictionPolicyKind::kSieve,
-      EvictionPolicyKind::kHybrid};
   // Budget rungs as percent of the measured working set; floor of 1 byte
   // keeps a degenerate zero-peak run unbounded-equivalent rather than UB.
   constexpr struct {
@@ -195,8 +171,7 @@ inline CachePolicySweepResult RunCachePolicySweep(const CachePolicyScale& s) {
     bool all_budgets;  // false: tightest budget only (runtime cap).
   };
   // The join grid is capped to the tightest budget: pane-pair outputs make
-  // its unbounded working set much larger, and the 1% rung is the regime
-  // where policy choice actually separates.
+  // its unbounded working set much larger.
   const Workload workloads[] = {{"agg", false, true}, {"join", true, false}};
 
   for (const Workload& wl : workloads) {
@@ -205,39 +180,34 @@ inline CachePolicySweepResult RunCachePolicySweep(const CachePolicyScale& s) {
                                 SweepSlide(s, 0.9), s.reducers)
                 : MakeAggregationQuery(20, "cache-policy-agg", 1, s.win,
                                        SweepSlide(s, 0.9), s.reducers);
-    const SweepRun reference =
-        RunOnce(s, query, wl.join, /*budget_bytes=*/0,
-                EvictionPolicyKind::kLru);
-    result.cells.push_back(MakeCell(wl.name, "unbounded", "unbounded", 0,
-                                    reference));
+    const SweepRun reference = RunOnce(s, query, wl.join, /*budget_bytes=*/0);
+    result.cells.push_back(MakeCell(wl.name, "unbounded", 0, reference));
     const int64_t working_set = reference.peak_bytes;
-    for (const EvictionPolicyKind policy : kPolicies) {
-      for (const auto& rung : kBudgets) {
-        if (!wl.all_budgets && rung.fraction > 0.01) continue;
-        const int64_t budget = std::max<int64_t>(
-            1, static_cast<int64_t>(static_cast<double>(working_set) *
-                                    rung.fraction));
-        const SweepRun run = RunOnce(s, query, wl.join, budget, policy);
-        CachePolicyCell cell = MakeCell(wl.name, EvictionPolicyName(policy),
-                                        rung.label, budget, run);
-        cell.identical = ResultsMatch(reference.report, run.report);
-        if (!cell.identical) result.all_identical = false;
-        result.cells.push_back(std::move(cell));
-      }
+    for (const auto& rung : kBudgets) {
+      if (!wl.all_budgets && rung.fraction > 0.01) continue;
+      const int64_t budget = std::max<int64_t>(
+          1, static_cast<int64_t>(static_cast<double>(working_set) *
+                                  rung.fraction));
+      const SweepRun run = RunOnce(s, query, wl.join, budget);
+      CachePolicyCell cell = MakeCell(wl.name, rung.label, budget, run);
+      cell.identical = ResultsMatch(reference.report, run.report);
+      if (!cell.identical) result.all_identical = false;
+      result.cells.push_back(std::move(cell));
     }
   }
   return result;
 }
 
 /// Flattens the sweep into ordered (key, value) metric pairs under the
-/// `cache_policy.` prefix — the exact rows both front ends emit.
+/// `cache_policy.` prefix. Budgeted rows keep the `lru` segment of the
+/// policy sweep they were first published under, so their names hold.
 inline std::vector<std::pair<std::string, double>> CachePolicyMetrics(
     const CachePolicySweepResult& result) {
   std::vector<std::pair<std::string, double>> out;
   for (const CachePolicyCell& c : result.cells) {
     const std::string prefix =
-        "cache_policy." + c.workload + "." + c.policy +
-        (c.budget_bytes > 0 ? "." + c.budget_label : "");
+        "cache_policy." + c.workload + "." +
+        (c.budget_bytes > 0 ? "lru." + c.budget_label : "unbounded");
     out.emplace_back(prefix + ".total_s", c.total_s);
     out.emplace_back(prefix + ".hit_rate", c.hit_rate);
     if (c.budget_bytes > 0) {

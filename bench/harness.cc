@@ -614,9 +614,9 @@ void RunAblationScheduler(const Scale& scale, Metrics* metrics) {
   }
 }
 
-// --- cache_policy: eviction policy × byte budget sweep ------------------
+// --- cache_policy: byte budget sweep --------------------------------------
 
-/// Policy × budget grid over the shared sweep (bench/cache_policy_sweep.h).
+/// Budget ladder over the sweep in bench/cache_policy_sweep.h.
 /// Any budgeted cell whose window outputs diverge from the unbounded
 /// reference fails the whole harness, same as a Hadoop/Redoop mismatch.
 void RunCachePolicy(const Scale& scale, Metrics* metrics) {

@@ -19,13 +19,11 @@ std::shared_ptr<const FlatKvBuffer> CacheStore::Entry::payload() const {
 
 void CacheStore::Lease::Release() {
   if (store_ == nullptr) return;
-  store_->ReleasePin(name_);
+  store_->ReleasePin(name_, serial_);
   store_ = nullptr;
 }
 
-CacheStore::CacheStore(Options options)
-    : options_(std::move(options)),
-      policy_(MakeEvictionPolicy(options_.policy, options_.budget_bytes)) {
+CacheStore::CacheStore(Options options) : options_(std::move(options)) {
   UpdateGauges(GaugeSnapshot{});
 }
 
@@ -39,10 +37,7 @@ void CacheStore::Put(const CacheKey& key, PanePayload payload,
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key.name());
-    if (it != entries_.end()) {
-      policy_->OnRemove(it->first);
-      EraseLocked(it);
-    }
+    if (it != entries_.end()) EraseLocked(it);
     auto entry = std::make_unique<Entry>();
     if (options_.columnar_payloads) {
       entry->columnar_ = std::make_shared<const ColumnarKvPane>(
@@ -54,12 +49,13 @@ void CacheStore::Put(const CacheKey& key, PanePayload payload,
     }
     entry->bytes = stats.bytes;
     entry->records = stats.records;
+    entry->serial_ = ++last_serial_;
     total_bytes_ += stats.bytes;
     total_compressed_bytes_ += entry->compressed_bytes;
-    entries_[key.name()] = std::move(entry);
-    policy_->OnInsert(key.name(), stats.bytes);
+    it = entries_.emplace(key.name(), std::move(entry)).first;
+    it->second->recency_ = recency_.insert(recency_.end(), it);
     peak_bytes_ = std::max(peak_bytes_, total_bytes_);
-    EvictLocked(/*exclude=*/key.name(), &notices);
+    EvictLocked(/*exclude=*/it->second.get(), &notices);
     after = SnapshotLocked();
   }
   PublishEvictions(notices, after);
@@ -69,8 +65,9 @@ const CacheStore::Entry* CacheStore::Find(const CacheKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key.name());
   if (it == entries_.end()) return nullptr;
-  policy_->OnAccess(it->first);
-  return it->second.get();
+  Entry& entry = *it->second;
+  recency_.splice(recency_.end(), recency_, entry.recency_);
+  return &entry;
 }
 
 void CacheStore::Remove(const CacheKey& key) {
@@ -79,7 +76,6 @@ void CacheStore::Remove(const CacheKey& key) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key.name());
     if (it == entries_.end()) return;
-    policy_->OnRemove(it->first);
     EraseLocked(it);
     after = SnapshotLocked();
   }
@@ -91,13 +87,14 @@ CacheStore::Lease CacheStore::Acquire(const CacheKey& key) {
   auto it = entries_.find(key.name());
   if (it == entries_.end()) return Lease();
   if (it->second->pins_++ == 0) pinned_bytes_ += it->second->bytes;
-  return Lease(this, key.name());
+  return Lease(this, key.name(), it->second->serial_);
 }
 
-void CacheStore::ReleasePin(const std::string& name) {
+void CacheStore::ReleasePin(const std::string& name, uint64_t serial) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  if (it == entries_.end() || it->second->pins_ == 0) return;
+  // A replaced or removed entry took its pins with it.
+  if (it == entries_.end() || it->second->serial_ != serial) return;
   if (--it->second->pins_ == 0) pinned_bytes_ -= it->second->bytes;
 }
 
@@ -106,7 +103,7 @@ void CacheStore::EnforceBudget() {
   GaugeSnapshot after;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    EvictLocked(/*exclude=*/"", &notices);
+    EvictLocked(/*exclude=*/nullptr, &notices);
     after = SnapshotLocked();
   }
   PublishEvictions(notices, after);
@@ -147,25 +144,21 @@ int64_t CacheStore::evicted_bytes() const {
   return evicted_bytes_;
 }
 
-void CacheStore::EvictLocked(const std::string& exclude,
+void CacheStore::EvictLocked(const Entry* exclude,
                              std::vector<EvictionNotice>* notices) {
   if (options_.budget_bytes <= 0) return;
   while (total_bytes_ > options_.budget_bytes) {
-    const std::string victim =
-        policy_->PickVictim([this, &exclude](const std::string& name) {
-          if (!exclude.empty() && name == exclude) return false;
-          auto it = entries_.find(name);
-          return it != entries_.end() && it->second->pins_ == 0;
+    const auto victim = std::find_if(
+        recency_.begin(), recency_.end(), [exclude](EntryMap::iterator it) {
+          return it->second->pins_ == 0 && it->second.get() != exclude;
         });
-    if (victim.empty()) break;  // Only pinned (or excluded) entries left.
-    auto it = entries_.find(victim);
-    REDOOP_CHECK(it != entries_.end()) << "policy picked unknown victim";
+    if (victim == recency_.end()) break;  // Only pinned (or excluded) left.
+    const EntryMap::iterator it = *victim;
     EvictionNotice notice;
     notice.key = CacheKey::FromName(it->first);
     notice.bytes = it->second->bytes;
     notice.compressed_bytes = it->second->compressed_bytes;
     notice.records = it->second->records;
-    policy_->OnRemove(it->first);
     EraseLocked(it);
     ++evicted_entries_;
     evicted_bytes_ += notice.bytes;
@@ -173,11 +166,11 @@ void CacheStore::EvictLocked(const std::string& exclude,
   }
 }
 
-void CacheStore::EraseLocked(
-    std::map<std::string, std::unique_ptr<Entry>>::iterator it) {
+void CacheStore::EraseLocked(EntryMap::iterator it) {
   total_bytes_ -= it->second->bytes;
   total_compressed_bytes_ -= it->second->compressed_bytes;
   if (it->second->pins_ > 0) pinned_bytes_ -= it->second->bytes;
+  recency_.erase(it->second->recency_);
   entries_.erase(it);
 }
 
@@ -199,7 +192,6 @@ void CacheStore::PublishEvictions(const std::vector<EvictionNotice>& notices,
       scope.Increment(obs::metric::kCacheEvictedBytes, notice.bytes);
       scope.Emit(obs::event::kCachePaneEvict)
           .With("name", notice.key.name())
-          .With("policy", EvictionPolicyName(options_.policy))
           .With("bytes", notice.bytes)
           .With("compressed_bytes", notice.compressed_bytes)
           .With("records", notice.records)

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,7 +13,6 @@
 
 #include "common/ids.h"
 #include "core/cache_key.h"
-#include "core/eviction_policy.h"
 #include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
 #include "mapreduce/kv_columnar.h"
@@ -26,11 +26,14 @@ namespace redoop {
 /// placement and I/O costs are tracked on the TaskNode / cache-controller
 /// side. An entry leaves the store three ways: explicit Remove (loss,
 /// purge), replacement by a fresh Put, or *eviction* when the budget is
-/// exceeded — the configured EvictionPolicy picks victims among unpinned
-/// entries and the on_evict callback lets the driver roll back controller
-/// state so the pane flips to recompute.
+/// exceeded — the least recently used unpinned entry goes first, and the
+/// on_evict callback lets the driver roll back controller state so the
+/// pane flips to recompute.
 ///
-/// Budgeting is on logical (simulated) bytes, so policy behaviour is
+/// Recency: Put (a replacement included) and Find (so also Has) make an
+/// entry the most recently used.
+///
+/// Budgeting is on logical (simulated) bytes, so victim choice is
 /// independent of the at-rest representation (row vs. columnar).
 ///
 /// Pinning: Acquire() returns a Lease that exempts an entry from eviction
@@ -41,11 +44,19 @@ namespace redoop {
 /// Put/EnforceBudget, total_bytes() <= budget unless pinned entries (or a
 /// single oversized incoming entry) force the excess.
 ///
-/// All mutations and reads take the store mutex; the configured policy is
-/// only ever driven under it. Victim order depends only on the operation
-/// sequence, which the driver issues in deterministic simulated-time order,
-/// so evictions are byte-identical at any --threads setting.
+/// All mutations and reads take the store mutex, the recency order
+/// included. Victim order depends only on the operation sequence, which
+/// the driver issues in deterministic simulated-time order, so evictions
+/// are byte-identical at any --threads setting.
 class CacheStore {
+ public:
+  class Entry;
+
+ private:
+  using EntryMap = std::map<std::string, std::unique_ptr<Entry>>;
+  /// Entries from least to most recently used.
+  using RecencyList = std::list<EntryMap::iterator>;
+
  public:
   class Entry {
    public:
@@ -86,6 +97,10 @@ class CacheStore {
     mutable std::once_flag decode_once_;
     mutable std::shared_ptr<const FlatKvBuffer> decoded_;
     int64_t pins_ = 0;  // Live leases; > 0 exempts from eviction.
+    /// Which Put created this entry, so a lease taken on an entry that
+    /// has since been replaced unpins nothing.
+    uint64_t serial_ = 0;
+    RecencyList::iterator recency_;  // This entry's place in recency_.
   };
 
   /// Size accounting a materializing job reports alongside its payload.
@@ -130,7 +145,6 @@ class CacheStore {
   struct Options {
     /// Logical-byte budget; 0 = unbounded (never evicts).
     int64_t budget_bytes = 0;
-    EvictionPolicyKind policy = EvictionPolicyKind::kLru;
     /// At-rest representation for stored payloads.
     bool columnar_payloads = false;
     /// Keeps cache.store.* gauges current and emits cache.pane.evict
@@ -141,14 +155,18 @@ class CacheStore {
     EvictionCallback on_evict;
   };
 
-  /// RAII pin: while live, the named entry is exempt from budget eviction.
-  /// Releasing does not itself evict — the owner calls EnforceBudget()
-  /// when a batch of leases retires (end of recurrence).
+  /// RAII pin: while live, the entry it was acquired on is exempt from
+  /// budget eviction. Once that entry is replaced or removed the lease
+  /// pins nothing, and releasing it changes nothing. Releasing does not
+  /// itself evict — the owner calls EnforceBudget() when a batch of leases
+  /// retires (end of recurrence).
   class Lease {
    public:
     Lease() = default;
     Lease(Lease&& other) noexcept
-        : store_(other.store_), name_(std::move(other.name_)) {
+        : store_(other.store_),
+          name_(std::move(other.name_)),
+          serial_(other.serial_) {
       other.store_ = nullptr;
     }
     Lease& operator=(Lease&& other) noexcept {
@@ -156,6 +174,7 @@ class CacheStore {
         Release();
         store_ = other.store_;
         name_ = std::move(other.name_);
+        serial_ = other.serial_;
         other.store_ = nullptr;
       }
       return *this;
@@ -169,10 +188,11 @@ class CacheStore {
 
    private:
     friend class CacheStore;
-    Lease(CacheStore* store, std::string name)
-        : store_(store), name_(std::move(name)) {}
+    Lease(CacheStore* store, std::string name, uint64_t serial)
+        : store_(store), name_(std::move(name)), serial_(serial) {}
     CacheStore* store_ = nullptr;
     std::string name_;
+    uint64_t serial_ = 0;  // Entry::serial_ of the pinned entry.
   };
 
   CacheStore() : CacheStore(Options()) {}
@@ -180,15 +200,15 @@ class CacheStore {
   CacheStore(const CacheStore&) = delete;
   CacheStore& operator=(const CacheStore&) = delete;
 
-  /// Stores (or replaces) a payload, then — when a budget is set — evicts
-  /// unpinned entries per the policy until the budget holds again. The
-  /// entry being inserted is never its own victim; pin it to protect it
-  /// past the next Put.
+  /// Stores (or replaces) a payload as the most recently used entry, then
+  /// — when a budget is set — evicts least recently used unpinned entries
+  /// until the budget holds again. The entry being inserted is never its
+  /// own victim; pin it to protect it past the next Put.
   void Put(const CacheKey& key, PanePayload payload, PaneStats stats);
 
   /// Returns nullptr when absent. The pointer stays valid until the entry
   /// is removed, replaced, or evicted; pin the entry to extend that. A hit
-  /// counts as a policy access (LRU recency etc.).
+  /// makes the entry the most recently used.
   const Entry* Find(const CacheKey& key) const;
   bool Has(const CacheKey& key) const { return Find(key) != nullptr; }
 
@@ -199,8 +219,8 @@ class CacheStore {
   /// Pins the entry; returns an inactive lease when the key is absent.
   Lease Acquire(const CacheKey& key);
 
-  /// Evicts per policy until the budget holds or only pinned entries
-  /// remain. Call after releasing a batch of leases.
+  /// Evicts least recently used entries until the budget holds or only
+  /// pinned entries remain. Call after releasing a batch of leases.
   void EnforceBudget();
 
   size_t size() const;
@@ -215,7 +235,6 @@ class CacheStore {
   int64_t evicted_bytes() const;
 
   int64_t budget_bytes() const { return options_.budget_bytes; }
-  EvictionPolicyKind policy() const { return options_.policy; }
   bool columnar() const { return options_.columnar_payloads; }
 
  private:
@@ -226,13 +245,14 @@ class CacheStore {
     size_t entries = 0;
   };
 
-  /// Evicts until the budget holds; lock held. `exclude` (may be empty)
+  /// Evicts until the budget holds; lock held. `exclude` (may be null)
   /// is never picked. Removed entries are appended to `notices`.
-  void EvictLocked(const std::string& exclude,
+  void EvictLocked(const Entry* exclude,
                    std::vector<EvictionNotice>* notices);
-  /// Drops one entry from the maps and totals; lock held.
-  void EraseLocked(std::map<std::string, std::unique_ptr<Entry>>::iterator it);
-  void ReleasePin(const std::string& name);
+  /// Drops one entry from the map, the recency list and the totals; lock
+  /// held.
+  void EraseLocked(EntryMap::iterator it);
+  void ReleasePin(const std::string& name, uint64_t serial);
   GaugeSnapshot SnapshotLocked() const;
   void PublishEvictions(const std::vector<EvictionNotice>& notices,
                         const GaugeSnapshot& after);
@@ -240,8 +260,10 @@ class CacheStore {
 
   const Options options_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
-  std::unique_ptr<EvictionPolicy> policy_;
+  EntryMap entries_;
+  /// Find() is const but still makes its hit the most recently used.
+  mutable RecencyList recency_;
+  uint64_t last_serial_ = 0;
   int64_t total_bytes_ = 0;
   int64_t total_compressed_bytes_ = 0;
   int64_t pinned_bytes_ = 0;

@@ -112,7 +112,6 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
   {
     CacheStore::Options store_options;
     store_options.budget_bytes = options_.cache.budget_bytes;
-    store_options.policy = options_.cache.eviction_policy;
     store_options.columnar_payloads = options_.cache.columnar_payloads;
     store_options.telemetry = scope_;
     store_options.on_evict = [this](const CacheStore::EvictionNotice& n) {

@@ -15,7 +15,6 @@
 #include "core/cache_controller.h"
 #include "core/cache_key.h"
 #include "core/cache_store.h"
-#include "core/eviction_policy.h"
 #include "core/data_packer.h"
 #include "core/execution_profiler.h"
 #include "core/local_cache_registry.h"
@@ -54,12 +53,11 @@ struct CacheOptions {
   bool columnar_payloads = true;
   /// Logical-byte budget of the driver's CacheStore; 0 = unbounded (keep
   /// every pane the lifespan math declares live, the paper's model). Under
-  /// a budget, evicted panes flip back to recompute and are rebuilt lazily
-  /// when a window reads them again — window outputs stay byte-identical
-  /// to the unbounded run, only the work volume changes.
+  /// a budget the least recently used unpinned panes are evicted; they
+  /// flip back to recompute and are rebuilt lazily when a window reads
+  /// them again — window outputs stay byte-identical to the unbounded run,
+  /// only the work volume changes.
   int64_t budget_bytes = 0;
-  /// Victim selection under the byte budget (ignored when unbounded).
-  EvictionPolicyKind eviction_policy = EvictionPolicyKind::kLru;
 };
 
 /// Adaptive input partitioning + proactive execution (paper §3.3).
@@ -165,7 +163,6 @@ class RedoopDriverOptions::Builder {
   Builder& PurgeCycle(double seconds) { opts_.cache.purge_cycle_s = seconds; return *this; }
   Builder& ColumnarPayloads(bool v) { opts_.cache.columnar_payloads = v; return *this; }
   Builder& CacheBudgetBytes(int64_t v) { opts_.cache.budget_bytes = v; return *this; }
-  Builder& CacheEvictionPolicy(EvictionPolicyKind v) { opts_.cache.eviction_policy = v; return *this; }
   Builder& Adaptive(bool v) { opts_.adaptive.enabled = v; return *this; }
   Builder& ProactiveThreshold(double v) { opts_.adaptive.proactive_threshold = v; return *this; }
   Builder& MaxSubpanes(int32_t v) { opts_.adaptive.max_subpanes = v; return *this; }

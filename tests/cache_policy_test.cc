@@ -1,11 +1,12 @@
 // Property tests for the capacity-bounded CacheStore: the capacity
-// invariant under every eviction policy, pin/lease exemption, deterministic
-// victim order, policy victim semantics, typed CacheKey parsing, and the
-// end-to-end guarantee that evict→recompute runs stay byte-identical to
-// the unbounded run at any budget and thread count.
+// invariant, pin/lease exemption, the exact least-recently-used victim
+// order, typed CacheKey parsing, and the end-to-end guarantee that
+// evict→recompute runs stay byte-identical to the unbounded run at any
+// budget and thread count.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "bench/bench_util.h"
 #include "core/cache_key.h"
 #include "core/cache_store.h"
-#include "core/eviction_policy.h"
 #include "core/redoop_driver.h"
 #include "queries/aggregation_query.h"
 #include "workload/rate_profile.h"
@@ -23,11 +23,6 @@
 
 namespace redoop {
 namespace {
-
-constexpr EvictionPolicyKind kAllPolicies[] = {
-    EvictionPolicyKind::kLru, EvictionPolicyKind::kFifo,
-    EvictionPolicyKind::kS3Fifo, EvictionPolicyKind::kSieve,
-    EvictionPolicyKind::kHybrid};
 
 CacheKey Ric(PaneId pane, int32_t partition = 0) {
   return CacheKey::ReduceInput(/*query=*/1, /*source=*/1, pane, partition);
@@ -41,26 +36,33 @@ void PutBytes(CacheStore* store, const CacheKey& key, int64_t bytes) {
   store->Put(key, Payload(), CacheStore::PaneStats{bytes, 1});
 }
 
+// Store options whose on_evict appends each victim's pane to `victims`.
+CacheStore::Options RecordingVictims(int64_t budget_bytes,
+                                     std::vector<PaneId>* victims) {
+  CacheStore::Options options;
+  options.budget_bytes = budget_bytes;
+  options.on_evict = [victims](const CacheStore::EvictionNotice& notice) {
+    victims->push_back(notice.key.pane());
+  };
+  return options;
+}
+
 // --- capacity invariant -------------------------------------------------
 
 TEST(CachePolicyCapacity, InvariantHoldsForEveryPolicy) {
-  for (const EvictionPolicyKind kind : kAllPolicies) {
-    SCOPED_TRACE(EvictionPolicyName(kind));
-    CacheStore::Options options;
-    options.budget_bytes = 1000;
-    options.policy = kind;
-    CacheStore store(std::move(options));
-    for (PaneId pane = 0; pane < 50; ++pane) {
-      PutBytes(&store, Ric(pane), 100);
-      // No pins and every entry fits: the budget must hold after each Put.
-      EXPECT_LE(store.total_bytes(), 1000) << "pane " << pane;
-    }
-    EXPECT_GT(store.evicted_entries(), 0);
-    EXPECT_EQ(store.evicted_entries() * 100, store.evicted_bytes());
-    // Put admits before it evicts, so the high-water mark may transiently
-    // overshoot by at most the one incoming entry.
-    EXPECT_LE(store.peak_bytes(), 1000 + 100);
+  CacheStore::Options options;
+  options.budget_bytes = 1000;
+  CacheStore store(std::move(options));
+  for (PaneId pane = 0; pane < 50; ++pane) {
+    PutBytes(&store, Ric(pane), 100);
+    // No pins and every entry fits: the budget must hold after each Put.
+    EXPECT_LE(store.total_bytes(), 1000) << "pane " << pane;
   }
+  EXPECT_GT(store.evicted_entries(), 0);
+  EXPECT_EQ(store.evicted_entries() * 100, store.evicted_bytes());
+  // Put admits before it evicts, so the high-water mark may transiently
+  // overshoot by at most the one incoming entry.
+  EXPECT_LE(store.peak_bytes(), 1000 + 100);
 }
 
 TEST(CachePolicyCapacity, OversizedEntryMayExceedUntilNextPut) {
@@ -93,22 +95,18 @@ TEST(CachePolicyCapacity, UnboundedStoreNeverEvicts) {
 // --- pin / lease --------------------------------------------------------
 
 TEST(CachePolicyPinning, PinnedEntriesAreExemptFromEviction) {
-  for (const EvictionPolicyKind kind : kAllPolicies) {
-    SCOPED_TRACE(EvictionPolicyName(kind));
-    CacheStore::Options options;
-    options.budget_bytes = 300;
-    options.policy = kind;
-    CacheStore store(std::move(options));
-    PutBytes(&store, Ric(0), 100);
-    CacheStore::Lease pin = store.Acquire(Ric(0));
-    ASSERT_TRUE(pin.active());
-    EXPECT_EQ(store.pinned_bytes(), 100);
-    for (PaneId pane = 1; pane < 30; ++pane) {
-      PutBytes(&store, Ric(pane), 100);
-      ASSERT_TRUE(store.Has(Ric(0))) << "pane " << pane;
-    }
-    EXPECT_LE(store.total_bytes(), 300);
+  CacheStore::Options options;
+  options.budget_bytes = 300;
+  CacheStore store(std::move(options));
+  PutBytes(&store, Ric(0), 100);
+  CacheStore::Lease pin = store.Acquire(Ric(0));
+  ASSERT_TRUE(pin.active());
+  EXPECT_EQ(store.pinned_bytes(), 100);
+  for (PaneId pane = 1; pane < 30; ++pane) {
+    PutBytes(&store, Ric(pane), 100);
+    ASSERT_TRUE(store.Has(Ric(0))) << "pane " << pane;
   }
+  EXPECT_LE(store.total_bytes(), 300);
 }
 
 TEST(CachePolicyPinning, AllPinnedStoreExceedsBudgetThenEnforceTrims) {
@@ -140,21 +138,62 @@ TEST(CachePolicyPinning, InactiveLeaseForAbsentKey) {
   EXPECT_FALSE(lease.active());
 }
 
-// --- deterministic victim order -----------------------------------------
+TEST(CachePolicyPinning, PinnedLeastRecentIsSkippedThenEvictedFirst) {
+  std::vector<PaneId> victims;
+  CacheStore store(RecordingVictims(300, &victims));
+  PutBytes(&store, Ric(0), 100);
+  CacheStore::Lease pin0 = store.Acquire(Ric(0));
+  PutBytes(&store, Ric(1), 100);
+  PutBytes(&store, Ric(2), 100);
+  // 0 is least recent but pinned, so 1 goes instead.
+  PutBytes(&store, Ric(3), 100);
+  EXPECT_EQ(victims, (std::vector<PaneId>{1}));
+  // With 2 and 3 pinned as well, the next Put has no victim to take.
+  CacheStore::Lease pin2 = store.Acquire(Ric(2));
+  CacheStore::Lease pin3 = store.Acquire(Ric(3));
+  PutBytes(&store, Ric(4), 100);
+  EXPECT_EQ(store.total_bytes(), 400);
+  // Unpinned, 0 is still the least recent: it goes before 4.
+  pin0.Release();
+  store.EnforceBudget();
+  EXPECT_EQ(victims, (std::vector<PaneId>{1, 0}));
+  EXPECT_EQ(store.total_bytes(), 300);
+}
 
-std::vector<std::string> VictimScript(EvictionPolicyKind kind) {
-  std::vector<std::string> victims;
-  CacheStore::Options options;
-  options.budget_bytes = 400;
-  options.policy = kind;
-  options.on_evict = [&victims](const CacheStore::EvictionNotice& notice) {
-    EXPECT_EQ(notice.bytes, 100);
-    victims.push_back(notice.key.name());
-  };
-  CacheStore store(std::move(options));
+TEST(CachePolicyPinning, StaleLeaseLeavesReplacementPinned) {
+  std::vector<PaneId> victims;
+  CacheStore store(RecordingVictims(200, &victims));
+  PutBytes(&store, Ric(0), 100);
+  CacheStore::Lease stale = store.Acquire(Ric(0));
+  PutBytes(&store, Ric(0), 100);  // Replaces the entry `stale` pinned.
+  CacheStore::Lease live = store.Acquire(Ric(0));
+  stale.Release();
+  EXPECT_EQ(store.pinned_bytes(), 100);
+  PutBytes(&store, Ric(1), 100);
+  PutBytes(&store, Ric(2), 100);  // Over budget: 0 is least recent.
+  EXPECT_EQ(victims, (std::vector<PaneId>{1}));
+  EXPECT_TRUE(store.Has(Ric(0)));
+
+  // A removed-then-reinserted entry is likewise not the stale lease's.
+  CacheStore::Lease removed = store.Acquire(Ric(2));
+  store.Remove(Ric(2));
+  PutBytes(&store, Ric(2), 100);
+  CacheStore::Lease live2 = store.Acquire(Ric(2));
+  removed.Release();
+  EXPECT_EQ(store.pinned_bytes(), 200);
+  live.Release();
+  live2.Release();
+  EXPECT_EQ(store.pinned_bytes(), 0);
+}
+
+// --- exact least-recently-used victim order -------------------------------
+
+std::vector<PaneId> VictimScript() {
+  std::vector<PaneId> victims;
+  CacheStore store(RecordingVictims(400, &victims));
   for (PaneId pane = 0; pane < 20; ++pane) {
     PutBytes(&store, Ric(pane), 100);
-    // Deterministic access pattern to exercise recency/frequency state.
+    // Deterministic access pattern that reorders recency.
     if (pane >= 2) store.Find(Ric(pane - 2));
     if (pane % 3 == 0) store.Find(Ric(pane));
   }
@@ -162,45 +201,33 @@ std::vector<std::string> VictimScript(EvictionPolicyKind kind) {
 }
 
 TEST(CachePolicyDeterminism, VictimOrderIsReproducible) {
-  for (const EvictionPolicyKind kind : kAllPolicies) {
-    SCOPED_TRACE(EvictionPolicyName(kind));
-    const std::vector<std::string> first = VictimScript(kind);
-    const std::vector<std::string> second = VictimScript(kind);
-    EXPECT_FALSE(first.empty());
-    EXPECT_EQ(first, second);
-  }
+  EXPECT_EQ(VictimScript(),
+            (std::vector<PaneId>{2, 0, 1, 5, 3, 4, 8, 6, 7, 11, 9, 10, 14, 12,
+                                 13, 17}));
 }
-
-// --- per-policy victim semantics ----------------------------------------
 
 TEST(CachePolicySemantics, LruEvictsLeastRecentlyUsed) {
-  CacheStore::Options options;
-  options.budget_bytes = 300;
-  options.policy = EvictionPolicyKind::kLru;
-  CacheStore store(std::move(options));
-  PutBytes(&store, Ric(0), 100);
-  PutBytes(&store, Ric(1), 100);
-  PutBytes(&store, Ric(2), 100);
-  store.Find(Ric(0));  // Refresh 0; 1 becomes least-recent.
-  PutBytes(&store, Ric(3), 100);
-  EXPECT_TRUE(store.Has(Ric(0)));
-  EXPECT_FALSE(store.Has(Ric(1)));
-  EXPECT_TRUE(store.Has(Ric(2)));
-  EXPECT_TRUE(store.Has(Ric(3)));
-}
-
-TEST(CachePolicySemantics, FifoIgnoresAccesses) {
-  CacheStore::Options options;
-  options.budget_bytes = 300;
-  options.policy = EvictionPolicyKind::kFifo;
-  CacheStore store(std::move(options));
-  PutBytes(&store, Ric(0), 100);
-  PutBytes(&store, Ric(1), 100);
-  PutBytes(&store, Ric(2), 100);
-  store.Find(Ric(0));  // FIFO does not care: 0 is still first in.
-  PutBytes(&store, Ric(3), 100);
-  EXPECT_FALSE(store.Has(Ric(0)));
-  EXPECT_TRUE(store.Has(Ric(1)));
+  // Each is a use of 0, which leaves 1 the least recently used.
+  const struct {
+    const char* name;
+    std::function<void(CacheStore*)> use;
+  } kUses[] = {
+      {"Find", [](CacheStore* store) { store->Find(Ric(0)); }},
+      {"Has", [](CacheStore* store) { store->Has(Ric(0)); }},
+      {"replacement Put",
+       [](CacheStore* store) { PutBytes(store, Ric(0), 100); }},
+  };
+  for (const auto& [name, use] : kUses) {
+    SCOPED_TRACE(name);
+    std::vector<PaneId> victims;
+    CacheStore store(RecordingVictims(300, &victims));
+    PutBytes(&store, Ric(0), 100);
+    PutBytes(&store, Ric(1), 100);
+    PutBytes(&store, Ric(2), 100);
+    use(&store);
+    PutBytes(&store, Ric(3), 100);
+    EXPECT_EQ(victims, (std::vector<PaneId>{1}));
+  }
 }
 
 // --- concurrent stat reads (exercised under TSan in CI) ------------------
@@ -277,8 +304,7 @@ struct DriverRun {
   int64_t evictions = 0;
 };
 
-DriverRun RunSmallAgg(int64_t budget_bytes, EvictionPolicyKind policy,
-                      int32_t threads) {
+DriverRun RunSmallAgg(int64_t budget_bytes, int32_t threads) {
   auto feed = std::make_unique<SyntheticFeed>(/*batch_interval=*/60);
   WccGeneratorOptions gen;
   gen.seed = 7;
@@ -290,7 +316,6 @@ DriverRun RunSmallAgg(int64_t budget_bytes, EvictionPolicyKind policy,
   Cluster cluster(4, Config());
   RedoopDriverOptions options;
   options.cache.budget_bytes = budget_bytes;
-  options.cache.eviction_policy = policy;
   options.runner.threads = threads;
   RedoopDriver driver(&cluster, feed.get(), query, options);
   DriverRun run;
@@ -301,25 +326,20 @@ DriverRun RunSmallAgg(int64_t budget_bytes, EvictionPolicyKind policy,
 }
 
 TEST(EvictRecompute, ByteIdenticalToUnboundedAcrossPoliciesAndThreads) {
-  const DriverRun reference =
-      RunSmallAgg(0, EvictionPolicyKind::kLru, /*threads=*/1);
+  const DriverRun reference = RunSmallAgg(0, /*threads=*/1);
   ASSERT_GT(reference.peak_bytes, 0);
   EXPECT_EQ(reference.evictions, 0);
   const int64_t tight = std::max<int64_t>(1, reference.peak_bytes / 20);
-  for (const EvictionPolicyKind kind : kAllPolicies) {
-    for (const int32_t threads : {1, 8}) {
-      SCOPED_TRACE(std::string(EvictionPolicyName(kind)) + " threads=" +
-                   std::to_string(threads));
-      const DriverRun bounded = RunSmallAgg(tight, kind, threads);
-      EXPECT_GT(bounded.evictions, 0);
-      EXPECT_TRUE(bench::ResultsMatch(reference.report, bounded.report));
-    }
+  for (const int32_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const DriverRun bounded = RunSmallAgg(tight, threads);
+    EXPECT_GT(bounded.evictions, 0);
+    EXPECT_TRUE(bench::ResultsMatch(reference.report, bounded.report));
   }
 }
 
 TEST(EvictRecompute, ByteIdenticalAtEveryBudgetRung) {
-  const DriverRun reference =
-      RunSmallAgg(0, EvictionPolicyKind::kLru, /*threads=*/1);
+  const DriverRun reference = RunSmallAgg(0, /*threads=*/1);
   ASSERT_GT(reference.peak_bytes, 0);
   for (const double fraction : {0.25, 0.05, 0.01}) {
     for (const int32_t threads : {1, 8}) {
@@ -328,8 +348,7 @@ TEST(EvictRecompute, ByteIdenticalAtEveryBudgetRung) {
                  static_cast<double>(reference.peak_bytes) * fraction));
       SCOPED_TRACE("fraction=" + std::to_string(fraction) +
                    " threads=" + std::to_string(threads));
-      const DriverRun bounded =
-          RunSmallAgg(budget, EvictionPolicyKind::kLru, threads);
+      const DriverRun bounded = RunSmallAgg(budget, threads);
       EXPECT_TRUE(bench::ResultsMatch(reference.report, bounded.report));
     }
   }
