@@ -151,7 +151,6 @@ struct AnalyzedRun {
   double slot_wait_s = 0.0;  // Total task slot-wait, not just on-path.
   double cache_hit_rate = 0.0;
   int64_t cache_hit_bytes = 0;  // Logical bytes served from cache.
-  int64_t cache_hit_compressed_bytes = 0;  // At-rest bytes those hits moved.
   int64_t stragglers = 0;
   /// Per-query SLO rollup (deadline attainment, lag) from the same
   /// journal, grouped by query label.
@@ -170,7 +169,6 @@ void Analyze(const obs::ObservabilityContext& ctx, AnalyzedRun* run) {
   const obs::analysis::CacheStats cache = s.TotalCache();
   run->cache_hit_rate = cache.HitRate();
   run->cache_hit_bytes = cache.hit_bytes;
-  run->cache_hit_compressed_bytes = cache.hit_compressed_bytes;
   run->stragglers = s.TotalStragglers();
   obs::analysis::AnalysisOptions per_query;
   per_query.group_by_query = true;
@@ -261,15 +259,8 @@ void AddPairMetrics(const std::string& prefix, const AnalyzedRun& hadoop,
   metrics->Add(prefix + ".hadoop_slot_wait_s", hadoop.slot_wait_s);
   metrics->Add(prefix + ".redoop_slot_wait_s", redoop.slot_wait_s);
   metrics->Add(prefix + ".redoop_cache_hit_rate", redoop.cache_hit_rate);
-  // Historical key: logical bytes, so diffs against old runs stay
-  // comparable. The explicit logical/compressed pair tells the real story
-  // (columnar panes move far fewer bytes than the simulation charges).
   metrics->Add(prefix + ".redoop_cache_hit_gb",
                static_cast<double>(redoop.cache_hit_bytes) / 1e9);
-  metrics->Add(prefix + ".redoop_cache_hit_logical_gb",
-               static_cast<double>(redoop.cache_hit_bytes) / 1e9);
-  metrics->Add(prefix + ".redoop_cache_hit_compressed_gb",
-               static_cast<double>(redoop.cache_hit_compressed_bytes) / 1e9);
 }
 
 bool g_results_matched = true;
@@ -523,10 +514,6 @@ void RunAblationCache(const Scale& scale, Metrics* metrics) {
     metrics->Add(prefix + ".cache_hit_rate", redoop.cache_hit_rate);
     metrics->Add(prefix + ".cache_hit_gb",
                  static_cast<double>(redoop.cache_hit_bytes) / 1e9);
-    metrics->Add(prefix + ".cache_hit_logical_gb",
-                 static_cast<double>(redoop.cache_hit_bytes) / 1e9);
-    metrics->Add(prefix + ".cache_hit_compressed_gb",
-                 static_cast<double>(redoop.cache_hit_compressed_bytes) / 1e9);
   }
 
   const RecurringQuery join_query =

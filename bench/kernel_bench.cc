@@ -38,7 +38,6 @@
 #include "exec/task_executor.h"
 #include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
-#include "mapreduce/kv_columnar.h"
 #include "obs/observability.h"
 #include "obs/telemetry_scope.h"
 #include "obs/trace/trace_context.h"
@@ -484,57 +483,6 @@ int Main(int argc, char** argv) {
                   static_cast<double>(input.size()) / par_s / 1e6, "-",
                   static_cast<double>(par_alloc) / 1e6);
     }
-  }
-  {
-    // Columnar pane pack/unpack: front-coded keys + varint values vs the
-    // row-flat copy the cache used to hold. base = row copy (AppendFrom
-    // loop), flat = Encode (pack row) / Decode (unpack row). The columnar
-    // image is what CacheStore now keeps at rest; decode is the lazy
-    // cache-hit cost.
-    FlatKvBuffer input;
-    input.Reserve(kEmitN);
-    EmitPairs(kEmitN, 83, [&](std::string_view k, std::string_view v) {
-      input.Append(k, v, 24);
-    });
-    uint64_t base_alloc = 0, pack_alloc = 0, unpack_alloc = 0;
-    const double copy_s = BestOfCounted(reps, &sink, &base_alloc, [&] {
-      FlatKvBuffer copy;
-      copy.Reserve(input.size());
-      for (size_t i = 0; i < input.size(); ++i) copy.AppendFrom(input, i);
-      return copy.size();
-    });
-    const double pack_s = BestOfCounted(reps, &sink, &pack_alloc, [&] {
-      return ColumnarKvPane::Encode(input).compressed_bytes();
-    });
-    const ColumnarKvPane pane = ColumnarKvPane::Encode(input);
-    const double unpack_s = BestOfCounted(reps, &sink, &unpack_alloc, [&] {
-      return pane.Decode().size();
-    });
-    char label[64];
-    std::snprintf(label, sizeof(label), "columnar-pack n=%zu", input.size());
-    report.Line("%-24s %10.3f %10.3f %6.2fx %9.1f %9.1f %9.1f", label,
-                copy_s * 1e3, pack_s * 1e3, copy_s / pack_s,
-                static_cast<double>(input.size()) / pack_s / 1e6,
-                static_cast<double>(base_alloc) / 1e6,
-                static_cast<double>(pack_alloc) / 1e6);
-    std::snprintf(label, sizeof(label), "columnar-unpack n=%zu",
-                  input.size());
-    report.Line("%-24s %10.3f %10.3f %6.2fx %9.1f %9.1f %9.1f", label,
-                copy_s * 1e3, unpack_s * 1e3, copy_s / unpack_s,
-                static_cast<double>(input.size()) / unpack_s / 1e6,
-                static_cast<double>(base_alloc) / 1e6,
-                static_cast<double>(unpack_alloc) / 1e6);
-    int64_t row_bytes = 0;
-    for (size_t i = 0; i < input.size(); ++i) {
-      row_bytes += static_cast<int64_t>(input.key(i).size() +
-                                        input.value(i).size());
-    }
-    report.Line("columnar image %.1f MB for %.1f MB raw kv bytes (%.2fx)",
-                static_cast<double>(pane.compressed_bytes()) / 1e6,
-                static_cast<double>(row_bytes) / 1e6,
-                static_cast<double>(row_bytes) /
-                    static_cast<double>(std::max<int64_t>(
-                        1, pane.compressed_bytes())));
   }
   {
     // Hash combine vs sort+scan combine over one partition's pairs.

@@ -8,15 +8,6 @@
 
 namespace redoop {
 
-std::shared_ptr<const FlatKvBuffer> CacheStore::Entry::payload() const {
-  if (flat_ != nullptr) return flat_;
-  std::call_once(decode_once_, [this] {
-    decoded_ =
-        std::make_shared<const FlatKvBuffer>(columnar_->Decode());
-  });
-  return decoded_;
-}
-
 void CacheStore::Lease::Release() {
   if (store_ == nullptr) return;
   store_->ReleasePin(name_, serial_);
@@ -27,11 +18,12 @@ CacheStore::CacheStore(Options options) : options_(std::move(options)) {
   UpdateGauges(GaugeSnapshot{});
 }
 
-void CacheStore::Put(const CacheKey& key, PanePayload payload,
+void CacheStore::Put(const CacheKey& key,
+                     std::shared_ptr<const FlatKvBuffer> payload,
                      PaneStats stats) {
   REDOOP_CHECK(key.valid());
   REDOOP_CHECK(stats.bytes >= 0 && stats.records >= 0);
-  REDOOP_CHECK(payload.rows() != nullptr);
+  REDOOP_CHECK(payload != nullptr);
   std::vector<EvictionNotice> notices;
   GaugeSnapshot after;
   {
@@ -39,19 +31,11 @@ void CacheStore::Put(const CacheKey& key, PanePayload payload,
     auto it = entries_.find(key.name());
     if (it != entries_.end()) EraseLocked(it);
     auto entry = std::make_unique<Entry>();
-    if (options_.columnar_payloads) {
-      entry->columnar_ = std::make_shared<const ColumnarKvPane>(
-          ColumnarKvPane::Encode(*payload.rows()));
-      entry->compressed_bytes = entry->columnar_->compressed_bytes();
-    } else {
-      entry->flat_ = payload.rows();
-      entry->compressed_bytes = stats.bytes;
-    }
+    entry->payload_ = std::move(payload);
     entry->bytes = stats.bytes;
     entry->records = stats.records;
     entry->serial_ = ++last_serial_;
     total_bytes_ += stats.bytes;
-    total_compressed_bytes_ += entry->compressed_bytes;
     it = entries_.emplace(key.name(), std::move(entry)).first;
     it->second->recency_ = recency_.insert(recency_.end(), it);
     peak_bytes_ = std::max(peak_bytes_, total_bytes_);
@@ -119,11 +103,6 @@ int64_t CacheStore::total_bytes() const {
   return total_bytes_;
 }
 
-int64_t CacheStore::total_compressed_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_compressed_bytes_;
-}
-
 int64_t CacheStore::pinned_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pinned_bytes_;
@@ -157,7 +136,6 @@ void CacheStore::EvictLocked(const Entry* exclude,
     EvictionNotice notice;
     notice.key = CacheKey::FromName(it->first);
     notice.bytes = it->second->bytes;
-    notice.compressed_bytes = it->second->compressed_bytes;
     notice.records = it->second->records;
     EraseLocked(it);
     ++evicted_entries_;
@@ -168,7 +146,6 @@ void CacheStore::EvictLocked(const Entry* exclude,
 
 void CacheStore::EraseLocked(EntryMap::iterator it) {
   total_bytes_ -= it->second->bytes;
-  total_compressed_bytes_ -= it->second->compressed_bytes;
   if (it->second->pins_ > 0) pinned_bytes_ -= it->second->bytes;
   recency_.erase(it->second->recency_);
   entries_.erase(it);
@@ -177,7 +154,6 @@ void CacheStore::EraseLocked(EntryMap::iterator it) {
 CacheStore::GaugeSnapshot CacheStore::SnapshotLocked() const {
   GaugeSnapshot snapshot;
   snapshot.bytes = total_bytes_;
-  snapshot.compressed_bytes = total_compressed_bytes_;
   snapshot.pinned_bytes = pinned_bytes_;
   snapshot.entries = entries_.size();
   return snapshot;
@@ -193,7 +169,6 @@ void CacheStore::PublishEvictions(const std::vector<EvictionNotice>& notices,
       scope.Emit(obs::event::kCachePaneEvict)
           .With("name", notice.key.name())
           .With("bytes", notice.bytes)
-          .With("compressed_bytes", notice.compressed_bytes)
           .With("records", notice.records)
           .With("reason", "budget");
     }
@@ -207,8 +182,6 @@ void CacheStore::UpdateGauges(const GaugeSnapshot& snapshot) {
   if (!scope.active()) return;
   scope.SetGauge(obs::metric::kCacheStoreBytes,
                  static_cast<double>(snapshot.bytes));
-  scope.SetGauge(obs::metric::kCacheStoreCompressedBytes,
-                 static_cast<double>(snapshot.compressed_bytes));
   scope.SetGauge(obs::metric::kCacheStorePinnedBytes,
                  static_cast<double>(snapshot.pinned_bytes));
   scope.SetGauge(obs::metric::kCacheStoreEntries,

@@ -13,9 +13,7 @@
 
 #include "common/ids.h"
 #include "core/cache_key.h"
-#include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
-#include "mapreduce/kv_columnar.h"
 #include "obs/telemetry_scope.h"
 
 namespace redoop {
@@ -33,8 +31,8 @@ namespace redoop {
 /// Recency: Put (a replacement included) and Find (so also Has) make an
 /// entry the most recently used.
 ///
-/// Budgeting is on logical (simulated) bytes, so victim choice is
-/// independent of the at-rest representation (row vs. columnar).
+/// Budgeting is on logical (simulated) bytes, the size the simulation
+/// charges for the pane's cache file.
 ///
 /// Pinning: Acquire() returns a Lease that exempts an entry from eviction
 /// while any lease on it is live. The driver pins everything the current
@@ -60,42 +58,30 @@ class CacheStore {
  public:
   class Entry {
    public:
-    /// The pane's pairs as one immutable flat buffer, shared (never
-    /// deep-copied) with every side input that references this cache —
-    /// the ReStore lesson: result reuse only pays when the cached
-    /// representation itself is cheap.
+    /// The pane's pairs: the very buffer the materializing job handed to
+    /// Put(), shared (never deep-copied) with its result and with every
+    /// side input that references this cache — the ReStore lesson: result
+    /// reuse only pays when the cached representation itself is cheap.
     ///
-    /// Row mode: the buffer the materializing job handed to Put(), shared
-    /// with its result. Columnar mode: the entry holds only the compressed
-    /// columns at rest; the first payload() call decodes them into a fresh
-    /// buffer, memoized for later hits (call_once, so concurrent readers
-    /// are safe and decode exactly once).
-    ///
-    /// Publish-once either way: a payload handed out is never mutated in
-    /// place; a rebuild Put()s a fresh entry and old shared_ptrs stay
-    /// valid. The parallel engine relies on this — an offloaded reduce
-    /// closure keeps merging its captured reference even if the entry is
-    /// replaced, removed, or evicted at the same virtual instant. Pinning
-    /// exists for *planning* correctness (an entry the recurrence still
-    /// reads must stay resident), not for memory safety.
-    std::shared_ptr<const FlatKvBuffer> payload() const;
+    /// Publish-once: a payload handed out is never mutated in place; a
+    /// rebuild Put()s a fresh entry and old shared_ptrs stay valid. The
+    /// parallel engine relies on this — an offloaded reduce closure keeps
+    /// merging its captured reference even if the entry is replaced,
+    /// removed, or evicted at the same virtual instant. Pinning exists for
+    /// *planning* correctness (an entry the recurrence still reads must
+    /// stay resident), not for memory safety.
+    const std::shared_ptr<const FlatKvBuffer>& payload() const {
+      return payload_;
+    }
 
     /// Logical (simulated) size — what capacity math, the byte budget, and
     /// hit accounting have always charged.
     int64_t bytes = 0;
-    /// Host bytes of the at-rest form: the columnar image in columnar
-    /// mode, `bytes` in row mode (no compressed form exists, so real
-    /// traffic is accounted at logical size). hit_compressed vs.
-    /// hit_logical in the journal come from here.
-    int64_t compressed_bytes = 0;
     int64_t records = 0;
 
    private:
     friend class CacheStore;
-    std::shared_ptr<const FlatKvBuffer> flat_;        // Row mode.
-    std::shared_ptr<const ColumnarKvPane> columnar_;  // Columnar mode.
-    mutable std::once_flag decode_once_;
-    mutable std::shared_ptr<const FlatKvBuffer> decoded_;
+    std::shared_ptr<const FlatKvBuffer> payload_;
     int64_t pins_ = 0;  // Live leases; > 0 exempts from eviction.
     /// Which Put created this entry, so a lease taken on an entry that
     /// has since been replaced unpins nothing.
@@ -109,33 +95,11 @@ class CacheStore {
     int64_t records = 0;
   };
 
-  /// The payload argument of Put — a thin wrapper so call sites read as
-  /// Put(key, payload, stats) and the two historical Put overloads stay
-  /// collapsed into one.
-  class PanePayload {
-   public:
-    /// Shares ownership with the materializing job's result (row mode
-    /// keeps this exact buffer at rest).
-    PanePayload(std::shared_ptr<const FlatKvBuffer> rows)  // NOLINT
-        : rows_(std::move(rows)) {}
-    /// Convenience for callers materializing fresh pairs (tests, fault
-    /// injection); flattened once on the way in.
-    static PanePayload FromKeyValues(std::vector<KeyValue> pairs) {
-      return PanePayload(std::make_shared<const FlatKvBuffer>(
-          FlatKvBuffer::FromKeyValues(pairs)));
-    }
-    const std::shared_ptr<const FlatKvBuffer>& rows() const { return rows_; }
-
-   private:
-    std::shared_ptr<const FlatKvBuffer> rows_;
-  };
-
   /// What a budget eviction removed; handed to Options::on_evict (outside
   /// the store mutex) so the driver can roll back planner state.
   struct EvictionNotice {
     CacheKey key;
     int64_t bytes = 0;
-    int64_t compressed_bytes = 0;
     int64_t records = 0;
   };
   using EvictionCallback = std::function<void(const EvictionNotice&)>;
@@ -145,8 +109,6 @@ class CacheStore {
   struct Options {
     /// Logical-byte budget; 0 = unbounded (never evicts).
     int64_t budget_bytes = 0;
-    /// At-rest representation for stored payloads.
-    bool columnar_payloads = false;
     /// Keeps cache.store.* gauges current and emits cache.pane.evict
     /// events (global and per-query labeled series via the scope).
     obs::TelemetryScope telemetry;
@@ -204,7 +166,8 @@ class CacheStore {
   /// — when a budget is set — evicts least recently used unpinned entries
   /// until the budget holds again. The entry being inserted is never its
   /// own victim; pin it to protect it past the next Put.
-  void Put(const CacheKey& key, PanePayload payload, PaneStats stats);
+  void Put(const CacheKey& key, std::shared_ptr<const FlatKvBuffer> payload,
+           PaneStats stats);
 
   /// Returns nullptr when absent. The pointer stays valid until the entry
   /// is removed, replaced, or evicted; pin the entry to extend that. A hit
@@ -225,7 +188,6 @@ class CacheStore {
 
   size_t size() const;
   int64_t total_bytes() const;
-  int64_t total_compressed_bytes() const;
   /// Bytes of entries currently holding at least one lease.
   int64_t pinned_bytes() const;
   /// High-water mark of total_bytes() over the store's lifetime — the
@@ -235,12 +197,10 @@ class CacheStore {
   int64_t evicted_bytes() const;
 
   int64_t budget_bytes() const { return options_.budget_bytes; }
-  bool columnar() const { return options_.columnar_payloads; }
 
  private:
   struct GaugeSnapshot {
     int64_t bytes = 0;
-    int64_t compressed_bytes = 0;
     int64_t pinned_bytes = 0;
     size_t entries = 0;
   };
@@ -265,7 +225,6 @@ class CacheStore {
   mutable RecencyList recency_;
   uint64_t last_serial_ = 0;
   int64_t total_bytes_ = 0;
-  int64_t total_compressed_bytes_ = 0;
   int64_t pinned_bytes_ = 0;
   int64_t peak_bytes_ = 0;
   int64_t evicted_entries_ = 0;

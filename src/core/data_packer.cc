@@ -173,7 +173,6 @@ void DynamicDataPacker::EmitSubpanes(PaneId pane_id, Timestamp up_to,
       auto created = dfs_->CreateFile(info.file_name, std::move(slice_records),
                                       sub_begin, sub_end);
       REDOOP_CHECK(created.ok()) << created.status().ToString();
-      info.compressed_bytes = (*dfs_->GetFileById(*created))->compressed_bytes();
       ++files_created_;
     }
     out->push_back(std::move(info));
@@ -195,7 +194,6 @@ void DynamicDataPacker::WritePaneFile(PaneId pane,
   auto created = dfs_->CreateFile(info.file_name, std::move(records),
                                   info.time_begin, info.time_end);
   REDOOP_CHECK(created.ok()) << created.status().ToString();
-  info.compressed_bytes = (*dfs_->GetFileById(*created))->compressed_bytes();
   ++files_created_;
   out->push_back(std::move(info));
 }
@@ -242,7 +240,6 @@ void DynamicDataPacker::FlushMultiPaneBuffer(std::vector<PaneFileInfo>* out) {
       info.file_name, std::move(all_records), info.time_begin, info.time_end,
       std::move(header));
   REDOOP_CHECK(created.ok()) << created.status().ToString();
-  info.compressed_bytes = (*dfs_->GetFileById(*created))->compressed_bytes();
   ++files_created_;
   multi_pane_buffer_.clear();
   out->push_back(std::move(info));

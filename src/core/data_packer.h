@@ -28,9 +28,6 @@ struct PaneFileInfo {
   int32_t subpane_index = 0;
   int32_t subpane_count = 1;
   int64_t bytes = 0;
-  /// Host bytes of the file's columnar-compressed image (0 for empty
-  /// panes): the real storage footprint behind `bytes`' logical size.
-  int64_t compressed_bytes = 0;
   int64_t records = 0;
   Timestamp time_begin = 0;
   Timestamp time_end = 0;

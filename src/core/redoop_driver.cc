@@ -112,7 +112,6 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
   {
     CacheStore::Options store_options;
     store_options.budget_bytes = options_.cache.budget_bytes;
-    store_options.columnar_payloads = options_.cache.columnar_payloads;
     store_options.telemetry = scope_;
     store_options.on_evict = [this](const CacheStore::EvictionNotice& n) {
       OnCacheEvicted(n);
@@ -611,9 +610,7 @@ void RedoopDriver::AppendSideInput(const CacheSignature& sig,
   side.location = sig.node;
   side.bytes = sig.bytes;
   side.records = sig.records;
-  // Shared with the store, not copied; columnar entries decode here (once,
-  // memoized) — the lazy "decompress on cache hit" moment.
-  side.payload = entry->payload();
+  side.payload = entry->payload();  // Shared with the store, not copied.
   out->push_back(std::move(side));
 }
 
@@ -665,7 +662,7 @@ void RedoopDriver::RegisterJobCaches(const JobResult& result,
       panes_built_this_recurrence_.insert({sig.source, sig.pane});
       pane_built_window_[{sig.source, sig.pane}] = telemetry_window_;
     }
-    store_->Put(key, CacheStore::PanePayload(cache.payload),
+    store_->Put(key, cache.payload,
                 CacheStore::PaneStats{sig.bytes, sig.records});
     // Pin the fresh entry for the rest of the recurrence: the window that
     // just paid to build it must be able to read it back.
@@ -1026,19 +1023,13 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
       if (it == pane_states_.end()) continue;  // Pane carried no data.
       const PaneIngestState& ps = it->second;
       bool cached = !ps.ric_names.empty() || !ps.roc_names.empty();
-      // Compressed footprint of the at-rest payloads backing this pane —
-      // the bytes a hit actually moves (columnar entries report their
-      // encoded image; row entries report logical size).
-      int64_t compressed = 0;
+      // One lookup per manifest key, no short cut: each hit refreshes the
+      // entry's recency, which budgeted eviction order depends on.
       for (const CacheKey& key : ps.ric_names) {
-        const CacheStore::Entry* entry = store_->Find(key);
-        if (entry == nullptr) cached = false;
-        else compressed += entry->compressed_bytes;
+        if (!store_->Has(key)) cached = false;
       }
       for (const CacheKey& key : ps.roc_names) {
-        const CacheStore::Entry* entry = store_->Find(key);
-        if (entry == nullptr) cached = false;
-        else compressed += entry->compressed_bytes;
+        if (!store_->Has(key)) cached = false;
       }
       const bool built_now =
           panes_built_this_recurrence_.count({qs.id, p}) > 0;
@@ -1046,8 +1037,6 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
       if (hit) {
         scope_.Increment(obs::metric::kCachePaneHits);
         scope_.Increment(obs::metric::kCachePaneHitBytes, ps.bytes);
-        scope_.Increment(obs::metric::kCachePaneHitCompressedBytes,
-                         compressed);
         counters_accum_.Increment(counter::kCachePaneHits);
       } else {
         scope_.Increment(obs::metric::kCachePaneMisses);
@@ -1064,8 +1053,6 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
               .With("reason", hit          ? "reused"
                               : built_now ? "built_this_recurrence"
                                           : "uncached");
-      // Only hits report compressed traffic: a miss moves no cached bytes.
-      if (hit) verdict.With("compressed_bytes", compressed);
       // Lineage: a reuse hit consumes the artifact built in an earlier
       // window — name that window so the trace's follows-from edge points
       // at the right pane span even after rebuilds.
@@ -1089,7 +1076,17 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
   JobSpec spec;
   spec.config = BaseJobConfig(StringPrintf("window-%ld", recurrence));
   spec.output_prefix = query_.OutputPathForRecurrence(recurrence);
+  // The per-pane-merge and no-caching windows are one plain job over
+  // `spec`; the other patterns produce their output directly.
+  auto run_window_job = [&] {
+    JobResult result = runner_->Run(spec);
+    REDOOP_CHECK(result.status.ok()) << result.status.ToString();
+    AccumulateJobStats(result);
+    return std::move(result.output);
+  };
 
+  WindowReport report;
+  report.recurrence = recurrence;
   switch (pattern) {
     case EffectivePattern::kPerPaneMerge: {
       // Merge per-pane partial aggregates (pane-based, not tuple-based).
@@ -1103,6 +1100,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
         spec.side_inputs.insert(spec.side_inputs.end(), sides.begin(),
                                 sides.end());
       }
+      report.output = run_window_job();
       break;
     }
     case EffectivePattern::kPanePairJoinNoOutputCache:
@@ -1127,39 +1125,16 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       RegisterJobCaches(result, /*source_for_roc=*/0, kInvalidPane);
       AccumulateJobStats(result);
       FinishFoldedPanes(recurrence);
-
-      WindowReport report;
-      report.recurrence = recurrence;
       report.output = std::move(result.output);
-      SortByKey(&report.output);
-      report.output_records = static_cast<int64_t>(report.output.size());
-      for (const QuerySource& qs : query_.sources) {
-        for (PaneId p = panes.first; p < panes.last; ++p) {
-          auto it = pane_states_.find({qs.id, p});
-          if (it != pane_states_.end())
-            report.window_input_bytes += it->second.bytes;
-        }
-      }
-      return report;
+      break;
     }
     case EffectivePattern::kPanePairJoin: {
       if (join_window_override_.has_value()) {
         // The recompute path already produced (and published) the window
         // output in one pass over the cached reducer inputs.
-        WindowReport report;
-        report.recurrence = recurrence;
         report.output = std::move(*join_window_override_);
         join_window_override_.reset();
-        SortByKey(&report.output);
-        report.output_records = static_cast<int64_t>(report.output.size());
-        for (const QuerySource& qs : query_.sources) {
-          for (PaneId p = panes.first; p < panes.last; ++p) {
-            auto it = pane_states_.find({qs.id, p});
-            if (it != pane_states_.end())
-              report.window_input_bytes += it->second.bytes;
-          }
-        }
-        return report;
+        break;
       }
       // The window result is the union of the in-window pane-pair outputs.
       // Each pair's output was already materialized (and written to the
@@ -1186,23 +1161,12 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
           }
         }
       }
-      WindowReport report;
-      report.recurrence = recurrence;
       report.output.reserve(output_records);
       for (const auto& pair_output : pair_outputs) {
         pair_output->AppendToKeyValues(&report.output);
       }
-      SortByKey(&report.output);
-      report.output_records = static_cast<int64_t>(report.output.size());
       last_join_output_bytes_ = TotalLogicalBytes(report.output);
-      for (const QuerySource& qs : query_.sources) {
-        for (PaneId p = panes.first; p < panes.last; ++p) {
-          auto it = pane_states_.find({qs.id, p});
-          if (it != pane_states_.end())
-            report.window_input_bytes += it->second.bytes;
-        }
-      }
-      return report;
+      break;
     }
     case EffectivePattern::kNoCaching: {
       // Degenerate mode: recompute the window from the pane files.
@@ -1222,17 +1186,11 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
           }
         }
       }
+      report.output = run_window_job();
       break;
     }
   }
 
-  JobResult result = runner_->Run(spec);
-  REDOOP_CHECK(result.status.ok()) << result.status.ToString();
-  AccumulateJobStats(result);
-
-  WindowReport report;
-  report.recurrence = recurrence;
-  report.output = std::move(result.output);
   SortByKey(&report.output);
   report.output_records = static_cast<int64_t>(report.output.size());
   for (const QuerySource& qs : query_.sources) {
@@ -1691,7 +1649,7 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
     }
     panes_built_this_recurrence_.insert({source, pane});
     pane_built_window_[{source, pane}] = telemetry_window_;
-    store_->Put(key, CacheStore::PanePayload(image.payload),
+    store_->Put(key, image.payload,
                 CacheStore::PaneStats{sig.bytes, sig.records});
     recurrence_leases_.push_back(store_->Acquire(key));
     registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,

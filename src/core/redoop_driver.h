@@ -45,12 +45,6 @@ struct CacheOptions {
   bool hybrid_join_strategy = true;
   /// Local-registry purge period; < 0 means "one slide" (paper default).
   double purge_cycle_s = -1.0;
-  /// Store cache payloads columnar-compressed (front-coded key column,
-  /// varint value/offset columns), decoding lazily into a FlatKvBuffer on
-  /// first access. Job outputs, counters, and simulated timings are
-  /// byte-identical either way — only host memory and the compressed-bytes
-  /// accounting change. Off = keep the row-ordered flat buffer as-is.
-  bool columnar_payloads = true;
   /// Logical-byte budget of the driver's CacheStore; 0 = unbounded (keep
   /// every pane the lifespan math declares live, the paper's model). Under
   /// a budget the least recently used unpinned panes are evicted; they
@@ -161,7 +155,6 @@ class RedoopDriverOptions::Builder {
   Builder& CacheReduceOutput(bool v) { opts_.cache.reduce_output = v; return *this; }
   Builder& HybridJoinStrategy(bool v) { opts_.cache.hybrid_join_strategy = v; return *this; }
   Builder& PurgeCycle(double seconds) { opts_.cache.purge_cycle_s = seconds; return *this; }
-  Builder& ColumnarPayloads(bool v) { opts_.cache.columnar_payloads = v; return *this; }
   Builder& CacheBudgetBytes(int64_t v) { opts_.cache.budget_bytes = v; return *this; }
   Builder& Adaptive(bool v) { opts_.adaptive.enabled = v; return *this; }
   Builder& ProactiveThreshold(double v) { opts_.adaptive.proactive_threshold = v; return *this; }

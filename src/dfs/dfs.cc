@@ -53,9 +53,8 @@ StatusOr<FileId> Dfs::CreateFileWithHeader(std::string_view name,
   file->pane_header = std::move(header);
   file->time_begin = time_begin;
   file->time_end = time_end;
-  file->record_count_ = static_cast<int64_t>(records.size());
-  EncodeSegments(file.get(), records);
-  PlaceBlocks(file.get(), records);
+  file->rows_ = std::move(records);
+  PlaceBlocks(file.get());
 
   const FileId id = file->id;
   by_name_[file->name] = id;
@@ -74,45 +73,8 @@ StatusOr<FileId> Dfs::CreateFileWithHeader(std::string_view name,
   return id;
 }
 
-const std::vector<Record>& DfsFile::rows() const {
-  std::call_once(decode_once_, [this] {
-    rows_.reserve(static_cast<size_t>(record_count_));
-    for (const ColumnarRecordBlock& segment : segments_) {
-      segment.DecodeInto(&rows_);
-    }
-  });
-  return rows_;
-}
-
-void Dfs::EncodeSegments(DfsFile* file, const std::vector<Record>& records) {
-  const int64_t total = static_cast<int64_t>(records.size());
-  // Pane-granular segments only when the header tiles the record range
-  // exactly; anything else (plain files, headerless panes) encodes whole.
-  bool tiled = !file->pane_header.empty();
-  int64_t expect = 0;
-  for (const PaneHeaderEntry& e : file->pane_header.entries()) {
-    if (e.record_offset != expect) tiled = false;
-    expect += e.record_count;
-  }
-  if (tiled && expect != total) tiled = false;
-  if (!tiled) {
-    file->segments_.push_back(ColumnarRecordBlock::Encode(records));
-    return;
-  }
-  int64_t compressed_offset = 0;
-  const auto& entries = file->pane_header.entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    ColumnarRecordBlock segment = ColumnarRecordBlock::Encode(
-        records.data() + entries[i].record_offset,
-        static_cast<size_t>(entries[i].record_count));
-    const int64_t size = segment.compressed_bytes();
-    file->pane_header.AnnotateCompressed(i, compressed_offset, size);
-    compressed_offset += size;
-    file->segments_.push_back(std::move(segment));
-  }
-}
-
-void Dfs::PlaceBlocks(DfsFile* file, const std::vector<Record>& records) {
+void Dfs::PlaceBlocks(DfsFile* file) {
+  const std::vector<Record>& records = file->rows_;
   const int64_t block_size = options_.block_size_bytes;
   const int64_t record_count = static_cast<int64_t>(records.size());
   int64_t begin = 0;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "common/ids.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "dfs/columnar.h"
 #include "dfs/pane_header.h"
 #include "dfs/record.h"
 #include "obs/observability.h"
@@ -33,11 +31,8 @@ struct Block {
 };
 
 /// A file in the simulated HDFS: block/replica metadata, an optional pane
-/// header for multi-pane files, and the record payload at rest in
-/// columnar-compressed segments (one per pane for multi-pane files, one
-/// for the whole file otherwise). The simulated world keeps charging
-/// logical bytes, so the storage form is invisible to costs and outputs —
-/// it changes host memory and the compressed-bytes accounting only.
+/// header for multi-pane files, and the records themselves, kept exactly
+/// as the writer handed them over.
 struct DfsFile {
   FileId id = 0;
   std::string name;
@@ -49,29 +44,15 @@ struct DfsFile {
   Timestamp time_begin = 0;
   Timestamp time_end = 0;
 
-  /// The file's records, decoded from the columnar segments on first
-  /// access and memoized. call_once: map tasks read payload files
-  /// concurrently on executor worker threads.
-  const std::vector<Record>& rows() const;
+  /// The file's records. Never modified after creation: map tasks read
+  /// payload files concurrently on executor worker threads.
+  const std::vector<Record>& rows() const { return rows_; }
 
-  int64_t record_count() const { return record_count_; }
-
-  /// Host bytes of the encoded image (all segments) — what a block read
-  /// of this file really moves.
-  int64_t compressed_bytes() const {
-    int64_t total = 0;
-    for (const ColumnarRecordBlock& s : segments_) {
-      total += s.compressed_bytes();
-    }
-    return total;
-  }
+  int64_t record_count() const { return static_cast<int64_t>(rows_.size()); }
 
  private:
   friend class Dfs;
-  std::vector<ColumnarRecordBlock> segments_;
-  int64_t record_count_ = 0;
-  mutable std::once_flag decode_once_;
-  mutable std::vector<Record> rows_;
+  std::vector<Record> rows_;
 };
 
 struct DfsOptions {
@@ -147,12 +128,7 @@ class Dfs {
   void set_observability(obs::ObservabilityContext* obs) { obs_ = obs; }
 
  private:
-  void PlaceBlocks(DfsFile* file, const std::vector<Record>& records);
-  /// Transposes `records` into the file's columnar segments — per pane
-  /// when the header partitions the record range, whole-file otherwise —
-  /// and annotates the header with each segment's compressed extent.
-  static void EncodeSegments(DfsFile* file,
-                             const std::vector<Record>& records);
+  void PlaceBlocks(DfsFile* file);
   std::vector<NodeId> ChooseReplicaNodes();
   bool IsAlive(NodeId node) const;
 

@@ -40,14 +40,6 @@ int64_t PaneHeader::last_pane_id() const {
   return entries_.back().pane_id;
 }
 
-void PaneHeader::AnnotateCompressed(size_t index, int64_t offset,
-                                    int64_t size) {
-  REDOOP_CHECK(index < entries_.size());
-  REDOOP_CHECK(offset >= 0 && size >= 0);
-  entries_[index].compressed_offset = offset;
-  entries_[index].compressed_size = size;
-}
-
 int64_t PaneHeader::logical_bytes() const {
   if (entries_.empty()) return 0;  // Plain files carry no header.
   return kHeaderFixedBytes +

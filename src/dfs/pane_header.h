@@ -17,11 +17,6 @@ struct PaneHeaderEntry {
   /// Logical byte offset/size of the pane within the file.
   int64_t byte_offset = 0;
   int64_t byte_size = 0;
-  /// Offset/size of the pane's columnar-compressed segment within the
-  /// file's encoded image — a pane-granular seek needs only its own
-  /// segment, never the whole file. Filled by Dfs at file creation.
-  int64_t compressed_offset = 0;
-  int64_t compressed_size = 0;
 };
 
 /// The special file header Redoop prepends to multi-pane files so an
@@ -50,10 +45,6 @@ class PaneHeader {
   /// Serialized size of the header itself in logical bytes (counted as
   /// extra I/O when the file is opened).
   int64_t logical_bytes() const;
-
-  /// Records where entry `index`'s columnar segment landed in the file's
-  /// encoded image (Dfs fills this while encoding pane segments).
-  void AnnotateCompressed(size_t index, int64_t offset, int64_t size);
 
  private:
   std::vector<PaneHeaderEntry> entries_;

@@ -460,7 +460,7 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
   // Most mappers emit about one pair per record. The context is scratch:
   // only the exactly-sized buckets below outlive this call.
   context.Reserve(static_cast<size_t>(record_end - record_begin));
-  const std::vector<Record>& rows = file->rows();  // Decoded once, memoized.
+  const std::vector<Record>& rows = file->rows();
   for (int64_t r = record_begin; r < record_end; ++r) {
     mapper->Map(rows[static_cast<size_t>(r)], &context);
   }

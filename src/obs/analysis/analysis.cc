@@ -27,7 +27,6 @@ void CacheStats::Add(const CacheStats& other) {
   pair_hits += other.pair_hits;
   pair_misses += other.pair_misses;
   hit_bytes += other.hit_bytes;
-  hit_compressed_bytes += other.hit_compressed_bytes;
   miss_bytes += other.miss_bytes;
   evictions += other.evictions;
   evicted_bytes += other.evicted_bytes;
@@ -533,8 +532,6 @@ Status AnalyzeJournal(const EventJournal& journal,
       if (hit) {
         ++b.window.cache.pane_hits;
         b.window.cache.hit_bytes += bytes;
-        b.window.cache.hit_compressed_bytes +=
-            e.IntOr("compressed_bytes", bytes);
       } else {
         ++b.window.cache.pane_misses;
         b.window.cache.miss_bytes += bytes;
@@ -614,15 +611,13 @@ std::string PhaseJson(const PhaseBreakdown& p) {
 std::string CacheJson(const CacheStats& c) {
   return StringPrintf(
       "{\"pane_hits\": %lld, \"pane_misses\": %lld, \"pair_hits\": %lld, "
-      "\"pair_misses\": %lld, \"hit_bytes\": %lld, "
-      "\"hit_compressed_bytes\": %lld, \"miss_bytes\": %lld, "
+      "\"pair_misses\": %lld, \"hit_bytes\": %lld, \"miss_bytes\": %lld, "
       "\"evictions\": %lld, \"evicted_bytes\": %lld, \"hit_rate\": %s}",
       static_cast<long long>(c.pane_hits),
       static_cast<long long>(c.pane_misses),
       static_cast<long long>(c.pair_hits),
       static_cast<long long>(c.pair_misses),
       static_cast<long long>(c.hit_bytes),
-      static_cast<long long>(c.hit_compressed_bytes),
       static_cast<long long>(c.miss_bytes),
       static_cast<long long>(c.evictions),
       static_cast<long long>(c.evicted_bytes),
@@ -684,14 +679,13 @@ std::string BreakdownToText(const RunAnalysis& analysis) {
     const CacheStats total = s.TotalCache();
     out += StringPrintf(
         "  cache   pane %lld/%lld  pair %lld/%lld  hit rate %s  reused "
-        "%lld bytes (%lld compressed)\n",
+        "%lld bytes\n",
         static_cast<long long>(total.pane_hits),
         static_cast<long long>(total.pane_hits + total.pane_misses),
         static_cast<long long>(total.pair_hits),
         static_cast<long long>(total.pair_hits + total.pair_misses),
         FormatDouble(total.HitRate()).c_str(),
-        static_cast<long long>(total.hit_bytes),
-        static_cast<long long>(total.hit_compressed_bytes));
+        static_cast<long long>(total.hit_bytes));
     if (total.evictions > 0) {
       out += StringPrintf(
           "  evict   %lld panes (%lld bytes) pushed out by the byte "

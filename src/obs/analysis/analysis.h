@@ -80,9 +80,6 @@ struct CacheStats {
   int64_t pair_hits = 0;
   int64_t pair_misses = 0;
   int64_t hit_bytes = 0;   // Logical bytes served from cache (not re-read).
-  // Host bytes of the at-rest (columnar-compressed) payloads those hits
-  // decoded — the traffic the hits really moved.
-  int64_t hit_compressed_bytes = 0;
   int64_t miss_bytes = 0;  // Bytes that had to be (re)built.
   // Budget evictions (cache.pane.evict): panes the byte budget pushed out
   // of the store, flipping them back to recompute.

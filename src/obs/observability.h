@@ -63,10 +63,6 @@ namespace metric {
 inline constexpr const char* kCachePaneHits = "cache.pane.hits";
 inline constexpr const char* kCachePaneMisses = "cache.pane.misses";
 inline constexpr const char* kCachePaneHitBytes = "cache.pane.hit.bytes";
-// Host bytes of the at-rest (columnar-compressed) payloads backing a pane
-// hit — the traffic a hit really moves, vs. the logical bytes above.
-inline constexpr const char* kCachePaneHitCompressedBytes =
-    "cache.pane.hit.compressed.bytes";
 inline constexpr const char* kCachePaneMissBytes = "cache.pane.miss.bytes";
 // Pane-pair reuse in the join path (cache status matrix).
 inline constexpr const char* kCachePairHits = "cache.pair.hits";
@@ -84,8 +80,6 @@ inline constexpr const char* kCachePurgedBytes = "cache.purged.bytes";
 inline constexpr const char* kCacheEvictedEntries = "cache.evicted.entries";
 inline constexpr const char* kCacheEvictedBytes = "cache.evicted.bytes";
 inline constexpr const char* kCacheStoreBytes = "cache.store.bytes";    // gauge
-inline constexpr const char* kCacheStoreCompressedBytes =
-    "cache.store.compressed.bytes";  // gauge
 inline constexpr const char* kCacheStoreEntries = "cache.store.entries";  // gauge
 inline constexpr const char* kCacheStorePinnedBytes =
     "cache.store.pinned.bytes";  // gauge

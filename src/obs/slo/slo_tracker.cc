@@ -45,7 +45,6 @@ SloReport ComputeSlo(const analysis::RunAnalysis& analysis) {
       q.cache_hits += w.cache.pane_hits + w.cache.pair_hits;
       q.cache_misses += w.cache.pane_misses + w.cache.pair_misses;
       q.cache_hit_bytes += w.cache.hit_bytes;
-      q.cache_hit_compressed_bytes += w.cache.hit_compressed_bytes;
       q.cache_evictions += w.cache.evictions;
       q.cache_evicted_bytes += w.cache.evicted_bytes;
       q.slot_wait_s += w.map_phases.wait + w.reduce_phases.wait;
@@ -111,7 +110,6 @@ void ExportTo(const SloReport& report, MetricsSnapshot* snapshot) {
     gauge("slo.response.max_s", q.max_response_s);
     gauge("slo.cache.hit_rate", q.CacheHitRate());
     counter("slo.cache.hit.bytes", q.cache_hit_bytes);
-    counter("slo.cache.hit.compressed.bytes", q.cache_hit_compressed_bytes);
     counter("slo.cache.evictions", q.cache_evictions);
     counter("slo.cache.evicted.bytes", q.cache_evicted_bytes);
     gauge("slo.slot_wait_s", q.slot_wait_s);
@@ -171,13 +169,11 @@ std::string SloReport::ToText() const {
                         FormatDouble(q.MeanResponse()).c_str(),
                         FormatDouble(q.max_response_s).c_str());
     out += StringPrintf(
-        "  cache       hit rate %s (%lld/%lld, %lld bytes reused, "
-        "%lld compressed)\n",
+        "  cache       hit rate %s (%lld/%lld, %lld bytes reused)\n",
         FormatDouble(q.CacheHitRate()).c_str(),
         static_cast<long long>(q.cache_hits),
         static_cast<long long>(q.cache_hits + q.cache_misses),
-        static_cast<long long>(q.cache_hit_bytes),
-        static_cast<long long>(q.cache_hit_compressed_bytes));
+        static_cast<long long>(q.cache_hit_bytes));
     out += StringPrintf(
         "  evictions   %lld (%lld bytes reclaimed by the budget)\n",
         static_cast<long long>(q.cache_evictions),
@@ -209,7 +205,6 @@ std::string SloReport::ToJson() const {
         "\"response_max_s\": %s, \"lag_total_s\": %s, \"lag_max_s\": %s, "
         "\"lag_last_s\": %s, \"cache_hits\": %lld, \"cache_misses\": %lld, "
         "\"cache_hit_rate\": %s, \"cache_hit_bytes\": %lld, "
-        "\"cache_hit_compressed_bytes\": %lld, "
         "\"cache_evictions\": %lld, \"cache_evicted_bytes\": %lld, "
         "\"slot_wait_s\": %s, \"stragglers\": %lld, "
         "\"straggler_incidence\": %s, \"failed_attempts\": %lld, "
@@ -230,7 +225,6 @@ std::string SloReport::ToJson() const {
         static_cast<long long>(q.cache_misses),
         FormatDouble(q.CacheHitRate()).c_str(),
         static_cast<long long>(q.cache_hit_bytes),
-        static_cast<long long>(q.cache_hit_compressed_bytes),
         static_cast<long long>(q.cache_evictions),
         static_cast<long long>(q.cache_evicted_bytes),
         FormatDouble(q.slot_wait_s).c_str(),

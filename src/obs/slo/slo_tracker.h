@@ -50,8 +50,6 @@ struct QuerySlo {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t cache_hit_bytes = 0;  ///< Logical bytes served from cache.
-  /// Host bytes of the columnar-compressed payloads those hits decoded.
-  int64_t cache_hit_compressed_bytes = 0;
   /// Budget evictions charged to this query's windows: panes the byte
   /// budget pushed out of the store (each flips back to recompute).
   int64_t cache_evictions = 0;

@@ -231,8 +231,7 @@ TEST(AnalyzeJournalTest, GoldenBreakdownText) {
       "  reduce  wait=0         startup=0.1       read=0.2       "
       "shuffle=0.9       sort=0.3       compute=0.4       write=0.1       "
       "total=2\n"
-      "  cache   pane 1/2  pair 0/2  hit rate 0.25  reused 1000 bytes "
-      "(1000 compressed)\n";
+      "  cache   pane 1/2  pair 0/2  hit rate 0.25  reused 1000 bytes\n";
   EXPECT_EQ(BreakdownToText(analysis), expected);
 }
 

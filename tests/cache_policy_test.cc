@@ -28,8 +28,9 @@ CacheKey Ric(PaneId pane, int32_t partition = 0) {
   return CacheKey::ReduceInput(/*query=*/1, /*source=*/1, pane, partition);
 }
 
-CacheStore::PanePayload Payload() {
-  return CacheStore::PanePayload::FromKeyValues({{"k", "v", 8}});
+std::shared_ptr<const FlatKvBuffer> Payload() {
+  return std::make_shared<const FlatKvBuffer>(
+      FlatKvBuffer::FromKeyValues(std::vector<KeyValue>{{"k", "v", 8}}));
 }
 
 void PutBytes(CacheStore* store, const CacheKey& key, int64_t bytes) {
@@ -242,8 +243,8 @@ TEST(CachePolicyConcurrency, StatReadsRaceFreeAgainstMutations) {
     readers.emplace_back([&store] {
       int64_t sink = 0;
       for (int i = 0; i < 2000; ++i) {
-        sink += store.total_bytes() + store.total_compressed_bytes() +
-                static_cast<int64_t>(store.size()) + store.pinned_bytes();
+        sink += store.total_bytes() + static_cast<int64_t>(store.size()) +
+                store.pinned_bytes();
       }
       EXPECT_GE(sink, 0);
     });

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cluster/node.h"
+#include "common/random.h"
 #include "core/cache_key.h"
 #include "core/cache_store.h"
 #include "core/local_cache_registry.h"
@@ -23,6 +29,12 @@ CacheKey Ric(PaneId pane, int32_t partition = 0) {
 }
 CacheKey Roc(PaneId pane, int32_t partition = 0) {
   return CacheKey::ReduceOutput(/*query=*/1, /*source=*/1, pane, partition);
+}
+
+// A cache payload holding `pairs`, as a materializing job would hand it over.
+std::shared_ptr<const FlatKvBuffer> Pairs(std::vector<KeyValue> pairs) {
+  return std::make_shared<const FlatKvBuffer>(
+      FlatKvBuffer::FromKeyValues(pairs));
 }
 
 TEST(LocalCacheRegistryTest, AddAndFind) {
@@ -124,12 +136,13 @@ TEST(LocalCacheRegistryTest, RemoveDropsMetadataOnly) {
 TEST(CacheStoreTest, PutFindRemove) {
   CacheStore store;
   const CacheKey a = Ric(1);
-  store.Put(a,
-            CacheStore::PanePayload::FromKeyValues({{"k", "v", 8}}),
-            CacheStore::PaneStats{8, 1});
+  const std::shared_ptr<const FlatKvBuffer> payload = Pairs({{"k", "v", 8}});
+  store.Put(a, payload, CacheStore::PaneStats{8, 1});
   ASSERT_TRUE(store.Has(a));
   const CacheStore::Entry* entry = store.Find(a);
   ASSERT_NE(entry, nullptr);
+  // A hit hands out the very buffer Put received: zero copies, no decode.
+  EXPECT_EQ(entry->payload(), payload);
   EXPECT_EQ(entry->payload()->size(), 1u);
   EXPECT_EQ(entry->bytes, 8);
   EXPECT_EQ(store.total_bytes(), 8);
@@ -139,13 +152,47 @@ TEST(CacheStoreTest, PutFindRemove) {
   store.Remove(a);  // Idempotent.
 }
 
+TEST(CacheStoreTest, RoundTripsPairsExactly) {
+  // Empty, shared-prefix, full-byte-range and random pairs: a hit returns
+  // every key, value and logical size exactly as the job stored them.
+  Random rng(41);
+  auto random_bytes = [&rng](size_t max_len) {
+    std::string out(rng.Uniform(max_len + 1), '\0');
+    for (char& c : out) c = static_cast<char>(rng.Uniform(256));
+    return out;
+  };
+  std::vector<KeyValue> pairs = {
+      {"", "", 8},
+      {"shared-prefix-alpha", "v1", 29},
+      {"shared-prefix-beta", "v2", 28},
+      {std::string("\x00\xff\x80nul", 6), "high\xc3\xa9", 20}};
+  int64_t bytes = 0;
+  for (int i = 0; i < 500; ++i) {
+    pairs.emplace_back(random_bytes(24), random_bytes(12),
+                       static_cast<int32_t>(rng.Uniform(1 << 20)));
+  }
+  for (const KeyValue& kv : pairs) bytes += kv.logical_bytes;
+  CacheStore store;
+  const CacheKey a = Ric(1);
+  store.Put(a, Pairs(pairs),
+            CacheStore::PaneStats{bytes, static_cast<int64_t>(pairs.size())});
+  const CacheStore::Entry* entry = store.Find(a);
+  ASSERT_NE(entry, nullptr);
+  const FlatKvBuffer& back = *entry->payload();
+  ASSERT_EQ(back.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(back.key(i), pairs[i].key) << "pair " << i;
+    EXPECT_EQ(back.value(i), pairs[i].value) << "pair " << i;
+    EXPECT_EQ(back.logical_bytes(i), pairs[i].logical_bytes) << "pair " << i;
+  }
+  EXPECT_EQ(back.total_logical_bytes(), bytes);
+}
+
 TEST(CacheStoreTest, OverwriteReplacesBytes) {
   CacheStore store;
   const CacheKey a = Ric(1);
-  store.Put(a, CacheStore::PanePayload::FromKeyValues({}),
-            CacheStore::PaneStats{100, 0});
-  store.Put(a, CacheStore::PanePayload::FromKeyValues({}),
-            CacheStore::PaneStats{40, 0});
+  store.Put(a, Pairs({}), CacheStore::PaneStats{100, 0});
+  store.Put(a, Pairs({}), CacheStore::PaneStats{40, 0});
   EXPECT_EQ(store.total_bytes(), 40);
   EXPECT_EQ(store.size(), 1u);
 }
@@ -153,13 +200,10 @@ TEST(CacheStoreTest, OverwriteReplacesBytes) {
 TEST(CacheStoreTest, PayloadPointerStableAcrossOtherInserts) {
   CacheStore store;
   const CacheKey a = Roc(0);
-  store.Put(a,
-            CacheStore::PanePayload::FromKeyValues({{"k", "v", 8}}),
-            CacheStore::PaneStats{8, 1});
+  store.Put(a, Pairs({{"k", "v", 8}}), CacheStore::PaneStats{8, 1});
   const CacheStore::Entry* entry = store.Find(a);
   for (int i = 0; i < 100; ++i) {
-    store.Put(Ric(i), CacheStore::PanePayload::FromKeyValues({}),
-              CacheStore::PaneStats{1, 0});
+    store.Put(Ric(i), Pairs({}), CacheStore::PaneStats{1, 0});
   }
   EXPECT_EQ(store.Find(a), entry)
       << "job side-input payloads must stay valid while caches are added";

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/random.h"
 #include "dfs/dfs.h"
 #include "dfs/pane_header.h"
 
@@ -20,6 +22,16 @@ std::vector<Record> MakeRecords(int64_t count, int32_t bytes_each,
   return records;
 }
 
+// The file keeps exactly the records it was created from, in order.
+void ExpectRowsEqual(const DfsFile& file, const std::vector<Record>& want) {
+  const std::vector<Record>& rows = file.rows();
+  ASSERT_EQ(rows.size(), want.size());
+  EXPECT_EQ(file.record_count(), static_cast<int64_t>(want.size()));
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rows[i], want[i]) << "row " << i;
+  }
+}
+
 DfsOptions SmallBlocks() {
   DfsOptions o;
   o.block_size_bytes = 1024;
@@ -29,18 +41,45 @@ DfsOptions SmallBlocks() {
 
 TEST(DfsTest, CreateAndGet) {
   Dfs dfs(4, SmallBlocks());
-  auto id = dfs.CreateFile("f1", MakeRecords(10, 100), 0, 10);
+  const std::vector<Record> records = MakeRecords(10, 100);
+  auto id = dfs.CreateFile("f1", records, 0, 10);
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(dfs.Exists("f1"));
   auto file = dfs.GetFile("f1");
   ASSERT_TRUE(file.ok());
-  EXPECT_EQ((*file)->rows().size(), 10u);
+  ExpectRowsEqual(**file, records);
   EXPECT_EQ((*file)->size_bytes, 1000) << "empty header adds no bytes";
   EXPECT_EQ((*file)->time_begin, 0);
   EXPECT_EQ((*file)->time_end, 10);
   auto by_id = dfs.GetFileById(*id);
   ASSERT_TRUE(by_id.ok());
   EXPECT_EQ((*by_id)->name, "f1");
+}
+
+TEST(DfsTest, RoundTripsRecordsExactly) {
+  // Empty fields, out-of-order timestamps, shared key prefixes and the
+  // full byte range all come back unchanged.
+  Random rng(43);
+  auto random_bytes = [&rng](size_t max_len) {
+    std::string out(rng.Uniform(max_len + 1), '\0');
+    for (char& c : out) c = static_cast<char>(rng.Uniform(256));
+    return out;
+  };
+  std::vector<Record> records;
+  records.emplace_back(0, "", "", 0);
+  records.emplace_back(100, "sensor-001", "a", 15);
+  records.emplace_back(40, "sensor-002", "b", 15);
+  records.emplace_back(40, std::string("\xff\x00z", 3), "c", 8);
+  for (int i = 0; i < 800; ++i) {
+    records.emplace_back(static_cast<Timestamp>(rng.Uniform(100000)),
+                         random_bytes(20), random_bytes(30),
+                         static_cast<int32_t>(rng.Uniform(1 << 24)));
+  }
+  Dfs dfs(4, SmallBlocks());
+  ASSERT_TRUE(dfs.CreateFile("mixed", records, 0, 100000).ok());
+  auto file = dfs.GetFile("mixed");
+  ASSERT_TRUE(file.ok());
+  ExpectRowsEqual(**file, records);
 }
 
 TEST(DfsTest, DuplicateNameRejected) {
@@ -210,12 +249,15 @@ TEST(DfsTest, FileWithHeaderKeepsIt) {
   PaneHeader header;
   header.Add({0, 0, 5, 0, 500});
   header.Add({1, 5, 5, 500, 500});
-  ASSERT_TRUE(dfs.CreateFileWithHeader("multi", MakeRecords(10, 100), 0, 2,
-                                       std::move(header))
-                  .ok());
+  const std::vector<Record> records = MakeRecords(10, 100);
+  ASSERT_TRUE(
+      dfs.CreateFileWithHeader("multi", records, 0, 2, std::move(header))
+          .ok());
   const DfsFile* file = *dfs.GetFile("multi");
   EXPECT_EQ(file->pane_header.pane_count(), 2u);
   EXPECT_EQ(file->pane_header.Find(1)->record_offset, 5);
+  // Both panes' records, whole and in order behind the header.
+  ExpectRowsEqual(*file, records);
 }
 
 }  // namespace
