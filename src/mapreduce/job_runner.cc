@@ -784,7 +784,9 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
                   side_refs = std::move(side_refs),
                   reducer = spec.config.reducer] {
     ReducePayloadResult out;
-    const FlatKvBuffer input = MergeFlatRuns(runs);
+    const auto merged =
+        std::make_shared<const FlatKvBuffer>(MergeFlatRuns(runs));
+    const FlatKvBuffer& input = *merged;
     // Grouping + user reduce calls: each key group is a zero-copy view
     // into the merged flat input. Reducers that opt into the flat surface
     // never see a per-pair string; the classic interface gets its groups
@@ -809,16 +811,19 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
     out.output_bytes = out.output->total_logical_bytes();
     for (const auto& [key, pane_runs] : runs_by_pane) {
       // Each pane's cache is the merge of that pane's sorted map buckets —
-      // the same k-way kernel, never a re-sort.
-      FlatKvBuffer pairs = MergeFlatRuns(pane_runs);
-      if (pairs.empty()) continue;
+      // the same k-way kernel, never a re-sort. A single-pane task without
+      // side inputs already merged exactly those runs above: share it.
+      std::shared_ptr<const FlatKvBuffer> pairs =
+          runs_by_pane.size() == 1 && pane_runs.size() == runs.size()
+              ? merged
+              : std::make_shared<const FlatKvBuffer>(MergeFlatRuns(pane_runs));
+      if (pairs->empty()) continue;
       ReducePayloadResult::PaneMerge merge;
       merge.source = key.first;
       merge.pane = key.second;
-      merge.bytes = pairs.total_logical_bytes();
-      merge.records = static_cast<int64_t>(pairs.size());
-      merge.payload =
-          std::make_shared<const FlatKvBuffer>(std::move(pairs));
+      merge.bytes = pairs->total_logical_bytes();
+      merge.records = static_cast<int64_t>(pairs->size());
+      merge.payload = std::move(pairs);
       out.pane_merges.push_back(std::move(merge));
     }
     return out;

@@ -1,8 +1,16 @@
 #include "obs/event_journal.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
@@ -13,25 +21,26 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+// Appends `s` with JSON escapes for quotes, backslashes and control
+// characters.
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
         } else {
-          out += c;
+          out->push_back(c);
         }
     }
   }
-  return out;
 }
 
 // Span-boundary keys for atomic flight-recorder eviction. A begin event
@@ -72,36 +81,185 @@ std::string SpanEndKey(const Event& e) {
 
 }  // namespace
 
+// Chunked storage behind one journal, or behind one standalone event: the
+// fields and string bytes of its events plus their interned keys and type
+// names. A chunk packs fields from its front and string bytes from its
+// back. An event's fields must stay contiguous, so a field that does not
+// fit after them moves them to a fresh chunk; their strings stay put.
+// Chunks are released oldest-first once no retained event points into
+// them (Event::chunk_ names the oldest chunk an event touches).
+class EventStore {
+ public:
+  EventStore() = default;
+  // Events point into the store, so it never moves.
+  EventStore(const EventStore&) = delete;
+  EventStore& operator=(const EventStore&) = delete;
+
+  /// Interns `text` for the store's lifetime. Keys and type names come
+  /// from a small closed set of literals (plus parsed text), so a
+  /// direct-mapped cache keyed by the caller's pointer answers almost
+  /// every call with one pointer-plus-content compare; its content check
+  /// keeps a reused buffer (a parser's key string) from aliasing.
+  const std::string* Intern(std::string_view text) {
+    const uint64_t address = reinterpret_cast<uintptr_t>(text.data());
+    Recent& slot =
+        recent_[(address * 0x9E3779B97F4A7C15ull) >> (64 - kRecentBits)];
+    if (slot.data == text.data() && slot.text != nullptr &&
+        *slot.text == text) {
+      return slot.text;
+    }
+    auto it = table_.find(text);
+    if (it == table_.end()) {
+      const std::string* interned = &interned_.emplace_back(text);
+      interned_bytes_ +=
+          static_cast<int64_t>(sizeof(std::string) + interned->size());
+      it = table_.emplace(*interned, interned).first;
+    }
+    slot = {text.data(), it->second};
+    return it->second;
+  }
+
+  /// Id of the chunk new fields and strings go to.
+  uint32_t current_chunk() const {
+    return chunks_.empty() ? next_chunk_id_ : chunks_.back().id;
+  }
+
+  /// Appends one field slot to `e` plus `chars` string bytes, returned in
+  /// *bytes. The slot is value-initialized; the caller fills it in.
+  EventField* Extend(Event* e, size_t chars, char** bytes) {
+    constexpr size_t kField = sizeof(EventField);
+    Chunk* c = chunks_.empty() ? nullptr : &chunks_.back();
+    bool in_place = c != nullptr &&
+                    (e->size_ == 0 || e->fields_ + e->size_ == c->field_end());
+    const size_t need = (in_place ? 0 : e->size_ * kField) + kField + chars;
+    if (c == nullptr || c->back - c->front < need) {
+      c = &NewChunk(e->size_ * kField + kField + chars);
+      in_place = e->size_ == 0;
+    }
+    if (!in_place) {
+      EventField* moved = c->field_end();
+      std::uninitialized_copy_n(e->fields_, e->size_, moved);
+      c->front += e->size_ * kField;
+      e->fields_ = moved;
+    }
+    if (e->size_ == 0) {
+      e->fields_ = c->field_end();
+      e->chunk_ = c->id;
+    }
+    EventField* slot = new (c->data.get() + c->front) EventField();
+    c->front += kField;
+    ++e->size_;
+    c->back -= chars;
+    *bytes = reinterpret_cast<char*>(c->data.get() + c->back);
+    return slot;
+  }
+
+  /// Frees every chunk older than `chunk`.
+  void ReleaseBefore(uint32_t chunk) {
+    while (!chunks_.empty() && chunks_.front().id < chunk) {
+      chunk_bytes_ -= static_cast<int64_t>(chunks_.front().capacity);
+      chunks_.pop_front();
+    }
+  }
+
+  /// Frees every chunk; interned names survive.
+  void ReleaseAll() {
+    chunks_.clear();
+    chunk_bytes_ = 0;
+  }
+
+  int64_t bytes() const { return chunk_bytes_ + interned_bytes_; }
+
+ private:
+  static constexpr int kRecentBits = 8;
+
+  struct Chunk {
+    std::unique_ptr<std::byte[]> data;
+    size_t capacity = 0;
+    size_t front = 0;  ///< Bytes of fields, packed from the start.
+    size_t back = 0;   ///< Offset of the string bytes, packed to the end.
+    uint32_t id = 0;
+
+    EventField* field_end() const {
+      return reinterpret_cast<EventField*>(data.get() + front);
+    }
+  };
+
+  Chunk& NewChunk(size_t min_bytes) {
+    Chunk& c = chunks_.emplace_back();
+    c.capacity = std::max(EventJournal::kStorageChunkBytes, min_bytes);
+    c.data = std::make_unique_for_overwrite<std::byte[]>(c.capacity);
+    c.back = c.capacity;
+    c.id = next_chunk_id_++;
+    chunk_bytes_ += static_cast<int64_t>(c.capacity);
+    return c;
+  }
+
+  std::deque<Chunk> chunks_;
+  uint32_t next_chunk_id_ = 0;
+  int64_t chunk_bytes_ = 0;
+
+  struct Recent {
+    const char* data = nullptr;
+    const std::string* text = nullptr;
+  };
+  std::array<Recent, size_t{1} << kRecentBits> recent_{};
+  std::unordered_map<std::string_view, const std::string*> table_;
+  std::deque<std::string> interned_;  ///< Stable addresses for table_.
+  int64_t interned_bytes_ = 0;
+};
+
+Event::Event(double time, std::string_view type)
+    : time_(time), own_store_(std::make_unique<EventStore>()) {
+  store_ = own_store_.get();
+  type_ = store_->Intern(type);
+  chunk_ = store_->current_chunk();
+}
+
+Event::Event(double time, std::string_view type, EventStore* store)
+    : time_(time),
+      type_(store->Intern(type)),
+      chunk_(store->current_chunk()),
+      store_(store) {}
+
+Event::Event(Event&&) noexcept = default;
+Event& Event::operator=(Event&&) noexcept = default;
+Event::~Event() = default;
+
+EventField& Event::Add(std::string_view key, EventField::Kind kind,
+                       std::string_view chars) {
+  REDOOP_CHECK(chars.size() <= UINT32_MAX) << "event field value too long";
+  const std::string* interned = store_->Intern(key);
+  char* bytes = nullptr;
+  EventField* f = store_->Extend(this, chars.size(), &bytes);
+  f->key_ = interned;
+  f->kind = kind;
+  if (kind == EventField::Kind::kString) {
+    if (!chars.empty()) std::memcpy(bytes, chars.data(), chars.size());
+    f->length_ = static_cast<uint32_t>(chars.size());
+    f->chars = bytes;
+  }
+  return *f;
+}
+
 Event& Event::With(std::string_view key, std::string_view value) {
-  EventField f;
-  f.key = std::string(key);
-  f.kind = EventField::Kind::kString;
-  f.str = std::string(value);
-  fields_.push_back(std::move(f));
+  Add(key, EventField::Kind::kString, value);
   return *this;
 }
 
 Event& Event::With(std::string_view key, double value) {
-  EventField f;
-  f.key = std::string(key);
-  f.kind = EventField::Kind::kDouble;
-  f.f64 = value;
-  fields_.push_back(std::move(f));
+  Add(key, EventField::Kind::kDouble).f64 = value;
   return *this;
 }
 
 Event& Event::WithInt(std::string_view key, int64_t value) {
-  EventField f;
-  f.key = std::string(key);
-  f.kind = EventField::Kind::kInt;
-  f.i64 = value;
-  fields_.push_back(std::move(f));
+  Add(key, EventField::Kind::kInt).i64 = value;
   return *this;
 }
 
 const EventField* Event::Find(std::string_view key) const {
-  for (const auto& f : fields_) {
-    if (f.key == key) return &f;
+  for (const EventField& f : fields()) {
+    if (f.key() == key) return &f;
   }
   return nullptr;
 }
@@ -130,39 +288,56 @@ std::string Event::StrOr(std::string_view key,
   if (f == nullptr || f->kind != EventField::Kind::kString) {
     return std::string(fallback);
   }
-  return f->str;
+  return std::string(f->str());
 }
 
 std::string Event::ToJson() const {
-  std::string out = StringPrintf("{\"t\":%.6f,\"type\":\"%s\"", time_,
-                                 JsonEscape(type_).c_str());
-  for (const auto& f : fields_) {
-    out += StringPrintf(",\"%s\":", JsonEscape(f.key).c_str());
+  std::string out;
+  AppendJson(&out);
+  return out;
+}
+
+void Event::AppendJson(std::string* out) const {
+  char buf[400];  // Fits %.6f of any double (at most 317 characters).
+  out->append(buf, static_cast<size_t>(std::snprintf(
+                       buf, sizeof(buf), "{\"t\":%.6f,\"type\":\"", time_)));
+  AppendJsonEscaped(*type_, out);
+  *out += '"';
+  for (const EventField& f : fields()) {
+    *out += ",\"";
+    AppendJsonEscaped(f.key(), out);
+    *out += "\":";
     switch (f.kind) {
       case EventField::Kind::kString:
-        out += StringPrintf("\"%s\"", JsonEscape(f.str).c_str());
+        *out += '"';
+        AppendJsonEscaped(f.str(), out);
+        *out += '"';
         break;
       case EventField::Kind::kInt:
-        out += StringPrintf("%lld", static_cast<long long>(f.i64));
+        out->append(buf, std::to_chars(buf, buf + sizeof(buf), f.i64).ptr);
         break;
       case EventField::Kind::kDouble: {
-        std::string repr = FormatDouble(f.f64);
+        const std::string repr = FormatDouble(f.f64);
+        *out += repr;
         // Keep doubles round-trippable as doubles: a bare integer repr
         // would re-parse as an int field.
         if (repr.find('.') == std::string::npos &&
             repr.find('e') == std::string::npos &&
             repr.find("inf") == std::string::npos &&
             repr.find("nan") == std::string::npos) {
-          repr += ".0";
+          *out += ".0";
         }
-        out += repr;
         break;
       }
     }
   }
-  out += "}";
-  return out;
+  *out += '}';
 }
+
+EventJournal::EventJournal() = default;
+EventJournal::EventJournal(EventJournal&&) noexcept = default;
+EventJournal& EventJournal::operator=(EventJournal&&) noexcept = default;
+EventJournal::~EventJournal() = default;
 
 void EventJournal::SetCommonField(std::string key, std::string value) {
   for (auto& [k, v] : common_fields_) {
@@ -182,7 +357,7 @@ std::string EventJournal::CommonFieldOr(std::string_view key,
   return std::string(fallback);
 }
 
-Event& EventJournal::Append(double time, std::string type) {
+Event& EventJournal::Append(double time, std::string_view type) {
   // Single-writer assertion: the first Append (after construction, Clear,
   // or Parse) pins the owning thread; cross-thread appends are a contract
   // violation, not a supported mode — the journal is a deterministic
@@ -195,9 +370,9 @@ Event& EventJournal::Append(double time, std::string type) {
         << "EventJournal::Append from a second thread violates the "
            "single-writer contract";
   }
+  if (store_ == nullptr) store_ = std::make_unique<EventStore>();
   SealAndEvict();
-  events_.emplace_back(time, std::move(type));
-  Event& e = events_.back();
+  Event& e = events_.emplace_back(Event(time, type, store_.get()));
   for (const auto& [key, value] : common_fields_) {
     e.With(key, value);
   }
@@ -271,6 +446,28 @@ void EventJournal::SealAndEvict() {
     // Not journaled (or not yet sealed): catch it when it arrives.
     if (!found) pending_orphan_ends_.insert(begin_key);
   }
+  // Hand back the storage no retained event points into. Eviction is
+  // oldest-first, so the front event bounds it; an end dropped from the
+  // middle only delays its chunk.
+  store_->ReleaseBefore(events_.empty() ? store_->current_chunk()
+                                        : events_.front().chunk_);
+}
+
+void EventJournal::Clear() {
+  events_.clear();
+  if (store_ != nullptr) store_->ReleaseAll();
+  sealed_sizes_.clear();
+  sealed_bytes_ = 0;
+  dropped_events_ = 0;
+  dropped_bytes_ = 0;
+  pending_orphan_ends_.clear();
+  writer_ = std::thread::id();
+}
+
+int64_t EventJournal::storage_bytes() const {
+  return (store_ == nullptr ? 0 : store_->bytes()) +
+         static_cast<int64_t>(events_.size() * sizeof(Event) +
+                              sealed_sizes_.size() * sizeof(int64_t));
 }
 
 size_t EventJournal::CountType(std::string_view type) const {
@@ -292,11 +489,11 @@ std::string EventJournal::ToJsonl() const {
                  event::kJournalTruncated);
     marker.With("dropped_events", dropped_events_)
         .With("dropped_bytes", dropped_bytes_);
-    out += marker.ToJson();
+    marker.AppendJson(&out);
     out += '\n';
   }
   for (const auto& e : events_) {
-    out += e.ToJson();
+    e.AppendJson(&out);
     out += '\n';
   }
   return out;
@@ -319,8 +516,8 @@ Status EventJournal::WriteFile(const std::string& path) const {
 namespace {
 
 // Minimal scanner for the journal's own output format: one flat JSON
-// object per line, keys and string values with the escapes JsonEscape
-// emits, numbers as printf renders them.
+// object per line, keys and string values with the escapes
+// AppendJsonEscaped emits, numbers as AppendJson renders them.
 class LineParser {
  public:
   LineParser(std::string_view line, size_t line_number)
@@ -343,7 +540,7 @@ class LineParser {
     }
     std::string type;
     if (!ParseString(&type)) return Error("bad type");
-    Event& e = out->Append(time, std::move(type));
+    Event& e = out->Append(time, type);
     while (Consume(',')) {
       if (!ParseString(&key) || !Consume(':')) return Error("bad field key");
       if (Peek() == '"') {

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,17 +18,38 @@
 namespace redoop {
 namespace obs {
 
-/// One typed key/value field of an event. Field order is insertion order,
-/// which keeps serialized journals deterministic.
-struct EventField {
-  enum class Kind { kString, kInt, kDouble };
+class EventStore;
 
-  std::string key;
+/// One typed key/value field of an event: a trivially copyable 24-byte
+/// record of an interned key, the kind, and an 8-byte payload. A string
+/// payload is a view of bytes owned by the store of the event's journal
+/// (or of a standalone event). Field order is insertion order, which keeps
+/// serialized journals deterministic.
+struct EventField {
+  enum class Kind : uint8_t { kString, kInt, kDouble };
+
+  std::string_view key() const { return *key_; }
+  /// The string payload; empty for numeric fields.
+  std::string_view str() const {
+    return kind == Kind::kString ? std::string_view(chars, length_)
+                                 : std::string_view();
+  }
+
+ private:
+  friend class Event;
+  const std::string* key_ = nullptr;  ///< Interned by the owning store.
+  uint32_t length_ = 0;               ///< kString: bytes at `chars`.
+
+ public:
   Kind kind = Kind::kString;
-  std::string str;
-  int64_t i64 = 0;
-  double f64 = 0.0;
+  union {
+    int64_t i64 = 0;    ///< kInt payload.
+    double f64;         ///< kDouble payload.
+    const char* chars;  ///< kString payload; read it through str().
+  };
 };
+static_assert(sizeof(EventField) <= 24);
+static_assert(std::is_trivially_copyable_v<EventField>);
 
 /// A structured, sim-timestamped decision record. Built fluently:
 ///
@@ -36,10 +59,17 @@ struct EventField {
 ///
 /// Serialized as one JSON object per line:
 ///   {"t":123.456000,"type":"cache.add","name":"...","node":3,...}
+///
+/// An event's fields sit next to each other in chunked storage owned by
+/// its journal, so an Append and its .With chain make no per-field heap
+/// allocation. A standalone event (constructed directly) owns a private
+/// store. Events are move-only.
 class Event {
  public:
-  Event(double time, std::string type)
-      : time_(time), type_(std::move(type)) {}
+  Event(double time, std::string_view type);
+  Event(Event&&) noexcept;
+  Event& operator=(Event&&) noexcept;
+  ~Event();
 
   Event& With(std::string_view key, std::string_view value);
   Event& With(std::string_view key, const char* value) {
@@ -56,8 +86,8 @@ class Event {
   }
 
   double time() const { return time_; }
-  const std::string& type() const { return type_; }
-  const std::vector<EventField>& fields() const { return fields_; }
+  const std::string& type() const { return *type_; }
+  std::span<const EventField> fields() const { return {fields_, size_}; }
 
   /// Field lookup helpers for consumers (trace reconstruction, tests).
   const EventField* Find(std::string_view key) const;
@@ -70,11 +100,29 @@ class Event {
   std::string ToJson() const;
 
  private:
+  friend class EventJournal;
+  friend class EventStore;
+
+  /// ToJson, appended to `out`.
+  void AppendJson(std::string* out) const;
+
+  /// A journal event: fields go to the journal's `store`.
+  Event(double time, std::string_view type, EventStore* store);
+
   Event& WithInt(std::string_view key, int64_t value);
+  /// Appends a field with `key` (and, for kString, a copy of `chars` in
+  /// the store); returns it for the caller to set a numeric payload.
+  EventField& Add(std::string_view key, EventField::Kind kind,
+                  std::string_view chars = {});
 
   double time_ = 0.0;
-  std::string type_;
-  std::vector<EventField> fields_;
+  const std::string* type_ = nullptr;  ///< Interned by store_.
+  EventField* fields_ = nullptr;
+  uint32_t size_ = 0;
+  /// Oldest store chunk holding any of this event's fields or strings.
+  uint32_t chunk_ = 0;
+  EventStore* store_ = nullptr;
+  std::unique_ptr<EventStore> own_store_;  ///< Standalone events only.
 };
 
 /// Append-only journal of Events, exported as JSONL. Determinism comes
@@ -89,7 +137,9 @@ class Event {
 /// storing it as an event, so parse -> serialize stays the identity for
 /// truncated journals too. Eviction is deterministic: it depends only on
 /// the byte sizes and fields of the serialized events, which are
-/// themselves deterministic.
+/// themselves deterministic. Memory follows the retained events: their
+/// fields and strings live in fixed-size storage chunks, and a chunk is
+/// released once eviction has dropped every event pointing into it.
 ///
 /// Spans evict atomically: when eviction drops a span-begin event
 /// (window.open, job.start, task.start), the matching end event
@@ -108,11 +158,16 @@ class Event {
 /// deterministic stream.
 class EventJournal {
  public:
-  EventJournal() = default;
+  /// Size of one storage chunk: the granularity at which a flight
+  /// recorder hands event storage back.
+  static constexpr size_t kStorageChunkBytes = 16 * 1024;
+
+  EventJournal();
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
-  EventJournal(EventJournal&&) = default;
-  EventJournal& operator=(EventJournal&&) = default;
+  EventJournal(EventJournal&&) noexcept;
+  EventJournal& operator=(EventJournal&&) noexcept;
+  ~EventJournal();
 
   /// Common fields are prepended (in registration order) to every event
   /// appended afterwards — e.g. system=redoop for multi-system CLI runs.
@@ -130,7 +185,7 @@ class EventJournal {
   /// are evicted while the sealed bytes exceed the budget (the newest
   /// event is always retained). An unbounded journal seals nothing, so it
   /// never serializes an event on Append.
-  Event& Append(double time, std::string type);
+  Event& Append(double time, std::string_view type);
 
   /// Caps retained serialized bytes; <= 0 (the default) means unbounded.
   /// May be set or changed at any point before or between Appends (same
@@ -148,6 +203,12 @@ class EventJournal {
   bool empty() const { return events_.empty(); }
   const std::deque<Event>& events() const { return events_; }
   size_t CountType(std::string_view type) const;
+
+  /// Heap bytes held for the retained events: the storage chunks (their
+  /// fields and string bytes), the per-event headers, and the interned
+  /// keys and type names. Under a retention budget it stays bounded: a
+  /// chunk is released once no retained event points into it.
+  int64_t storage_bytes() const;
 
   std::string ToJsonl() const;
   Status WriteFile(const std::string& path) const;
@@ -173,15 +234,7 @@ class EventJournal {
   /// Drops all events, resets the truncation counters, and unpins the
   /// writer thread (the next Append may come from a different thread).
   /// Common fields and the retention budget survive.
-  void Clear() {
-    events_.clear();
-    sealed_sizes_.clear();
-    sealed_bytes_ = 0;
-    dropped_events_ = 0;
-    dropped_bytes_ = 0;
-    pending_orphan_ends_.clear();
-    writer_ = std::thread::id();
-  }
+  void Clear();
 
  private:
   /// Seals the size of the most recent event (its fluent .With chain is
@@ -189,6 +242,9 @@ class EventJournal {
   /// from the front while over budget.
   void SealAndEvict();
 
+  /// Fields, string bytes and interned names of events_. Held on the heap
+  /// so events stay valid when the journal moves.
+  std::unique_ptr<EventStore> store_;
   std::deque<Event> events_;
   std::vector<std::pair<std::string, std::string>> common_fields_;
   /// Serialized size of each sealed event; parallel prefix of events_

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/event_journal.h"
@@ -38,11 +39,11 @@ class ObservabilityContext {
   double Now() const { return now_ ? now_() : 0.0; }
 
   /// Appends a journal event stamped with the context clock.
-  Event& Emit(std::string type) { return journal_.Append(Now(), std::move(type)); }
+  Event& Emit(std::string_view type) { return journal_.Append(Now(), type); }
   /// Appends a journal event with an explicit timestamp (for emitters that
   /// know a better time than "now", e.g. task completion callbacks).
-  Event& EmitAt(double time, std::string type) {
-    return journal_.Append(time, std::move(type));
+  Event& EmitAt(double time, std::string_view type) {
+    return journal_.Append(time, type);
   }
 
   MetricsSnapshot Snapshot() const { return metrics_.Snapshot(); }

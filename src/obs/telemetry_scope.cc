@@ -39,13 +39,13 @@ TelemetryScope TelemetryScope::WithPhase(std::string phase) const {
   return TelemetryScope(obs_, std::move(labels), window_cell_, trace_cell_);
 }
 
-Event& TelemetryScope::Emit(std::string type) const {
-  return EmitAt(Now(), std::move(type));
+Event& TelemetryScope::Emit(std::string_view type) const {
+  return EmitAt(Now(), type);
 }
 
-Event& TelemetryScope::EmitAt(double time, std::string type) const {
+Event& TelemetryScope::EmitAt(double time, std::string_view type) const {
   REDOOP_CHECK(obs_ != nullptr) << "Emit through an inactive TelemetryScope";
-  Event& e = obs_->EmitAt(time, std::move(type));
+  Event& e = obs_->EmitAt(time, type);
   if (!labels_.query.empty()) e.With("query", labels_.query);
   const int64_t w = window();
   if (w >= 0) e.With("window", w);

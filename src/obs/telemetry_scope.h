@@ -70,8 +70,8 @@ class TelemetryScope {
   /// Journal emission with attribution stamped ahead of caller fields.
   /// Requires an active scope. Const: a scope is an immutable handle;
   /// writes go to the shared context it points at.
-  Event& Emit(std::string type) const;
-  Event& EmitAt(double time, std::string type) const;
+  Event& Emit(std::string_view type) const;
+  Event& EmitAt(double time, std::string_view type) const;
 
   /// Metric writes: global series + labeled series (when attributed).
   /// No-ops on an inactive scope.

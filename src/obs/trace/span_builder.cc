@@ -142,8 +142,8 @@ class Builder {
     const EventField* trace_field = e.Find("trace");
     if (trace_field != nullptr) {
       const std::string want = IdHex(g.trace);
-      if (trace_field->str != want) {
-        Mismatch(index, e, "trace", trace_field->str, want);
+      if (trace_field->str() != want) {
+        Mismatch(index, e, "trace", std::string(trace_field->str()), want);
       }
     }
     const EventField* pspan = e.Find("pspan");
@@ -151,14 +151,17 @@ class Builder {
       const int64_t w = e.IntOr("window", -1);
       if (w >= 0) {
         const std::string want = IdHex(WindowSpanId(g.trace, w));
-        if (pspan->str != want) Mismatch(index, e, "pspan", pspan->str, want);
+        if (pspan->str() != want) {
+          Mismatch(index, e, "pspan", std::string(pspan->str()), want);
+        }
       }
     }
     const EventField* ctx_field = e.Find("ctx");
     if (ctx_field != nullptr) {
       TraceContext ctx;
-      if (!TraceContext::Parse(ctx_field->str, &ctx)) {
-        Mismatch(index, e, "ctx", ctx_field->str, "(parseable token)");
+      if (!TraceContext::Parse(ctx_field->str(), &ctx)) {
+        Mismatch(index, e, "ctx", std::string(ctx_field->str()),
+                 "(parseable token)");
       } else {
         if (ctx.trace_id != g.trace) {
           Mismatch(index, e, "ctx.trace", IdHex(ctx.trace_id),

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "mapreduce/counters.h"
@@ -278,6 +281,108 @@ TEST_F(JobRunnerTest, ReduceInputCachingMaterializesPerPane) {
     EXPECT_TRUE(cache.payload->IsSorted());
   }
   EXPECT_EQ(cached_records, 3) << "all shuffled pairs cached";
+}
+
+/// Runs word count over one file per pane (source 1) with reduce-input
+/// caching on, and checks that every reduce-input cache holds exactly the
+/// pairs its own pane shuffled to its partition, in key order: never a
+/// side input's pairs or another pane's.
+void ExpectPaneCachesHoldOnlyTheirPane(
+    JobRunner* runner, JobSpec spec,
+    const std::map<PaneId, std::vector<std::string>>& lines_by_pane) {
+  spec.cache.cache_reduce_input = true;
+  spec.cache.input_cache_name = [](SourceId s, PaneId p, int32_t r) {
+    return "RIC_S" + std::to_string(s) + "P" + std::to_string(p) + "_R" +
+           std::to_string(r);
+  };
+  const int32_t reducers = spec.config.num_reducers;
+  HashPartitioner partitioner;
+  std::map<std::pair<PaneId, int32_t>, std::vector<std::string>> expected;
+  for (const auto& [pane, lines] : lines_by_pane) {
+    for (const std::string& line : lines) {
+      size_t start = 0;
+      while (start < line.size()) {
+        size_t end = line.find(' ', start);
+        if (end == std::string::npos) end = line.size();
+        const std::string word = line.substr(start, end - start);
+        expected[{pane, partitioner.Partition(word, reducers)}].push_back(word);
+        start = end + 1;
+      }
+    }
+  }
+  for (auto& [cell, words] : expected) std::sort(words.begin(), words.end());
+
+  JobResult result = runner->Run(spec);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  size_t input_caches = 0;
+  for (const MaterializedCache& cache : result.caches) {
+    if (cache.is_reduce_output) continue;
+    ++input_caches;
+    EXPECT_EQ(cache.source, 1);
+    const auto it = expected.find({cache.pane, cache.partition});
+    ASSERT_NE(it, expected.end()) << cache.name;
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < cache.payload->size(); ++i) {
+      keys.emplace_back(cache.payload->key(i));
+      EXPECT_EQ(cache.payload->value(i), "1") << cache.name;
+    }
+    EXPECT_EQ(keys, it->second) << cache.name;
+    EXPECT_EQ(cache.records, static_cast<int64_t>(keys.size()));
+    EXPECT_EQ(cache.bytes, cache.payload->total_logical_bytes());
+  }
+  EXPECT_EQ(input_caches, expected.size());
+}
+
+TEST_F(JobRunnerTest, SinglePaneReduceInputCacheIsItsOwnMerge) {
+  const std::vector<std::string> lines = {"a b a", "c b a", "d e f g"};
+  WriteInput("pane7", lines);
+  JobSpec spec = WordCountSpec("pane7");
+  spec.map_inputs[0].source = 1;
+  spec.map_inputs[0].pane = 7;
+  ExpectPaneCachesHoldOnlyTheirPane(&runner_, spec, {{7, lines}});
+}
+
+/// A cached side input in the partition of "word": that reduce task's
+/// merged input holds it, the pane caches must not.
+void AddWordSideInput(JobSpec* spec) {
+  HashPartitioner partitioner;
+  ReduceSideInput side;
+  side.cache_name = "prior";
+  side.partition = partitioner.Partition("word", spec->config.num_reducers);
+  side.location = 0;
+  side.bytes = 16;
+  side.records = 1;
+  side.payload = std::make_shared<const FlatKvBuffer>(
+      FlatKvBuffer::FromKeyValues(std::vector<KeyValue>{{"word", "1", 16}}));
+  spec->side_inputs.push_back(side);
+}
+
+TEST_F(JobRunnerTest, SinglePaneReduceInputCacheExcludesSideInputs) {
+  const std::vector<std::string> lines = {"word a b", "c word"};
+  WriteInput("pane7", lines);
+  JobSpec spec = WordCountSpec("pane7");
+  spec.map_inputs[0].source = 1;
+  spec.map_inputs[0].pane = 7;
+  AddWordSideInput(&spec);
+  ExpectPaneCachesHoldOnlyTheirPane(&runner_, spec, {{7, lines}});
+}
+
+TEST_F(JobRunnerTest, MultiPaneReduceInputCachesExcludeSideInputs) {
+  const std::vector<std::string> pane3 = {"word a b", "c word"};
+  const std::vector<std::string> pane4 = {"a word", "d e"};
+  WriteInput("pane3", pane3);
+  WriteInput("pane4", pane4);
+  JobSpec spec = WordCountSpec("pane3");
+  spec.map_inputs[0].source = 1;
+  spec.map_inputs[0].pane = 3;
+  MapInput second;
+  second.file_name = "pane4";
+  second.source = 1;
+  second.pane = 4;
+  spec.map_inputs.push_back(second);
+  AddWordSideInput(&spec);
+  ExpectPaneCachesHoldOnlyTheirPane(&runner_, spec,
+                                    {{3, pane3}, {4, pane4}});
 }
 
 TEST_F(JobRunnerTest, ReduceOutputCachingMaterializes) {

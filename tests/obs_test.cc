@@ -892,6 +892,189 @@ TEST(EventJournalTest, ShrinkingALateBudgetEvictsPinnedCounts) {
   EXPECT_EQ(journal.events().front().time(), 308.0);
 }
 
+// ---------------------------------------------------------------------------
+// Journal storage: compact fields in journal-owned chunks
+// ---------------------------------------------------------------------------
+
+/// Appends one event shaped like a traced task.finish: the common
+/// "system" field plus 18 fields (4 strings, 6 ints, 8 doubles). Values
+/// keep a fixed width, so every event serializes to the same size.
+void AppendTaskFinishShaped(obs::EventJournal* journal, int i) {
+  journal->Append(100000.0 + 0.25 * i, obs::event::kTaskFinish)
+      .With("query", "fig7-join")
+      .With("window", 7)
+      .With("trace", "4387b044323d9816")
+      .With("pspan", "82855514cf96ae51")
+      .With("kind", "map")
+      .With("task", 100000 + i)
+      .With("node", i % 8)
+      .With("pane", 100 + i % 900)
+      .With("attempt", 0)
+      .With("start", 1802.25)
+      .With("duration", 5.8453)
+      .With("bytes", int64_t{51380224})
+      .With("wait", 0.5)
+      .With("startup", 1.5)
+      .With("read", 1.405)
+      .With("sort", 0.810302)
+      .With("compute", 1.225)
+      .With("write", 1.405);
+}
+
+TEST(EventJournalStorageTest, TaskFinishShapedEventsStayUnder600Bytes) {
+  constexpr int kEvents = 10000;
+  obs::EventJournal journal;
+  journal.SetCommonField("system", "redoop");
+  for (int i = 0; i < kEvents; ++i) AppendTaskFinishShaped(&journal, i);
+  ASSERT_EQ(journal.events().back().fields().size(), 19u);
+  // 19 fields of 24 B, a 48 B event header and 50 string bytes: 554 B.
+  EXPECT_LE(journal.storage_bytes(), int64_t{600} * kEvents)
+      << journal.storage_bytes() / kEvents << " B per event";
+  const obs::Event& e = journal.events()[1234];
+  EXPECT_EQ(e.IntOr("task", -1), 101234);
+  EXPECT_EQ(e.StrOr("system", ""), "redoop");
+  EXPECT_EQ(e.StrOr("pspan", ""), "82855514cf96ae51");
+  EXPECT_DOUBLE_EQ(e.DoubleOr("sort", 0.0), 0.810302);
+}
+
+TEST(EventJournalStorageTest, FlightRecorderReleasesStorageChunks) {
+  obs::EventJournal journal;
+  journal.SetCommonField("system", "redoop");
+  journal.SetRetentionBudget(64 * 1024);
+  int i = 0;
+  for (; i < 20000; ++i) AppendTaskFinishShaped(&journal, i);
+  const int64_t early = journal.storage_bytes();
+  const size_t retained = journal.size();
+  for (; i < 200000; ++i) AppendTaskFinishShaped(&journal, i);
+  EXPECT_EQ(journal.size(), retained);
+  EXPECT_NEAR(static_cast<double>(journal.storage_bytes()),
+              static_cast<double>(early),
+              static_cast<double>(obs::EventJournal::kStorageChunkBytes))
+      << "chunks no retained event points into must be released";
+  EXPECT_EQ(journal.events().back().IntOr("task", -1), 100000 + i - 1);
+  EXPECT_EQ(journal.events().front().StrOr("trace", ""), "4387b044323d9816");
+}
+
+TEST(EventJournalStorageTest, OddValuesAndChunkBoundariesRoundTrip) {
+  const std::string long_value(3 * obs::EventJournal::kStorageChunkBytes,
+                               'x');
+  obs::EventJournal journal;
+  journal.Append(0.0, "odd")
+      .With("empty", "")
+      .With("escaped", "q\"b\\n\nt\tr\rc\x01end")
+      .With("long", long_value);
+  // Events of 50 fields: some event's fields cross a chunk boundary and
+  // move to the next chunk mid-chain; one event outgrows a whole chunk.
+  for (int e = 0; e < 40; ++e) {
+    obs::Event& event = journal.Append(1.0 + e, "wide");
+    const int fields = e == 20 ? 1000 : 50;
+    for (int f = 0; f < fields; ++f) {
+      event.With("f" + std::to_string(f), "v" + std::to_string(e * f));
+    }
+  }
+  const obs::Event& odd = journal.events().front();
+  ASSERT_NE(odd.Find("empty"), nullptr);
+  EXPECT_EQ(odd.Find("empty")->kind, obs::EventField::Kind::kString);
+  EXPECT_EQ(odd.Find("empty")->str(), "");
+  EXPECT_EQ(odd.StrOr("escaped", ""), "q\"b\\n\nt\tr\rc\x01end");
+  EXPECT_EQ(odd.StrOr("long", ""), long_value);
+  for (int e = 0; e < 40; ++e) {
+    const obs::Event& event = journal.events()[static_cast<size_t>(e) + 1];
+    ASSERT_EQ(event.fields().size(), e == 20 ? 1000u : 50u);
+    for (size_t f = 0; f < event.fields().size(); ++f) {
+      EXPECT_EQ(event.fields()[f].key(), "f" + std::to_string(f));
+      EXPECT_EQ(event.fields()[f].str(),
+                "v" + std::to_string(e * static_cast<int>(f)));
+    }
+  }
+
+  const std::string jsonl = journal.ToJsonl();
+  obs::EventJournal parsed;
+  ASSERT_TRUE(obs::EventJournal::Parse(jsonl, &parsed).ok());
+  EXPECT_EQ(parsed.ToJsonl(), jsonl) << "parse -> serialize is the identity";
+  EXPECT_EQ(parsed.events().front().StrOr("long", ""), long_value);
+  EXPECT_EQ(parsed.events().front().StrOr("escaped", ""),
+            "q\"b\\n\nt\tr\rc\x01end");
+}
+
+TEST(EventJournalStorageTest, ReusedKeyBufferInternsItsCurrentText) {
+  obs::EventJournal journal;
+  std::string key = "alpha";
+  obs::Event& e = journal.Append(0.0, "x");
+  e.With(key, 1);
+  key.replace(0, key.size(), "gamma");  // Same buffer, same length.
+  e.With(key, 2);
+  EXPECT_EQ(e.IntOr("alpha", -1), 1);
+  EXPECT_EQ(e.IntOr("gamma", -1), 2);
+  EXPECT_EQ(e.ToJson(),
+            "{\"t\":0.000000,\"type\":\"x\",\"alpha\":1,\"gamma\":2}");
+}
+
+TEST(EventJournalStorageTest, EventsStayReadableAcrossMoveParseAndClear) {
+  obs::EventJournal journal;
+  journal.SetCommonField("system", "redoop");
+  for (int i = 0; i < 2000; ++i) AppendTaskFinishShaped(&journal, i);
+  const obs::Event* first = &journal.events().front();
+  const std::string_view trace = first->Find("trace")->str();
+
+  // Moving the journal moves the store handle, not the storage.
+  obs::EventJournal moved(std::move(journal));
+  EXPECT_EQ(first, &moved.events().front());
+  EXPECT_EQ(trace, "4387b044323d9816");
+  EXPECT_EQ(first->StrOr("query", ""), "fig7-join");
+  obs::EventJournal assigned;
+  assigned.Append(0.0, "replaced");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.events()[1999].IntOr("task", -1), 101999);
+
+  // Re-parse into the same journal: the old store goes, the new events
+  // read from the parsed one.
+  const std::string jsonl = assigned.ToJsonl();
+  ASSERT_TRUE(obs::EventJournal::Parse(jsonl, &assigned).ok());
+  EXPECT_EQ(assigned.size(), 2000u);
+  EXPECT_EQ(assigned.events()[7].StrOr("pspan", ""), "82855514cf96ae51");
+  EXPECT_EQ(assigned.ToJsonl(), jsonl);
+
+  // Clear frees the chunks; a refill writes and reads fresh storage.
+  assigned.Clear();
+  EXPECT_EQ(assigned.size(), 0u);
+  assigned.SetCommonField("system", "redoop");
+  for (int i = 0; i < 300; ++i) AppendTaskFinishShaped(&assigned, i);
+  EXPECT_EQ(assigned.events()[299].IntOr("task", -1), 100299);
+  EXPECT_EQ(assigned.events()[0].StrOr("system", ""), "redoop");
+
+  // A standalone event owns its store and keeps it when moved.
+  obs::Event standalone(3.0, "solo");
+  standalone.With("k", "v").With("n", 5);
+  obs::Event taken(std::move(standalone));
+  EXPECT_EQ(taken.ToJson(),
+            "{\"t\":3.000000,\"type\":\"solo\",\"k\":\"v\",\"n\":5}");
+}
+
+TEST(EventJournalStorageTest, IndependentJournalsAppendConcurrently) {
+  // Interning and store bookkeeping are per journal: two journals, each
+  // with its own writer thread, may be filled at the same time.
+  obs::EventJournal a;
+  obs::EventJournal b;
+  a.SetCommonField("system", "a");
+  b.SetCommonField("system", "b");
+  b.SetRetentionBudget(32 * 1024);
+  std::thread ta([&a] {
+    for (int i = 0; i < 5000; ++i) AppendTaskFinishShaped(&a, i);
+  });
+  std::thread tb([&b] {
+    for (int i = 0; i < 5000; ++i) AppendTaskFinishShaped(&b, i);
+  });
+  ta.join();
+  tb.join();
+  ASSERT_EQ(a.size(), 5000u);
+  EXPECT_EQ(a.events()[4321].IntOr("task", -1), 104321);
+  EXPECT_EQ(a.events()[4321].StrOr("system", ""), "a");
+  EXPECT_GT(b.dropped_events(), 0);
+  EXPECT_EQ(b.events().back().IntOr("task", -1), 104999);
+  EXPECT_EQ(b.events().back().StrOr("system", ""), "b");
+}
+
 TEST(ObservabilityIntegrationTest, DriverOwnsContextWhenNoneProvided) {
   RecurringQuery query = MakeAggregationQuery(1, "own", 1, 200, 40, 4);
   Cluster cluster(6, SmallClusterConfig());
