@@ -84,41 +84,48 @@ double Random::NextExponential(double rate) {
   return -std::log(u) / rate;
 }
 
-uint64_t Random::NextZipf(uint64_t n, double s) {
+namespace {
+
+// H(x), the integral of the unnormalized pmf h(x) = x^-s.
+double ZipfHIntegral(double x, double s) {
+  const double log_x = std::log(x);
+  if (std::abs(1.0 - s) < 1e-12) return log_x;
+  return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+}
+
+double ZipfH(double x, double s) { return std::exp(-s * std::log(x)); }
+
+}  // namespace
+
+ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n), s_(s) {
   REDOOP_CHECK(n > 0);
-  if (s <= 0.0) return Uniform(n);
-  // Rejection-inversion sampling (W. Hormann, G. Derflinger, 1996), as used
-  // by e.g. Apache Commons. H(x) is the integral of the unnormalized pmf.
-  auto h_integral = [s](double x) {
-    const double log_x = std::log(x);
-    if (std::abs(1.0 - s) < 1e-12) return log_x;
-    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
-  };
-  auto h_integral_inverse = [s](double x) {
-    if (std::abs(1.0 - s) < 1e-12) return std::exp(x);
-    double t = x * (1.0 - s) + 1.0;
-    if (t < 1e-300) t = 1e-300;
-    return std::exp(std::log(t) / (1.0 - s));
-  };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
-
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_h_x1_ = h_integral(1.5) - 1.0;
-    zipf_h_half_ = h_integral(0.5);
-    zipf_t_ = h_integral(static_cast<double>(n) + 0.5);
+  if (s <= 0.0) return;
+  h_x1_ = ZipfHIntegral(1.5, s) - 1.0;
+  h_half_ = ZipfHIntegral(0.5, s);
+  t_ = ZipfHIntegral(static_cast<double>(n) + 0.5, s);
+  accept_.resize(n);
+  for (uint64_t k = 1; k <= n; ++k) {
+    const double kd = static_cast<double>(k);
+    accept_[k - 1] = ZipfHIntegral(kd + 0.5, s) - ZipfH(kd, s);
   }
+}
 
+double ZipfSampler::HIntegralInverse(double x) const {
+  if (std::abs(1.0 - s_) < 1e-12) return std::exp(x);
+  double t = x * (1.0 - s_) + 1.0;
+  if (t < 1e-300) t = 1e-300;
+  return std::exp(std::log(t) / (1.0 - s_));
+}
+
+uint64_t ZipfSampler::Next(Random* rng) const {
+  if (s_ <= 0.0) return rng->Uniform(n_);
   while (true) {
-    const double u = zipf_h_half_ + NextDouble() * (zipf_t_ - zipf_h_half_);
-    const double x = h_integral_inverse(u);
+    const double u = h_half_ + rng->NextDouble() * (t_ - h_half_);
+    const double x = HIntegralInverse(u);
     uint64_t k = static_cast<uint64_t>(x + 0.5);
     if (k < 1) k = 1;
-    if (k > n) k = n;
-    const double kd = static_cast<double>(k);
-    if (kd - x <= zipf_h_x1_ ||
-        u >= h_integral(kd + 0.5) - h(kd)) {
+    if (k > n_) k = n_;
+    if (static_cast<double>(k) - x <= h_x1_ || u >= accept_[k - 1]) {
       return k - 1;  // 0-based rank.
     }
   }

@@ -38,10 +38,6 @@ class Random {
   /// Exponentially distributed with the given rate (mean 1/rate).
   double NextExponential(double rate);
 
-  /// Zipf-distributed rank in [0, n) with skew parameter s (s = 0 is
-  /// uniform; s ~ 1 is classic web-trace skew). Uses rejection-inversion.
-  uint64_t NextZipf(uint64_t n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -53,13 +49,33 @@ class Random {
 
  private:
   uint64_t state_[4];
-  // Cached parameters for NextZipf so repeated draws with the same (n, s)
-  // avoid recomputing the harmonic normalization.
-  uint64_t zipf_n_ = 0;
-  double zipf_s_ = -1.0;
-  double zipf_h_x1_ = 0.0;
-  double zipf_h_half_ = 0.0;
-  double zipf_t_ = 0.0;
+};
+
+/// Zipf-distributed ranks in [0, n) with skew s (s <= 0 is uniform; s ~ 1
+/// is classic web-trace skew), by rejection-inversion (W. Hormann,
+/// G. Derflinger, 1996). Construction tabulates the normalization and the
+/// per-rank acceptance bound H(k + 0.5) - h(k) — 8·n bytes — so a draw
+/// costs one exp/log pair. Immutable after construction: one sampler can
+/// serve any number of Random streams.
+class ZipfSampler {
+ public:
+  /// Requires n > 0.
+  ZipfSampler(uint64_t n, double s);
+
+  /// Draws a 0-based rank using `rng`'s next double(s); s <= 0 draws
+  /// rng->Uniform(n).
+  uint64_t Next(Random* rng) const;
+
+ private:
+  /// H^-1, the inverse of the pmf's integral.
+  double HIntegralInverse(double x) const;
+
+  uint64_t n_;
+  double s_;
+  double h_x1_ = 0.0;    // H(1.5) - 1: the cheap accept threshold.
+  double h_half_ = 0.0;  // H(0.5): the low end of the inversion range.
+  double t_ = 0.0;       // H(n + 0.5): its high end.
+  std::vector<double> accept_;  // [k - 1] = H(k + 0.5) - h(k).
 };
 
 }  // namespace redoop

@@ -2,7 +2,10 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <cmath>
+
+#include "common/logging.h"
 
 namespace redoop {
 
@@ -79,15 +82,32 @@ std::string StringPrintf(const char* format, ...) {
   va_start(args, format);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int size = std::vsnprintf(nullptr, 0, format, args);
+  // One pass for the common short result; only a longer one is measured
+  // here and formatted again at its exact size.
+  char buf[256];
+  const int size = std::vsnprintf(buf, sizeof(buf), format, args);
   va_end(args);
   std::string result;
-  if (size > 0) {
+  if (size > 0 && static_cast<size_t>(size) < sizeof(buf)) {
+    result.assign(buf, static_cast<size_t>(size));
+  } else if (size > 0) {
     result.resize(static_cast<size_t>(size));
     std::vsnprintf(result.data(), result.size() + 1, format, args_copy);
   }
   va_end(args_copy);
   return result;
+}
+
+CharWriter& CharWriter::Append(std::string_view text) {
+  if (text.size() > static_cast<size_t>(end_ - p_)) Overflow();
+  std::memcpy(p_, text.data(), text.size());
+  p_ += text.size();
+  return *this;
+}
+
+void CharWriter::Overflow() const {
+  REDOOP_LOG_FATAL << "CharWriter: " << (end_ - begin_)
+                   << "-byte buffer is too small";
 }
 
 }  // namespace redoop

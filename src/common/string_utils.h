@@ -1,9 +1,12 @@
 #ifndef REDOOP_COMMON_STRING_UTILS_H_
 #define REDOOP_COMMON_STRING_UTILS_H_
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace redoop {
@@ -33,6 +36,45 @@ std::string HumanDuration(double seconds);
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Builds a short string in a caller's char buffer without printf: the
+/// bytes "%s", "%d" / "%ld" / "%lu" and "%.<p>f" would produce, rendered
+/// with memcpy and std::to_chars. An append past the buffer's end is a
+/// checked error, never a truncation.
+class CharWriter {
+ public:
+  template <size_t N>
+  explicit CharWriter(char (&buf)[N]) : begin_(buf), end_(buf + N), p_(buf) {}
+
+  CharWriter& Append(std::string_view text);
+  /// Decimal, like "%d" / "%ld" / "%lu".
+  template <typename Int>
+  CharWriter& AppendInt(Int v) {
+    Advance(std::to_chars(p_, end_, v));
+    return *this;
+  }
+  /// Fixed point with `precision` decimals, like "%.<precision>f"
+  /// (round-half-even on exact binary ties, "-0.0" for negative zero).
+  CharWriter& AppendFixed(double v, int precision) {
+    Advance(std::to_chars(p_, end_, v, std::chars_format::fixed, precision));
+    return *this;
+  }
+
+  std::string_view view() const {
+    return {begin_, static_cast<size_t>(p_ - begin_)};
+  }
+
+ private:
+  void Advance(std::to_chars_result r) {
+    if (r.ec != std::errc()) Overflow();
+    p_ = r.ptr;
+  }
+  [[noreturn]] void Overflow() const;
+
+  char* begin_;
+  char* end_;
+  char* p_;
+};
 
 }  // namespace redoop
 

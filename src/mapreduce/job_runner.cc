@@ -704,11 +704,6 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   // the savings shape is right.
   int64_t cached_bytes = 0;
   int64_t cached_records = 0;
-  // Cached payloads are materialized sorted (they are merge outputs), so
-  // they join the merge as runs directly. The sorted-copy fallback guards
-  // against exotic caches (e.g. a multi-emission reducer's output cache
-  // fed back as a side input); the deque keeps earlier pointers stable.
-  std::deque<FlatKvBuffer> resort_scratch;
   for (const ReduceSideInput& side : task->side_inputs) {
     REDOOP_CHECK(side.partition == partition);
     REDOOP_CHECK(side.payload != nullptr);
@@ -732,12 +727,6 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
     }
     cached_bytes += side.bytes;
     cached_records += side.records;
-    if (side.payload->IsSorted()) {
-      runs.push_back(side.payload.get());
-    } else {
-      resort_scratch.push_back(side.payload->SortedCopy());
-      runs.push_back(&resort_scratch.back());
-    }
   }
 
   // ---- Sort / merge charges. The *simulated* charge is start-known:
@@ -761,9 +750,7 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   // Keep every run's backing storage alive (and immutable) for the
   // payload's lifetime: map buckets are publish-once shared payloads (a
   // failure-triggered re-run installs a fresh vector, never mutates this
-  // one), side inputs are shared cache payloads, and the resort scratch
-  // moves into the closure (deque moves preserve element addresses, so
-  // the pointers stay valid).
+  // one), and side inputs are shared cache payloads.
   std::vector<std::shared_ptr<const std::vector<FlatKvBuffer>>> bucket_refs;
   bucket_refs.reserve(run->maps.size());
   for (const auto& map : run->maps) bucket_refs.push_back(map->buckets);
@@ -773,16 +760,29 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
     side_refs.push_back(side.payload);
   }
 
-  // The payload is pure: merge, group, user reduce, per-pane cache merges.
-  // All shared-state accounting (counters, warm reads, journal) already
-  // happened above; naming the caches and charging write costs happens at
-  // install, on the simulator thread.
+  // The payload is pure: side-input sort checks, merge, group, user
+  // reduce, per-pane cache merges. All shared-state accounting (counters,
+  // warm reads, journal) already happened above; naming the caches and
+  // charging write costs happens at install, on the simulator thread.
   auto payload = [runs = std::move(runs),
                   runs_by_pane = std::move(runs_by_pane),
-                  scratch = std::move(resort_scratch),
                   bucket_refs = std::move(bucket_refs),
                   side_refs = std::move(side_refs),
-                  reducer = spec.config.reducer] {
+                  reducer = spec.config.reducer]() mutable {
+    // Cached payloads are materialized sorted (they are merge outputs), so
+    // they join the merge as runs directly, after the map buckets and in
+    // side-input order. The sorted-copy fallback guards against exotic
+    // caches (e.g. a multi-emission reducer's output cache fed back as a
+    // side input); the deque keeps earlier pointers stable.
+    std::deque<FlatKvBuffer> resorted;
+    for (const auto& side : side_refs) {
+      if (side->IsSorted()) {
+        runs.push_back(side.get());
+      } else {
+        resorted.push_back(side->SortedCopy());
+        runs.push_back(&resorted.back());
+      }
+    }
     ReducePayloadResult out;
     const auto merged =
         std::make_shared<const FlatKvBuffer>(MergeFlatRuns(runs));

@@ -51,8 +51,12 @@ Event& TelemetryScope::EmitAt(double time, std::string_view type) const {
   if (w >= 0) e.With("window", w);
   if (trace_cell_ != nullptr && trace_cell_->active() &&
       trace_cell_->sampled) {
-    e.With("trace", trace::IdHex(trace_cell_->trace_id));
-    e.With("pspan", trace::IdHex(trace_cell_->span_id));
+    // With copies the chars, so one stack buffer serves both stamps.
+    char hex[trace::kIdHexChars];
+    e.With("trace", std::string_view(
+                        hex, trace::WriteIdHex(trace_cell_->trace_id, hex)));
+    e.With("pspan", std::string_view(
+                        hex, trace::WriteIdHex(trace_cell_->span_id, hex)));
   }
   return e;
 }

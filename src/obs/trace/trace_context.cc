@@ -1,8 +1,8 @@
 #include "obs/trace/trace_context.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
-
-#include "common/string_utils.h"
 
 namespace redoop {
 namespace obs {
@@ -11,83 +11,114 @@ namespace trace {
 namespace {
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-constexpr const char* kTokenPrefix = "redoop-trace/";
+constexpr std::string_view kTokenPrefix = "redoop-trace/";
+
+/// FNV-1a over a canonical string fed piece by piece: after any sequence
+/// of calls the state equals the hash of the pieces' concatenation.
+class CanonicalHash {
+ public:
+  CanonicalHash& Bytes(std::string_view s) {
+    for (char c : s) Byte(c);
+    return *this;
+  }
+  /// A "%.*s" argument: the bytes before the first NUL.
+  CanonicalHash& Text(std::string_view s) {
+    return Bytes(s.substr(0, s.find('\0')));
+  }
+  CanonicalHash& Hex(SpanId id) {
+    char hex[kIdHexChars];
+    WriteIdHex(id, hex);
+    return Bytes({hex, kIdHexChars});
+  }
+  CanonicalHash& Decimal(int64_t v) {
+    char digits[20];  // "-9223372036854775808" is the longest int64.
+    return Bytes(
+        {digits, std::to_chars(digits, digits + sizeof(digits), v).ptr});
+  }
+  SpanId Id() const { return h_ != 0 ? h_ : kFnvOffset; }
+
+ private:
+  void Byte(char c) {
+    h_ ^= static_cast<uint8_t>(c);
+    h_ *= kFnvPrime;
+  }
+
+  uint64_t h_ = kFnvOffset;
+};
+
 }  // namespace
 
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = kFnvOffset;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
+char* WriteIdHex(SpanId id, char* out) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    *out++ = kHexDigits[(id >> shift) & 0xf];
   }
-  return h;
+  return out;
 }
 
 SpanId DeriveId(std::string_view canonical) {
-  const uint64_t h = Fnv1a64(canonical);
-  return h != 0 ? h : kFnvOffset;
+  return CanonicalHash().Bytes(canonical).Id();
 }
 
 std::string IdHex(SpanId id) {
-  return StringPrintf("%016llx", static_cast<unsigned long long>(id));
+  std::string hex(kIdHexChars, '0');
+  WriteIdHex(id, hex.data());
+  return hex;
 }
 
 SpanId TraceIdFor(std::string_view system, std::string_view query) {
-  std::string canonical = "trace:";
-  canonical.append(system);
-  canonical += '/';
-  canonical.append(query);
-  return DeriveId(canonical);
+  return CanonicalHash().Bytes("trace:").Bytes(system).Bytes("/")
+      .Bytes(query).Id();
 }
 
 SpanId WindowSpanId(SpanId trace, int64_t recurrence) {
-  return DeriveId(StringPrintf("window:%s:%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(recurrence)));
+  return CanonicalHash().Bytes("window:").Hex(trace).Bytes(":")
+      .Decimal(recurrence).Id();
 }
 
 SpanId PhaseSpanId(SpanId window_span, std::string_view job,
                    int64_t occurrence, std::string_view kind) {
-  return DeriveId(StringPrintf(
-      "phase:%s:%.*s#%lld:%.*s", IdHex(window_span).c_str(),
-      static_cast<int>(job.size()), job.data(),
-      static_cast<long long>(occurrence), static_cast<int>(kind.size()),
-      kind.data()));
+  return CanonicalHash().Bytes("phase:").Hex(window_span).Bytes(":")
+      .Text(job).Bytes("#").Decimal(occurrence).Bytes(":").Text(kind).Id();
 }
 
 SpanId TaskSpanId(SpanId trace, int64_t task, int64_t attempt) {
-  return DeriveId(StringPrintf("task:%s:%lld:%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(task),
-                               static_cast<long long>(attempt)));
+  return CanonicalHash().Bytes("task:").Hex(trace).Bytes(":").Decimal(task)
+      .Bytes(":").Decimal(attempt).Id();
 }
 
 SpanId CacheOpSpanId(SpanId trace, std::string_view event_type,
                      std::string_view key, int64_t occurrence) {
-  return DeriveId(StringPrintf(
-      "cacheop:%s:%.*s:%.*s#%lld", IdHex(trace).c_str(),
-      static_cast<int>(event_type.size()), event_type.data(),
-      static_cast<int>(key.size()), key.data(),
-      static_cast<long long>(occurrence)));
+  return CanonicalHash().Bytes("cacheop:").Hex(trace).Bytes(":")
+      .Text(event_type).Bytes(":").Text(key).Bytes("#").Decimal(occurrence)
+      .Id();
 }
 
 SpanId PaneSpanId(SpanId trace, int64_t source, int64_t pane,
                   int64_t built_window) {
-  return DeriveId(StringPrintf("pane:%s:S%lld:P%lld:W%lld",
-                               IdHex(trace).c_str(),
-                               static_cast<long long>(source),
-                               static_cast<long long>(pane),
-                               static_cast<long long>(built_window)));
+  return CanonicalHash().Bytes("pane:").Hex(trace).Bytes(":S")
+      .Decimal(source).Bytes(":P").Decimal(pane).Bytes(":W")
+      .Decimal(built_window).Id();
 }
 
 SpanId FailureSpanId(SpanId trace, int64_t node, int64_t occurrence) {
-  return DeriveId(StringPrintf("failure:%s:N%lld#%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(node),
-                               static_cast<long long>(occurrence)));
+  return CanonicalHash().Bytes("failure:").Hex(trace).Bytes(":N")
+      .Decimal(node).Bytes("#").Decimal(occurrence).Id();
 }
 
 std::string TraceContext::Serialize() const {
-  return StringPrintf("%s%s/%s/%lld/%c", kTokenPrefix,
-                      IdHex(trace_id).c_str(), IdHex(span_id).c_str(),
-                      static_cast<long long>(window), sampled ? 's' : 'u');
+  // "redoop-trace/<trace16>/<span16>/<window>/<s|u>", the window at most
+  // 20 chars.
+  char buf[kTokenPrefix.size() + 2 * (kIdHexChars + 1) + 20 + 2];
+  char* p = std::copy(kTokenPrefix.begin(), kTokenPrefix.end(), buf);
+  p = WriteIdHex(trace_id, p);
+  *p++ = '/';
+  p = WriteIdHex(span_id, p);
+  *p++ = '/';
+  p = std::to_chars(p, p + 20, window).ptr;
+  *p++ = '/';
+  *p++ = sampled ? 's' : 'u';
+  return std::string(buf, p);
 }
 
 namespace {

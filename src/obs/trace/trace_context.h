@@ -12,6 +12,7 @@
 // IDs into events, and the offline span builder recomputes them from the
 // same fields, so a stamped ID is a checkable claim, not a new fact.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -23,16 +24,17 @@ namespace trace {
 /// 64-bit span/trace identifier. 0 is reserved for "none"/root.
 using SpanId = uint64_t;
 
-/// FNV-1a over the bytes of `s`. The canonical-string hash behind every
-/// derived ID.
-uint64_t Fnv1a64(std::string_view s);
-
-/// Hashes a canonical string into a non-zero id (0 maps to the FNV offset
-/// basis so "no id" stays unambiguous).
+/// FNV-1a-64 over the bytes of a canonical string, as a non-zero id (0
+/// maps to the FNV offset basis so "no id" stays unambiguous).
 SpanId DeriveId(std::string_view canonical);
+
+/// Width of IdHex's rendering.
+inline constexpr size_t kIdHexChars = 16;
 
 /// 16 lowercase hex chars, the wire/JSON rendering of an id.
 std::string IdHex(SpanId id);
+/// The same 16 chars written to `out` (no terminator); returns the end.
+char* WriteIdHex(SpanId id, char* out);
 
 // --- The ID scheme (DESIGN §14) -------------------------------------------
 // trace  = H("trace:<system>/<query>")
@@ -46,6 +48,12 @@ std::string IdHex(SpanId id);
 // Occurrence counters disambiguate repeats (a job name rerun within a
 // window, a cache re-added after a rebuild, a node failing twice); they
 // count occurrences in journal order, which is itself deterministic.
+//
+// The canonical strings are the definition; the functions below stream
+// their pieces through FNV-1a without building them. <x16> is IdHex,
+// integers are decimal, and <job>, <map|reduce>, <event type> and <key>
+// end at their first NUL, as printf's "%.*s" renders them (TraceIdFor
+// hashes every byte of its inputs).
 
 SpanId TraceIdFor(std::string_view system, std::string_view query);
 SpanId WindowSpanId(SpanId trace, int64_t recurrence);

@@ -48,11 +48,24 @@ std::vector<Record> FfgGenerator::RecordsForSecond(SourceId source,
         std::fmin(cy - 1, std::fmax(0.0, y)));
     const double vx = rng.NextGaussian() * 3.0;
     const double vy = rng.NextGaussian() * 3.0;
+    // "cell-%d-%d" and "s%d-%lu,%.1f,%.1f,%.2f,%.2f", rendered on the
+    // stack and assigned once.
+    char key[32];
+    char value[128];
     Record r;
     r.timestamp = second;
-    r.key = StringPrintf("cell-%d-%d", cell_x, cell_y);
-    r.value = StringPrintf("s%d-%lu,%.1f,%.1f,%.2f,%.2f", source, sensor,
-                           x, y, vx, vy);
+    r.key = CharWriter(key)
+                .Append("cell-").AppendInt(cell_x)
+                .Append("-").AppendInt(cell_y)
+                .view();
+    r.value = CharWriter(value)
+                  .Append("s").AppendInt(source)
+                  .Append("-").AppendInt(sensor)
+                  .Append(",").AppendFixed(x, 1)
+                  .Append(",").AppendFixed(y, 1)
+                  .Append(",").AppendFixed(vx, 2)
+                  .Append(",").AppendFixed(vy, 2)
+                  .view();
     r.logical_bytes = options_.record_logical_bytes;
     records.push_back(std::move(r));
   }

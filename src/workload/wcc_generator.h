@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/random.h"
 #include "workload/rate_profile.h"
 #include "workload/synthetic_feed.h"
 
@@ -39,6 +40,8 @@ class WccGenerator : public RecordGenerator {
  private:
   std::shared_ptr<const RateProfile> rate_;
   WccGeneratorOptions options_;
+  ZipfSampler clients_;
+  ZipfSampler objects_;
 };
 
 }  // namespace redoop

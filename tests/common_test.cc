@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 
 #include "common/config.h"
@@ -13,6 +14,7 @@
 #include "common/status.h"
 #include "common/sim_time.h"
 #include "common/string_utils.h"
+#include "tests/test_util.h"
 
 namespace redoop {
 namespace {
@@ -194,9 +196,10 @@ TEST(RandomTest, ExponentialMean) {
 TEST(RandomTest, ZipfSkewsTowardLowRanks) {
   Random r(19);
   const uint64_t n = 1000;
+  const ZipfSampler zipf(n, 1.0);
   int64_t low = 0, high = 0;
   for (int i = 0; i < 20000; ++i) {
-    const uint64_t v = r.NextZipf(n, 1.0);
+    const uint64_t v = zipf.Next(&r);
     ASSERT_LT(v, n);
     if (v < 10) ++low;
     if (v >= n - 10) ++high;
@@ -207,10 +210,31 @@ TEST(RandomTest, ZipfSkewsTowardLowRanks) {
 TEST(RandomTest, ZipfZeroSkewIsUniformish) {
   Random r(23);
   const uint64_t n = 100;
+  const ZipfSampler zipf(n, 0.0);
   std::vector<int> counts(n, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[r.NextZipf(n, 0.0)];
+  for (int i = 0; i < 100000; ++i) ++counts[zipf.Next(&r)];
   for (uint64_t i = 0; i < n; ++i) {
     EXPECT_NEAR(counts[i], 1000, 250) << "rank " << i;
+  }
+}
+
+// The tabulated sampler is the per-draw rejection-inversion, only cheaper:
+// same ranks from the same Random state, and the same number of draws
+// consumed (the stream's next value after the ranks agrees).
+TEST(RandomTest, ZipfSamplerMatchesReferenceDrawForDraw) {
+  for (const double s : {0.0, 0.5, 0.9, 1.0, 1.3}) {
+    for (const uint64_t n : {1ull, 2ull, 200ull, 5000ull, 20000ull}) {
+      const ZipfSampler zipf(n, s);
+      Random sampled(n * 31 + static_cast<uint64_t>(s * 10));
+      Random reference = sampled;
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(zipf.Next(&sampled),
+                  testing::ReferenceNextZipf(&reference, n, s))
+            << "s=" << s << " n=" << n << " draw " << i;
+      }
+      EXPECT_EQ(sampled.NextUint64(), reference.NextUint64())
+          << "s=" << s << " n=" << n;
+    }
   }
 }
 
@@ -326,6 +350,75 @@ TEST(StringTest, HumanDuration) {
 TEST(StringTest, StringPrintf) {
   EXPECT_EQ(StringPrintf("S%dP%ld", 1, 42L), "S1P42");
   EXPECT_EQ(StringPrintf("%.2f%%", 99.95), "99.95%");
+}
+
+// Results up to 255 bytes come from the one-pass stack buffer; 256 and up
+// are measured and formatted again. Both must carry every byte.
+TEST(StringTest, StringPrintfAroundTheStackBuffer) {
+  for (const size_t len : {0, 1, 254, 255, 256, 257, 10000}) {
+    std::string want(len, 'x');
+    for (size_t i = 0; i < len; ++i) want[i] = static_cast<char>('a' + i % 26);
+    EXPECT_EQ(StringPrintf("%s", want.c_str()), want) << "length " << len;
+    if (len >= 3) {
+      // Formatted pieces on both sides of the boundary.
+      const std::string got = StringPrintf(
+          "%d%.*s%c", 7, static_cast<int>(len - 2), want.c_str() + 1, 'z');
+      EXPECT_EQ(got, "7" + want.substr(1, len - 2) + "z") << "length " << len;
+    }
+  }
+}
+
+std::string SnprintfFixed(double v, int precision) {
+  char buf[512];
+  const int n = std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return std::string(buf, static_cast<size_t>(n));
+}
+
+std::string WriterFixed(double v, int precision) {
+  char buf[512];
+  return std::string(CharWriter(buf).AppendFixed(v, precision).view());
+}
+
+// AppendFixed renders what "%.1f" / "%.2f" render: signed zeros, exact
+// binary ties (0.25, 2.5), decimal ties the binary value misses (0.35,
+// 2.675), tiny and huge magnitudes, then a million random values across
+// 2^-30 .. 2^60, a quarter of them rounded onto ties.
+TEST(StringTest, CharWriterFixedMatchesPrintf) {
+  for (const double v : {0.0, -0.0, -0.004, 0.05, 0.25, 0.35, 2.675, 179.95,
+                         1e-9, 1e15, -1e15, 0.45, 1.5, 2.5, -2.5, 1e300}) {
+    for (const int precision : {1, 2}) {
+      EXPECT_EQ(WriterFixed(v, precision), SnprintfFixed(v, precision))
+          << v << " at precision " << precision;
+    }
+  }
+  Random r(1);
+  for (int i = 0; i < 1000000; ++i) {
+    double v = std::ldexp(r.NextDouble(), static_cast<int>(r.Uniform(91)) - 30);
+    if (r.Bernoulli(0.5)) v = -v;
+    if (i % 4 == 0) v = std::round(v * 40.0) / 40.0;  // Lands on ties.
+    const int precision = 1 + i % 2;
+    ASSERT_EQ(WriterFixed(v, precision), SnprintfFixed(v, precision))
+        << v << " at precision " << precision;
+  }
+}
+
+TEST(StringTest, CharWriterIntegersMatchPrintf) {
+  char buf[64];
+  EXPECT_EQ(CharWriter(buf)
+                .Append("client-").AppendInt(uint64_t{18446744073709551615u})
+                .Append(",").AppendInt(int64_t{-9223372036854775807 - 1})
+                .Append(",").AppendInt(int32_t{-7}).Append(",").AppendInt(0)
+                .view(),
+            "client-18446744073709551615,-9223372036854775808,-7,0");
+  EXPECT_EQ(CharWriter(buf).view(), "");
+}
+
+TEST(StringTest, CharWriterOverflowIsChecked) {
+  char buf[8];
+  EXPECT_DEATH(CharWriter(buf).Append("0123456789"), "too small");
+  EXPECT_DEATH(CharWriter(buf).Append("x").AppendInt(int64_t{123456789}),
+               "too small");
+  EXPECT_DEATH(CharWriter(buf).AppendFixed(1e15, 1), "too small");
 }
 
 }  // namespace

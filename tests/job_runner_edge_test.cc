@@ -257,5 +257,107 @@ TEST_F(EdgeTest, CombinerCollapsesShuffleWithoutChangingResults) {
   EXPECT_LT(combined.counters.Get(counter::kReduceInputRecords), 60);
 }
 
+// A cached side input that arrives unsorted (a multi-emission reducer's
+// output cache fed back, say) is re-sorted inside the reduce payload
+// before the merge. The order-sensitive reducer below sees every value of
+// a key in merge order, so the result and the pane caches must equal
+// those of the same job fed the sorted copy — with payloads inline and on
+// a two-thread pool.
+class ConcatReducer : public Reducer {
+ public:
+  void Reduce(const std::string& key, std::span<const KeyValue> values,
+              ReduceContext* context) const override {
+    std::string joined;
+    for (const KeyValue& v : values) {
+      if (!joined.empty()) joined += '|';
+      joined += v.value;
+    }
+    context->Emit(key, joined, 8);
+  }
+};
+
+struct SideInputRun {
+  std::vector<KeyValue> output;
+  std::vector<std::pair<std::string, std::vector<KeyValue>>> caches;
+};
+
+SideInputRun RunWithSideInputs(std::shared_ptr<const FlatKvBuffer> first,
+                               int32_t threads) {
+  Cluster cluster(4, Config());
+  DefaultScheduler scheduler;
+  JobRunnerOptions options;
+  options.threads = threads;
+  JobRunner runner(&cluster, &scheduler, options);
+  const std::vector<Record> records = {{0, "b", "m1", 64},
+                                       {1, "a", "m2", 64},
+                                       {2, "c", "m3", 64},
+                                       {3, "b", "m4", 64}};
+  EXPECT_TRUE(cluster.dfs().CreateFile("pane7", records, 0, 4).ok());
+
+  JobSpec spec;
+  spec.config.mapper = std::make_shared<const IdentityMapper>();
+  spec.config.reducer = std::make_shared<const ConcatReducer>();
+  spec.config.num_reducers = 1;
+  MapInput input;
+  input.file_name = "pane7";
+  input.source = 1;
+  input.pane = 7;
+  spec.map_inputs.push_back(input);
+  spec.cache.cache_reduce_input = true;
+  spec.cache.input_cache_name = [](SourceId s, PaneId p, int32_t r) {
+    return "RIC_S" + std::to_string(s) + "P" + std::to_string(p) + "_R" +
+           std::to_string(r);
+  };
+  const auto add_side = [&spec](std::string name,
+                                std::shared_ptr<const FlatKvBuffer> payload) {
+    ReduceSideInput side;
+    side.cache_name = std::move(name);
+    side.partition = 0;
+    side.location = 0;
+    side.bytes = payload->total_logical_bytes();
+    side.records = static_cast<int64_t>(payload->size());
+    side.payload = std::move(payload);
+    spec.side_inputs.push_back(std::move(side));
+  };
+  add_side("prior", std::move(first));
+  add_side("later", std::make_shared<const FlatKvBuffer>(
+                        FlatKvBuffer::FromKeyValues(std::vector<KeyValue>{
+                            {"a", "s1", 8}, {"b", "s2", 8}})));
+
+  JobResult result = runner.Run(spec);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  SideInputRun run;
+  run.output = result.output;
+  for (const MaterializedCache& cache : result.caches) {
+    run.caches.emplace_back(cache.name, cache.payload->ToKeyValues());
+  }
+  return run;
+}
+
+TEST_F(EdgeTest, UnsortedSideInputMatchesItsSortedCopy) {
+  const auto unsorted = std::make_shared<const FlatKvBuffer>(
+      FlatKvBuffer::FromKeyValues(std::vector<KeyValue>{
+          {"c", "u1", 8}, {"a", "u3", 8}, {"b", "u2", 8}, {"a", "u0", 8}}));
+  ASSERT_FALSE(unsorted->IsSorted());
+  const auto sorted =
+      std::make_shared<const FlatKvBuffer>(unsorted->SortedCopy());
+  // The merge orders each key's values by bytes across all runs.
+  const std::vector<KeyValue> want = {{"a", "m2|s1|u0|u3", 8},
+                                      {"b", "m1|m4|s2|u2", 8},
+                                      {"c", "m3|u1", 8}};
+  for (const int32_t threads : {1, 2}) {
+    const SideInputRun from_unsorted = RunWithSideInputs(unsorted, threads);
+    const SideInputRun from_sorted = RunWithSideInputs(sorted, threads);
+    EXPECT_EQ(from_unsorted.output, want) << "threads=" << threads;
+    EXPECT_EQ(from_unsorted.output, from_sorted.output)
+        << "threads=" << threads;
+    EXPECT_EQ(from_unsorted.caches, from_sorted.caches)
+        << "threads=" << threads;
+    ASSERT_EQ(from_unsorted.caches.size(), 1u) << "threads=" << threads;
+    EXPECT_EQ(from_unsorted.caches[0].second.size(), 4u)
+        << "the pane cache holds its own pane's pairs only";
+  }
+}
+
 }  // namespace
 }  // namespace redoop

@@ -1,12 +1,14 @@
 #ifndef REDOOP_TESTS_TEST_UTIL_H_
 #define REDOOP_TESTS_TEST_UTIL_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/config.h"
+#include "common/random.h"
 #include "core/metrics.h"
 #include "queries/aggregation_query.h"
 #include "queries/join_query.h"
@@ -75,6 +77,38 @@ inline bool SameOutput(const std::vector<KeyValue>& a,
     if (a[i].key != b[i].key || a[i].value != b[i].value) return false;
   }
   return true;
+}
+
+/// Reference Zipf draw: rejection-inversion (Hormann & Derflinger) with
+/// every bound recomputed per draw, the untabulated form of ZipfSampler.
+/// A ZipfSampler must return the same rank from the same Random state and
+/// consume the same draws.
+inline uint64_t ReferenceNextZipf(Random* rng, uint64_t n, double s) {
+  if (s <= 0.0) return rng->Uniform(n);
+  auto h_integral = [s](double x) {
+    const double log_x = std::log(x);
+    if (std::abs(1.0 - s) < 1e-12) return log_x;
+    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+  };
+  auto h_integral_inverse = [s](double x) {
+    if (std::abs(1.0 - s) < 1e-12) return std::exp(x);
+    double t = x * (1.0 - s) + 1.0;
+    if (t < 1e-300) t = 1e-300;
+    return std::exp(std::log(t) / (1.0 - s));
+  };
+  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
+  const double h_x1 = h_integral(1.5) - 1.0;
+  const double h_half = h_integral(0.5);
+  const double t = h_integral(static_cast<double>(n) + 0.5);
+  while (true) {
+    const double u = h_half + rng->NextDouble() * (t - h_half);
+    const double x = h_integral_inverse(u);
+    uint64_t k = static_cast<uint64_t>(x + 0.5);
+    if (k < 1) k = 1;
+    if (k > n) k = n;
+    const double kd = static_cast<double>(k);
+    if (kd - x <= h_x1 || u >= h_integral(kd + 0.5) - h(kd)) return k - 1;
+  }
 }
 
 }  // namespace redoop::testing

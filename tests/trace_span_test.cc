@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -15,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "common/hash.h"
+#include "common/random.h"
+#include "common/string_utils.h"
 #include "core/redoop_driver.h"
 #include "obs/event_journal.h"
 #include "obs/trace/span_builder.h"
@@ -77,6 +81,165 @@ TEST(TraceContextTest, ParseRejectsMalformedTokens) {
       "redoop-trace/0123456789abcdef/fedcba9876543210/3/u", &out));
   EXPECT_EQ(out.window, 3);
   EXPECT_FALSE(out.sampled);
+}
+
+// ---------------------------------------------------------------------------
+// Span-id known answers. The span builder recomputes ids with the same
+// functions the emitters stamp with, so a drifted derivation would still
+// agree with itself; only fixed values pin the scheme (DESIGN §14). The
+// values are FNV-1a-64 of the printf-rendered canonical strings.
+// ---------------------------------------------------------------------------
+
+TraceContext Context(uint64_t trace_id, uint64_t span_id, int64_t window,
+                     bool sampled) {
+  TraceContext ctx;
+  ctx.trace_id = trace_id;
+  ctx.span_id = span_id;
+  ctx.window = window;
+  ctx.sampled = sampled;
+  return ctx;
+}
+
+TEST(TraceIdTest, KnownAnswers) {
+  using namespace obs::trace;  // NOLINT: the whole id vocabulary.
+  using namespace std::string_view_literals;  // "a\0b"sv keeps the NUL.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(IdHex(0x0ull), "0000000000000000");
+  EXPECT_EQ(IdHex(0x1ull), "0000000000000001");
+  EXPECT_EQ(IdHex(0x123456789abcdefull), "0123456789abcdef");
+  EXPECT_EQ(IdHex(0xfedcba9876543210ull), "fedcba9876543210");
+  EXPECT_EQ(IdHex(0xffffffffffffffffull), "ffffffffffffffff");
+  EXPECT_EQ(TraceIdFor("redoop", "agg"), 0x19e89c30614d33a5ull);
+  EXPECT_EQ(TraceIdFor("", ""), 0xd6ce2229a9ad8249ull);
+  EXPECT_EQ(TraceIdFor("hadoop", "a\0b"sv), 0x99d2010863b0a40full);
+  const SpanId trace = TraceIdFor("redoop", "agg");
+  EXPECT_EQ(WindowSpanId(trace, 0), 0xd2ff19ab0c4c53caull);
+  EXPECT_EQ(WindowSpanId(trace, 7), 0xd2ff14ab0c4c4b4bull);
+  EXPECT_EQ(WindowSpanId(trace, -1), 0xd3dd94a5e5c11fe8ull);
+  EXPECT_EQ(WindowSpanId(trace, kMin), 0x43e0afce126b6a16ull);
+  EXPECT_EQ(WindowSpanId(trace, kMax), 0xd70ff065e81ea1c2ull);
+  EXPECT_EQ(WindowSpanId(0, 3), 0xd515eb29ffbc76faull);
+  const SpanId window = WindowSpanId(trace, 3);
+  EXPECT_EQ(PhaseSpanId(window, "redoop-agg-w3", 0, "map"),
+            0x6d5c168d9974c334ull);
+  EXPECT_EQ(PhaseSpanId(window, "redoop-agg-w3", 1, "reduce"),
+            0x1fc590ed49b35419ull);
+  EXPECT_EQ(PhaseSpanId(window, "", -5, ""), 0x03cddc3c3524b20aull);
+  EXPECT_EQ(PhaseSpanId(window, "job\0tail"sv, kMax, "map"),
+            0x9e2f1de21ecdf757ull);
+  EXPECT_EQ(PhaseSpanId(window, "j", kMin, "re\0duce"sv),
+            0x4db384e08ab9eb15ull);
+  EXPECT_EQ(TaskSpanId(trace, 42, 1), 0x04f686c815eb33d0ull);
+  EXPECT_EQ(TaskSpanId(trace, 0, 0), 0xfb79dd037a645c37ull);
+  EXPECT_EQ(TaskSpanId(trace, -1, -2), 0x7ed1a45406271d9eull);
+  EXPECT_EQ(TaskSpanId(trace, kMin, kMax), 0xb3497c33493ee8b1ull);
+  EXPECT_EQ(TaskSpanId(trace, kMax, kMin), 0x032a89f5e6e1fe49ull);
+  EXPECT_EQ(CacheOpSpanId(trace, "cache.pane.hit", "S1P3_R2", 0),
+            0xc93f84ebcf88459full);
+  EXPECT_EQ(CacheOpSpanId(trace, "", "", -1), 0x0bb8caebbb863e00ull);
+  EXPECT_EQ(CacheOpSpanId(trace, "cache.add", "S1P3\0R2"sv, 5),
+            0x3a20fd140fe27fdfull);
+  EXPECT_EQ(CacheOpSpanId(trace, "dfs.write", "k", kMin),
+            0xf7daf9b896f6009full);
+  EXPECT_EQ(CacheOpSpanId(trace, "t\0y"sv, "key", kMax), 0x0c018188a3fbf975ull);
+  EXPECT_EQ(PaneSpanId(trace, 1, 3, 4), 0xd2fd69130df1a7c0ull);
+  EXPECT_EQ(PaneSpanId(trace, 0, 0, 0), 0x4206896cdce564a4ull);
+  EXPECT_EQ(PaneSpanId(trace, -1, kMin, kMax), 0x636c2b1c341d5536ull);
+  EXPECT_EQ(PaneSpanId(trace, kMax, -7, kMin), 0x10cab36b8fe8448eull);
+  EXPECT_EQ(FailureSpanId(trace, 7, 0), 0xe02cdd632225b772ull);
+  EXPECT_EQ(FailureSpanId(trace, -3, kMax), 0xe587c51edac222e7ull);
+  EXPECT_EQ(FailureSpanId(trace, kMin, -1), 0xbd40ccc3482c0e43ull);
+  EXPECT_EQ(Context(0x19e89c30614d33a5ull, 0xd2ff18ab0c4c5217ull, 3, true)
+                .Serialize(),
+            "redoop-trace/19e89c30614d33a5/d2ff18ab0c4c5217/3/s");
+  EXPECT_EQ(Context(0, 0, -1, false).Serialize(),
+            "redoop-trace/0000000000000000/0000000000000000/-1/u");
+  EXPECT_EQ(Context(0xffffffffffffffffull, 0x1ull, kMin, true).Serialize(),
+            "redoop-trace/ffffffffffffffff/0000000000000001/"
+            "-9223372036854775808/s");
+  EXPECT_EQ(Context(0x10ull, 0xfffffffffffffffeull, kMax, false).Serialize(),
+            "redoop-trace/0000000000000010/fffffffffffffffe/"
+            "9223372036854775807/u");
+}
+
+// The canonical strings are the definition: render them with StringPrintf
+// exactly as DESIGN §14 writes them and hash with FNV-1a, for random ids,
+// integers across the int64 range, and byte strings with embedded NULs
+// ("%.*s" stops at the first one).
+std::string RefHex(obs::trace::SpanId id) {
+  return StringPrintf("%016llx", static_cast<unsigned long long>(id));
+}
+
+obs::trace::SpanId RefId(const std::string& canonical) {
+  const uint64_t h = Fnv1a64(canonical);
+  return h != 0 ? h : 0xcbf29ce484222325ull;
+}
+
+int64_t RandomInt(Random* r) {
+  switch (r->Uniform(4)) {
+    case 0:
+      return static_cast<int64_t>(r->NextUint64());
+    case 1:
+      return r->UniformInt(-1000, 1000);
+    case 2:
+      return r->Bernoulli(0.5) ? std::numeric_limits<int64_t>::min()
+                               : std::numeric_limits<int64_t>::max();
+    default:
+      return r->UniformInt(-9, 9);
+  }
+}
+
+std::string RandomBytes(Random* r) {
+  std::string s(r->Uniform(12), '\0');
+  for (char& c : s) {
+    c = r->Bernoulli(0.1) ? '\0' : static_cast<char>(r->Uniform(256));
+  }
+  return s;
+}
+
+TEST(TraceIdTest, StreamedIdsMatchPrintfCanonicalStrings) {
+  using namespace obs::trace;  // NOLINT: the whole id vocabulary.
+  const auto ll = [](int64_t v) { return static_cast<long long>(v); };
+  const auto prec = [](const std::string& s) {
+    return static_cast<int>(s.size());
+  };
+  Random r(20);
+  for (int i = 0; i < 20000; ++i) {
+    const SpanId id = r.NextUint64();
+    const int64_t a = RandomInt(&r);
+    const int64_t b = RandomInt(&r);
+    const int64_t c = RandomInt(&r);
+    const std::string s1 = RandomBytes(&r);
+    const std::string s2 = RandomBytes(&r);
+    const std::string hex = RefHex(id);
+    ASSERT_EQ(IdHex(id), hex);
+    ASSERT_EQ(TraceIdFor(s1, s2), RefId("trace:" + s1 + "/" + s2));
+    ASSERT_EQ(WindowSpanId(id, a),
+              RefId(StringPrintf("window:%s:%lld", hex.c_str(), ll(a))));
+    ASSERT_EQ(PhaseSpanId(id, s1, a, s2),
+              RefId(StringPrintf("phase:%s:%.*s#%lld:%.*s", hex.c_str(),
+                                 prec(s1), s1.data(), ll(a), prec(s2),
+                                 s2.data())));
+    ASSERT_EQ(TaskSpanId(id, a, b),
+              RefId(StringPrintf("task:%s:%lld:%lld", hex.c_str(), ll(a),
+                                 ll(b))));
+    ASSERT_EQ(CacheOpSpanId(id, s1, s2, a),
+              RefId(StringPrintf("cacheop:%s:%.*s:%.*s#%lld", hex.c_str(),
+                                 prec(s1), s1.data(), prec(s2), s2.data(),
+                                 ll(a))));
+    ASSERT_EQ(PaneSpanId(id, a, b, c),
+              RefId(StringPrintf("pane:%s:S%lld:P%lld:W%lld", hex.c_str(),
+                                 ll(a), ll(b), ll(c))));
+    ASSERT_EQ(FailureSpanId(id, a, b),
+              RefId(StringPrintf("failure:%s:N%lld#%lld", hex.c_str(), ll(a),
+                                 ll(b))));
+    const TraceContext ctx = Context(id, r.NextUint64(), a, r.Bernoulli(0.5));
+    ASSERT_EQ(ctx.Serialize(),
+              StringPrintf("redoop-trace/%s/%s/%lld/%c", hex.c_str(),
+                           RefHex(ctx.span_id).c_str(), ll(a),
+                           ctx.sampled ? 's' : 'u'));
+  }
 }
 
 // ---------------------------------------------------------------------------

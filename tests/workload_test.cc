@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
+#include "common/hash.h"
+#include "common/random.h"
+#include "common/string_utils.h"
+#include "tests/test_util.h"
 #include "workload/ffg_generator.h"
 #include "workload/rate_profile.h"
 #include "workload/synthetic_feed.h"
@@ -183,6 +188,136 @@ TEST(FfgGeneratorTest, DifferentSourcesProduceDifferentStreams) {
     if (!(s1[i] == s2[i])) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-for-byte equivalence with printf-rendered reference generators: the
+// same seeding, draws and record shapes, with keys and values from
+// StringPrintf and Zipf ranks from the per-draw reference sampler.
+// ---------------------------------------------------------------------------
+
+Random RecordRng(uint64_t seed, SourceId source, Timestamp second) {
+  return Random(HashCombine(
+      HashCombine(seed, Mix64(static_cast<uint64_t>(source))),
+      static_cast<uint64_t>(second)));
+}
+
+int64_t RecordCount(Random* rng, double rps) {
+  int64_t count = static_cast<int64_t>(rps);
+  if (rng->NextDouble() < rps - std::floor(rps)) ++count;
+  return count;
+}
+
+std::vector<Record> ReferenceWccRecords(const WccGeneratorOptions& options,
+                                        double rps, SourceId source,
+                                        Timestamp second) {
+  Random rng = RecordRng(options.seed, source, second);
+  const int64_t count = RecordCount(&rng, rps);
+  static const char* kMethods[] = {"GET", "POST", "HEAD"};
+  static const int kStatuses[] = {200, 200, 200, 200, 304, 404, 500};
+  std::vector<Record> records;
+  for (int64_t i = 0; i < count; ++i) {
+    const uint64_t client = testing::ReferenceNextZipf(
+        &rng, static_cast<uint64_t>(options.num_clients), options.client_skew);
+    const uint64_t object = testing::ReferenceNextZipf(
+        &rng, static_cast<uint64_t>(options.num_objects), options.object_skew);
+    const int32_t region = static_cast<int32_t>(
+        rng.Uniform(static_cast<uint64_t>(options.num_regions)));
+    const char* method = kMethods[rng.Uniform(3)];
+    const int status = kStatuses[rng.Uniform(7)];
+    const int64_t bytes = 64 + static_cast<int64_t>(rng.Uniform(32768));
+    Record r;
+    r.timestamp = second;
+    r.key = StringPrintf("client-%lu", client);
+    r.value = StringPrintf("obj-%lu,%s,%d,reg-%d,%ld", object, method, status,
+                           region, bytes);
+    r.logical_bytes = options.record_logical_bytes;
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+std::vector<Record> ReferenceFfgRecords(const FfgGeneratorOptions& options,
+                                        double rps, SourceId source,
+                                        Timestamp second) {
+  Random rng = RecordRng(options.seed, source, second);
+  const int64_t count = RecordCount(&rng, rps);
+  std::vector<Record> records;
+  for (int64_t i = 0; i < count; ++i) {
+    const uint64_t sensor =
+        rng.Uniform(static_cast<uint64_t>(options.num_sensors));
+    const double cx = static_cast<double>(options.grid_cells_x);
+    const double cy = static_cast<double>(options.grid_cells_y);
+    const double x = rng.NextDouble() * cx;
+    const double y = rng.NextDouble() * cy;
+    const int32_t cell_x =
+        static_cast<int32_t>(std::fmin(cx - 1, std::fmax(0.0, x)));
+    const int32_t cell_y =
+        static_cast<int32_t>(std::fmin(cy - 1, std::fmax(0.0, y)));
+    const double vx = rng.NextGaussian() * 3.0;
+    const double vy = rng.NextGaussian() * 3.0;
+    Record r;
+    r.timestamp = second;
+    r.key = StringPrintf("cell-%d-%d", cell_x, cell_y);
+    r.value = StringPrintf("s%d-%lu,%.1f,%.1f,%.2f,%.2f", source, sensor, x, y,
+                           vx, vy);
+    r.logical_bytes = options.record_logical_bytes;
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+// A fractional rate exercises the carried-fraction draw as well.
+constexpr double kEquivalenceRate = 2.5;
+constexpr Timestamp kEquivalenceSeconds = 20000;
+
+void ExpectSameRecords(const std::vector<Record>& got,
+                       const std::vector<Record>& want, uint64_t seed,
+                       Timestamp second) {
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " second " << second;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << "seed " << seed << " second "
+                                       << second << " record " << i;
+    ASSERT_EQ(got[i].value, want[i].value) << "seed " << seed << " second "
+                                           << second << " record " << i;
+    ASSERT_EQ(got[i].timestamp, want[i].timestamp);
+    ASSERT_EQ(got[i].logical_bytes, want[i].logical_bytes);
+  }
+}
+
+TEST(WccGeneratorTest, RecordsMatchPrintfReference) {
+  for (const uint64_t seed : {1ull, 1998ull, 4242ull}) {
+    WccGeneratorOptions options;
+    options.seed = seed;
+    const WccGenerator gen(std::make_shared<ConstantRate>(kEquivalenceRate),
+                           options);
+    int64_t records = 0;
+    for (Timestamp t = 0; t < kEquivalenceSeconds; ++t) {
+      const std::vector<Record> got = gen.RecordsForSecond(1, t);
+      ExpectSameRecords(got,
+                        ReferenceWccRecords(options, kEquivalenceRate, 1, t),
+                        seed, t);
+      records += static_cast<int64_t>(got.size());
+    }
+    EXPECT_NEAR(static_cast<double>(records),
+                kEquivalenceRate * kEquivalenceSeconds, 1000.0);
+  }
+}
+
+TEST(FfgGeneratorTest, RecordsMatchPrintfReference) {
+  for (const uint64_t seed : {1ull, 1998ull, 4242ull}) {
+    FfgGeneratorOptions options;
+    options.seed = seed;
+    const FfgGenerator gen(std::make_shared<ConstantRate>(kEquivalenceRate),
+                           options);
+    for (Timestamp t = 0; t < kEquivalenceSeconds; ++t) {
+      // Alternate the sign of the source so "s%d" renders negatives too.
+      const SourceId source = t % 2 == 0 ? 2 : -3;
+      ExpectSameRecords(
+          gen.RecordsForSecond(source, t),
+          ReferenceFfgRecords(options, kEquivalenceRate, source, t), seed, t);
+    }
+  }
 }
 
 }  // namespace
