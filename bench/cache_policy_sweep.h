@@ -198,16 +198,15 @@ inline CachePolicySweepResult RunCachePolicySweep(const CachePolicyScale& s) {
   return result;
 }
 
-/// Flattens the sweep into ordered (key, value) metric pairs under the
-/// `cache_policy.` prefix. Budgeted rows keep the `lru` segment of the
-/// policy sweep they were first published under, so their names hold.
+/// Flattens the sweep into ordered (key, value) metric pairs named
+/// `cache_policy.<workload>.<budget label>.*`. The store has one victim
+/// order, so no row names a policy.
 inline std::vector<std::pair<std::string, double>> CachePolicyMetrics(
     const CachePolicySweepResult& result) {
   std::vector<std::pair<std::string, double>> out;
   for (const CachePolicyCell& c : result.cells) {
     const std::string prefix =
-        "cache_policy." + c.workload + "." +
-        (c.budget_bytes > 0 ? "lru." + c.budget_label : "unbounded");
+        "cache_policy." + c.workload + "." + c.budget_label;
     out.emplace_back(prefix + ".total_s", c.total_s);
     out.emplace_back(prefix + ".hit_rate", c.hit_rate);
     if (c.budget_bytes > 0) {

@@ -20,7 +20,7 @@ CacheStore::CacheStore(Options options) : options_(std::move(options)) {
 
 void CacheStore::Put(const CacheKey& key,
                      std::shared_ptr<const FlatKvBuffer> payload,
-                     PaneStats stats) {
+                     PaneStats stats, Use use) {
   REDOOP_CHECK(key.valid());
   REDOOP_CHECK(stats.bytes >= 0 && stats.records >= 0);
   REDOOP_CHECK(payload != nullptr);
@@ -35,9 +35,11 @@ void CacheStore::Put(const CacheKey& key,
     entry->bytes = stats.bytes;
     entry->records = stats.records;
     entry->serial_ = ++last_serial_;
+    entry->use_ = use;
     total_bytes_ += stats.bytes;
     it = entries_.emplace(key.name(), std::move(entry)).first;
-    it->second->recency_ = recency_.insert(recency_.end(), it);
+    RecencyList& order = recency_[static_cast<size_t>(use)];
+    it->second->recency_ = order.insert(order.end(), it);
     peak_bytes_ = std::max(peak_bytes_, total_bytes_);
     EvictLocked(/*exclude=*/it->second.get(), &notices);
     after = SnapshotLocked();
@@ -50,7 +52,8 @@ const CacheStore::Entry* CacheStore::Find(const CacheKey& key) const {
   auto it = entries_.find(key.name());
   if (it == entries_.end()) return nullptr;
   Entry& entry = *it->second;
-  recency_.splice(recency_.end(), recency_, entry.recency_);
+  RecencyList& order = recency_[static_cast<size_t>(entry.use_)];
+  order.splice(order.end(), order, entry.recency_);
   return &entry;
 }
 
@@ -126,28 +129,40 @@ int64_t CacheStore::evicted_bytes() const {
 void CacheStore::EvictLocked(const Entry* exclude,
                              std::vector<EvictionNotice>* notices) {
   if (options_.budget_bytes <= 0) return;
-  while (total_bytes_ > options_.budget_bytes) {
-    const auto victim = std::find_if(
-        recency_.begin(), recency_.end(), [exclude](EntryMap::iterator it) {
-          return it->second->pins_ == 0 && it->second.get() != exclude;
-        });
-    if (victim == recency_.end()) break;  // Only pinned (or excluded) left.
-    const EntryMap::iterator it = *victim;
-    EvictionNotice notice;
-    notice.key = CacheKey::FromName(it->first);
-    notice.bytes = it->second->bytes;
-    notice.records = it->second->records;
-    EraseLocked(it);
-    ++evicted_entries_;
-    evicted_bytes_ += notice.bytes;
-    notices->push_back(std::move(notice));
+  // recency_ is in victim order: every unpinned recovery-only entry goes
+  // before any window-read one, least recently used first within each.
+  // The sweep stops at the entry being inserted (the most recent of its
+  // class): it is not its own victim, and nothing ranked after it goes
+  // for it, so a recovery-only Put never evicts a window-read entry. An
+  // entry a scan skips stays pinned for the rest of the sweep, so each
+  // list is walked once.
+  const auto candidate = [exclude](EntryMap::iterator it) {
+    return it->second.get() == exclude || it->second->pins_ == 0;
+  };
+  for (RecencyList& order : recency_) {
+    auto next = order.begin();
+    while (total_bytes_ > options_.budget_bytes) {
+      next = std::find_if(next, order.end(), candidate);
+      if (next == order.end()) break;  // Only pinned entries left here.
+      if ((*next)->second.get() == exclude) return;
+      const EntryMap::iterator it = *next++;
+      EvictionNotice notice;
+      notice.key = CacheKey::FromName(it->first);
+      notice.bytes = it->second->bytes;
+      notice.records = it->second->records;
+      EraseLocked(it);
+      ++evicted_entries_;
+      evicted_bytes_ += notice.bytes;
+      notices->push_back(std::move(notice));
+    }
   }
 }
 
 void CacheStore::EraseLocked(EntryMap::iterator it) {
   total_bytes_ -= it->second->bytes;
   if (it->second->pins_ > 0) pinned_bytes_ -= it->second->bytes;
-  recency_.erase(it->second->recency_);
+  const size_t use = static_cast<size_t>(it->second->use_);
+  recency_[use].erase(it->second->recency_);
   entries_.erase(it);
 }
 

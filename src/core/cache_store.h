@@ -1,6 +1,7 @@
 #ifndef REDOOP_CORE_CACHE_STORE_H_
 #define REDOOP_CORE_CACHE_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -24,23 +25,33 @@ namespace redoop {
 /// placement and I/O costs are tracked on the TaskNode / cache-controller
 /// side. An entry leaves the store three ways: explicit Remove (loss,
 /// purge), replacement by a fresh Put, or *eviction* when the budget is
-/// exceeded — the least recently used unpinned entry goes first, and the
-/// on_evict callback lets the driver roll back controller state so the
-/// pane flips to recompute.
+/// exceeded, and the on_evict callback lets the driver roll back
+/// controller state so the pane flips to recompute.
+///
+/// Victim order: every entry carries the Use its Put's caller gave it.
+/// The least recently used unpinned recovery-only entry goes first; a
+/// window-read entry goes only when no unpinned recovery-only entry is
+/// left, again least recently used first. With every entry in one class
+/// this is plain LRU. A Put's sweep stops at the entry being inserted,
+/// the most recent of its class: it is not its own victim, and nothing
+/// ranked after it goes for it, so a recovery-only Put never evicts a
+/// window-read entry.
 ///
 /// Recency: Put (a replacement included) and Find (so also Has) make an
-/// entry the most recently used.
+/// entry the most recently used of its class.
 ///
 /// Budgeting is on logical (simulated) bytes, the size the simulation
 /// charges for the pane's cache file.
 ///
 /// Pinning: Acquire() returns a Lease that exempts an entry from eviction
-/// while any lease on it is live. The driver pins everything the current
-/// recurrence reads or registers, so the store may transiently exceed the
-/// budget while pinned bytes demand it; EnforceBudget() trims back once
-/// leases are released. The capacity invariant is therefore: after any
-/// Put/EnforceBudget, total_bytes() <= budget unless pinned entries (or a
-/// single oversized incoming entry) force the excess.
+/// while any lease on it is live. The driver pins the window-read entries
+/// the current recurrence reads or registers, so the store may transiently
+/// exceed the budget while pinned bytes demand it; EnforceBudget() trims
+/// back once leases are released. The capacity invariant is therefore:
+/// after any Put/EnforceBudget, total_bytes() <= budget unless pinned
+/// entries force the excess, or a Put's own entry does (with, for a
+/// recovery-only Put, the window-read entries it may not evict) until the
+/// next Put or EnforceBudget.
 ///
 /// All mutations and reads take the store mutex, the recency order
 /// included. Victim order depends only on the operation sequence, which
@@ -52,10 +63,19 @@ class CacheStore {
 
  private:
   using EntryMap = std::map<std::string, std::unique_ptr<Entry>>;
-  /// Entries from least to most recently used.
+  /// Entries of one Use from least to most recently used.
   using RecencyList = std::list<EntryMap::iterator>;
 
  public:
+  /// What the driver's windows do with an entry; fixes its eviction class.
+  enum class Use : uint8_t {
+    /// Read only to recompute a lost window-read entry (a per-pane-merge
+    /// pane's reduce-input caches). Evicted before any window-read entry.
+    kRecoveryOnly = 0,
+    /// Read when a window assembles.
+    kWindowRead = 1,
+  };
+
   class Entry {
    public:
     /// The pane's pairs: the very buffer the materializing job handed to
@@ -83,10 +103,12 @@ class CacheStore {
     friend class CacheStore;
     std::shared_ptr<const FlatKvBuffer> payload_;
     int64_t pins_ = 0;  // Live leases; > 0 exempts from eviction.
+    Use use_ = Use::kWindowRead;
     /// Which Put created this entry, so a lease taken on an entry that
     /// has since been replaced unpins nothing.
     uint64_t serial_ = 0;
-    RecencyList::iterator recency_;  // This entry's place in recency_.
+    /// This entry's place in the recency list of its Use.
+    RecencyList::iterator recency_;
   };
 
   /// Size accounting a materializing job reports alongside its payload.
@@ -162,12 +184,12 @@ class CacheStore {
   CacheStore(const CacheStore&) = delete;
   CacheStore& operator=(const CacheStore&) = delete;
 
-  /// Stores (or replaces) a payload as the most recently used entry, then
-  /// — when a budget is set — evicts least recently used unpinned entries
-  /// until the budget holds again. The entry being inserted is never its
-  /// own victim; pin it to protect it past the next Put.
+  /// Stores (or replaces) a payload as the most recently used entry of
+  /// class `use`, then — when a budget is set — evicts unpinned entries in
+  /// victim order until the budget holds again or the sweep reaches the
+  /// entry being inserted. Pin the entry to protect it past the next Put.
   void Put(const CacheKey& key, std::shared_ptr<const FlatKvBuffer> payload,
-           PaneStats stats);
+           PaneStats stats, Use use = Use::kWindowRead);
 
   /// Returns nullptr when absent. The pointer stays valid until the entry
   /// is removed, replaced, or evicted; pin the entry to extend that. A hit
@@ -182,8 +204,8 @@ class CacheStore {
   /// Pins the entry; returns an inactive lease when the key is absent.
   Lease Acquire(const CacheKey& key);
 
-  /// Evicts least recently used entries until the budget holds or only
-  /// pinned entries remain. Call after releasing a batch of leases.
+  /// Evicts in victim order until the budget holds or only pinned entries
+  /// remain. Call after releasing a batch of leases.
   void EnforceBudget();
 
   size_t size() const;
@@ -209,7 +231,7 @@ class CacheStore {
   /// is never picked. Removed entries are appended to `notices`.
   void EvictLocked(const Entry* exclude,
                    std::vector<EvictionNotice>* notices);
-  /// Drops one entry from the map, the recency list and the totals; lock
+  /// Drops one entry from the map, its recency list and the totals; lock
   /// held.
   void EraseLocked(EntryMap::iterator it);
   void ReleasePin(const std::string& name, uint64_t serial);
@@ -221,8 +243,9 @@ class CacheStore {
   const Options options_;
   mutable std::mutex mu_;
   EntryMap entries_;
+  /// One recency list per Use, indexed by its value, so in victim order.
   /// Find() is const but still makes its hit the most recently used.
-  mutable RecencyList recency_;
+  mutable std::array<RecencyList, 2> recency_;
   uint64_t last_serial_ = 0;
   int64_t total_bytes_ = 0;
   int64_t pinned_bytes_ = 0;

@@ -24,7 +24,7 @@ DynamicDataPacker::DynamicDataPacker(Dfs* dfs, SourceId source,
 }
 
 StatusOr<std::vector<PaneFileInfo>> DynamicDataPacker::Ingest(
-    const RecordBatch& batch) {
+    RecordBatch batch) {
   if (batch.start != watermark_) {
     return Status::InvalidArgument(StringPrintf(
         "batch time range [%ld,%ld) does not continue watermark %ld",
@@ -33,17 +33,21 @@ StatusOr<std::vector<PaneFileInfo>> DynamicDataPacker::Ingest(
   if (batch.end < batch.start) {
     return Status::InvalidArgument("batch end precedes start");
   }
-  // Route records to pane buffers (piggybacked on loading, §3.2). Tuples
-  // within a batch are unordered, but must lie inside the batch range.
+  // Tuples within a batch are unordered, but must lie inside the batch
+  // range. The whole batch is checked before any record is buffered, so a
+  // rejected batch leaves nothing behind for its retry to duplicate.
   for (const Record& r : batch.records) {
     if (r.timestamp < batch.start || r.timestamp >= batch.end) {
       return Status::InvalidArgument(StringPrintf(
           "record timestamp %ld outside batch range [%ld,%ld)", r.timestamp,
           batch.start, batch.end));
     }
+  }
+  // Route records to pane buffers (piggybacked on loading, §3.2).
+  for (Record& r : batch.records) {
     const PaneId p = r.timestamp / plan_.pane_size;
     REDOOP_CHECK(p >= next_pane_);
-    pending_[p].records.push_back(r);
+    pending_[p].records.push_back(std::move(r));
   }
   watermark_ = batch.end;
 

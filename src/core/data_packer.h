@@ -54,8 +54,11 @@ class DynamicDataPacker {
 
   /// Ingests one batch. Batches must arrive in order with non-overlapping,
   /// contiguous-from-zero time ranges (paper §2.1). Returns every pane /
-  /// sub-pane / multi-pane file that became complete and was written.
-  StatusOr<std::vector<PaneFileInfo>> Ingest(const RecordBatch& batch);
+  /// sub-pane / multi-pane file that became complete and was written. A
+  /// rejected batch (out of order, or a record outside its range) buffers
+  /// none of its records. Taken by value: a caller done with the batch
+  /// moves it in, and its records move into the pane buffers uncopied.
+  StatusOr<std::vector<PaneFileInfo>> Ingest(RecordBatch batch);
 
   /// Declares that no data with timestamp < t is outstanding and emits
   /// everything emittable up to t (window-trigger flush). Also flushes a

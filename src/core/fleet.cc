@@ -164,14 +164,13 @@ void DedupIndex::RetireBelow(Timestamp time_floor) {
 }
 
 void FleetContext::FanoutEviction(const std::string& content_key,
-                                  SourceId source, PaneId pane,
-                                  QueryId origin) {
+                                  const CacheKey& image, QueryId origin) {
   std::vector<QueryId> others = dedup_.OnEviction(content_key, origin);
   for (QueryId holder : others) {
     auto it = fanouts_.find(holder);
     if (it == fanouts_.end()) continue;
     ++stats_.dedup_evict_fanout;
-    it->second(source, pane);
+    it->second(image);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "core/batch_feed.h"
+#include "core/cache_key.h"
 #include "dfs/record.h"
 #include "obs/telemetry_scope.h"
 
@@ -163,9 +164,10 @@ class DedupIndex {
                std::vector<CacheImage> images);
   void AddHolder(const std::string& key, QueryId holder);
 
-  /// A holder's budget evicted part of this pane: the physical image is
-  /// gone, so the entry is dropped and every *other* holder is returned
-  /// for rollback fan-out. Idempotent (second call finds nothing).
+  /// A holder's budget evicted one of this pane's images: that physical
+  /// image is gone, so the entry is dropped (the pane stops being shared)
+  /// and every *other* holder is returned for rollback fan-out.
+  /// Idempotent (second call finds nothing).
   std::vector<QueryId> OnEviction(const std::string& key, QueryId evicted);
 
   /// Drops entries whose pane lies wholly below `time_floor`.
@@ -203,19 +205,21 @@ class FleetContext {
   DedupIndex& dedup() { return dedup_; }
 
   /// Rollback hook: called on every *other* holder of a shared pane when
-  /// one holder's budget evicts it (`EvictFleetPane(source, pane)`).
-  using EvictFanout = std::function<void(SourceId, PaneId)>;
+  /// one holder's budget evicts one of its images (`EvictFleetPane`). The
+  /// key is the evicting holder's: its kind, source, pane and partition
+  /// name the image.
+  using EvictFanout = std::function<void(const CacheKey& image)>;
   void RegisterQuery(QueryId id, EvictFanout fanout) {
     fanouts_[id] = std::move(fanout);
   }
 
   /// Drops the dedup entry for `content_key` and invokes the rollback
   /// hook of every holder except `origin` (whose own store already
-  /// evicted). Serial with driver execution, so no re-entrancy: hooks
-  /// remove store entries with CacheStore::Remove, which never calls
-  /// back into eviction.
-  void FanoutEviction(const std::string& content_key, SourceId source,
-                      PaneId pane, QueryId origin);
+  /// evicted `image`). Serial with driver execution, so no re-entrancy:
+  /// hooks remove store entries with CacheStore::Remove, which never
+  /// calls back into eviction.
+  void FanoutEviction(const std::string& content_key, const CacheKey& image,
+                      QueryId origin);
 
  private:
   FleetOptions options_;

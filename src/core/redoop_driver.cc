@@ -169,13 +169,12 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
       });
 
   // Fleet rollback hook (DESIGN §17): when another holder's budget evicts
-  // a shared pane image, this query drops its copies too. The coordinator
+  // a shared pane image, this query drops its copy too. The coordinator
   // runs drivers serially and owns both the context and the drivers, so
   // the raw `this` capture is safe for the driver's lifetime.
   if (options_.fleet != nullptr) {
-    options_.fleet->RegisterQuery(query_.id, [this](SourceId s, PaneId p) {
-      EvictFleetPane(s, p);
-    });
+    options_.fleet->RegisterQuery(
+        query_.id, [this](const CacheKey& image) { EvictFleetPane(image); });
   }
 }
 
@@ -186,6 +185,23 @@ RedoopDriver::~RedoopDriver() {
 TaskScheduler* RedoopDriver::scheduler() {
   if (cache_aware_scheduler_ != nullptr) return cache_aware_scheduler_.get();
   return &default_scheduler_;
+}
+
+bool RedoopDriver::WindowReads(CacheType type) const {
+  return type == CacheType::kReduceOutput ||
+         Effective(query_.pattern, options_) != EffectivePattern::kPerPaneMerge;
+}
+
+std::vector<const CacheKey*> RedoopDriver::WindowReadManifest(
+    const PaneIngestState& ps) const {
+  std::vector<const CacheKey*> keys;
+  if (WindowReads(CacheType::kReduceInput)) {
+    for (const CacheKey& key : ps.ric_names) keys.push_back(&key);
+  }
+  if (WindowReads(CacheType::kReduceOutput)) {
+    for (const CacheKey& key : ps.roc_names) keys.push_back(&key);
+  }
+  return keys;
 }
 
 const LocalCacheRegistry& RedoopDriver::registry(NodeId node) const {
@@ -215,9 +231,9 @@ void RedoopDriver::IngestInterval(Timestamp from, Timestamp to) {
   for (size_t si = 0; si < query_.sources.size(); ++si) {
     const SourceId source = query_.sources[si].id;
     if (ingested_until_[si] >= to) continue;
-    const std::vector<RecordBatch> batches =
+    std::vector<RecordBatch> batches =
         feed_->BatchesFor(source, ingested_until_[si], to);
-    for (const RecordBatch& batch : batches) {
+    for (RecordBatch& batch : batches) {
       REDOOP_CHECK(batch.start == ingested_until_[si])
           << "feed returned a non-contiguous batch";
       ingested_until_[si] = batch.end;
@@ -227,7 +243,7 @@ void RedoopDriver::IngestInterval(Timestamp from, Timestamp to) {
         // for the trigger (paper §3.3).
         sim.RunUntil(static_cast<SimTime>(batch.end));
       }
-      auto files = packers_[source]->Ingest(batch);
+      auto files = packers_[source]->Ingest(std::move(batch));
       REDOOP_CHECK(files.ok()) << files.status().ToString();
       HandlePaneFiles(source, *files);
       if (proactive_mode_) DrainWorkLists();
@@ -475,16 +491,22 @@ void RedoopDriver::RebuildPane(SourceId source, PaneId pane) {
   // reduce/caching tasks.
   std::set<int32_t> lost_ric;
   std::set<int32_t> lost_roc;
-  auto classify = [&](std::vector<CacheKey>* manifest,
+  auto classify = [&](std::vector<CacheKey>* manifest, CacheType type,
                       std::set<int32_t>* lost) {
+    const bool window_read = WindowReads(type);
     manifest->erase(
         std::remove_if(manifest->begin(), manifest->end(),
                        [&](const CacheKey& key) {
                          if (store_->Has(key)) {
-                           // Survivor: pin it so the rebuild's own Puts
-                           // cannot evict what the pane still relies on.
-                           recurrence_leases_.push_back(
-                               store_->Acquire(key));
+                           // Survivor: pin what a window reads so the
+                           // rebuild's own Puts cannot evict it. The
+                           // recovery-only survivors that
+                           // RebuildOutputsFromInputs reads are pinned
+                           // there, before its job Puts anything.
+                           if (window_read) {
+                             recurrence_leases_.push_back(
+                                 store_->Acquire(key));
+                           }
                            return false;
                          }
                          if (key.partition() >= 0) {
@@ -505,8 +527,8 @@ void RedoopDriver::RebuildPane(SourceId source, PaneId pane) {
                        }),
         manifest->end());
   };
-  classify(&ps.ric_names, &lost_ric);
-  classify(&ps.roc_names, &lost_roc);
+  classify(&ps.ric_names, CacheType::kReduceInput, &lost_ric);
+  classify(&ps.roc_names, CacheType::kReduceOutput, &lost_roc);
   if (lost_ric.empty() && lost_roc.empty()) {
     // Nothing actually missing (stale rebuild request).
     if (ps.complete && !ps.cached_reported) {
@@ -528,16 +550,13 @@ void RedoopDriver::RebuildPane(SourceId source, PaneId pane) {
     }
     if (have_ric) reducible.insert(partition);
   }
-  // Which lost caches force a replay of the pane's map tasks? Join
-  // patterns read the input caches directly, so a lost one must come back.
-  // The aggregation pattern's window assembly reads only output caches —
-  // a lost input cache there is just a recovery asset and is dropped
-  // lazily (re-materialized only if its partition's output is ever lost
-  // too).
-  const bool ric_needed_by_assembly =
-      Effective(query_.pattern, options_) != EffectivePattern::kPerPaneMerge;
+  // Which lost caches force a replay of the pane's map tasks? A lost
+  // input cache that windows read must come back. Where windows read only
+  // output caches, a lost input cache is just a recovery asset and is
+  // dropped lazily (re-materialized only if its partition's output is
+  // ever lost too).
   std::set<int32_t> remap;
-  if (ric_needed_by_assembly) remap = lost_ric;
+  if (WindowReads(CacheType::kReduceInput)) remap = lost_ric;
   for (int32_t partition : lost_roc) {
     if (reducible.count(partition) == 0) remap.insert(partition);
   }
@@ -650,32 +669,41 @@ void RedoopDriver::RegisterJobCaches(const JobResult& result,
       sig.source = cache.source;
       sig.pane = cache.pane;
     }
-    // Manifest bookkeeping for loss detection.
-    if (sig.pane_right == kInvalidPane && sig.pane != kInvalidPane) {
-      PaneIngestState& ps = pane_states_[{sig.source, sig.pane}];
-      if (sig.type == CacheType::kReduceInput) {
-        ps.ric_names.push_back(key);
-      } else {
-        ps.roc_names.push_back(key);
-      }
-      // Serving this pane later in the same recurrence is not a cache hit.
-      panes_built_this_recurrence_.insert({sig.source, sig.pane});
-      pane_built_window_[{sig.source, sig.pane}] = telemetry_window_;
-    }
-    store_->Put(key, cache.payload,
-                CacheStore::PaneStats{sig.bytes, sig.records});
-    // Pin the fresh entry for the rest of the recurrence: the window that
-    // just paid to build it must be able to read it back.
-    recurrence_leases_.push_back(store_->Acquire(key));
-    registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
-                                                         sig.bytes);
-    // The registry ships its delta to the master with its next heartbeat
-    // (paper §2.3); the bus records the in-flight metadata traffic.
-    cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
-                                   "cache-add", sig.name);
-    controller_.AddSignature(std::move(sig), query_.id);
+    RegisterCache(key, std::move(sig), cache.payload);
   }
   cluster_->heartbeat_bus().DeliverUpTo(cluster_->simulator().Now());
+}
+
+void RedoopDriver::RegisterCache(const CacheKey& key, CacheSignature sig,
+                                 std::shared_ptr<const FlatKvBuffer> payload) {
+  // Manifest bookkeeping for loss detection.
+  if (sig.pane_right == kInvalidPane && sig.pane != kInvalidPane) {
+    PaneIngestState& ps = pane_states_[{sig.source, sig.pane}];
+    if (sig.type == CacheType::kReduceInput) {
+      ps.ric_names.push_back(key);
+    } else {
+      ps.roc_names.push_back(key);
+    }
+    // Serving this pane later in the same recurrence is not a cache hit.
+    panes_built_this_recurrence_.insert({sig.source, sig.pane});
+    pane_built_window_[{sig.source, sig.pane}] = telemetry_window_;
+  }
+  const bool window_read = WindowReads(sig.type);
+  store_->Put(key, std::move(payload),
+              CacheStore::PaneStats{sig.bytes, sig.records},
+              window_read ? CacheStore::Use::kWindowRead
+                          : CacheStore::Use::kRecoveryOnly);
+  // Pin a window-read entry for the rest of the recurrence: the window
+  // that just paid to build it must be able to read it back. A
+  // recovery-only entry may go at the next Put.
+  if (window_read) recurrence_leases_.push_back(store_->Acquire(key));
+  registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
+                                                       sig.bytes);
+  // The registry ships its delta to the master with its next heartbeat
+  // (paper §2.3); the bus records the in-flight metadata traffic.
+  cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
+                                 "cache-add", sig.name);
+  controller_.AddSignature(std::move(sig), query_.id);
 }
 
 void RedoopDriver::AccumulateJobStats(const JobResult& result) {
@@ -701,25 +729,20 @@ void RedoopDriver::EnsureWindowPanes(int64_t recurrence) {
     for (PaneId p = panes.first; p < panes.last; ++p) {
       auto it = pane_states_.find({qs.id, p});
       if (it == pane_states_.end()) continue;  // Pane had no data.
-      const PaneIngestState& ps = it->second;
+      const std::vector<const CacheKey*> reads =
+          WindowReadManifest(it->second);
       bool missing = false;
-      for (const CacheKey& key : ps.ric_names) {
-        if (!store_->Has(key)) missing = true;
-      }
-      for (const CacheKey& key : ps.roc_names) {
-        if (!store_->Has(key)) missing = true;
+      for (const CacheKey* key : reads) {
+        if (!store_->Has(*key)) missing = true;
       }
       if (missing) {
         // RebuildPane pins the survivors and re-materializes the rest.
         RebuildPane(qs.id, p);
       } else {
-        // Pin the pane's manifest for this window: assembly reads these
-        // entries, so the budget sweep must not reclaim them mid-window.
-        for (const CacheKey& key : ps.ric_names) {
-          recurrence_leases_.push_back(store_->Acquire(key));
-        }
-        for (const CacheKey& key : ps.roc_names) {
-          recurrence_leases_.push_back(store_->Acquire(key));
+        // Pin what assembly reads of the pane for this window: the budget
+        // sweep must not reclaim it mid-window.
+        for (const CacheKey* key : reads) {
+          recurrence_leases_.push_back(store_->Acquire(*key));
         }
       }
     }
@@ -1022,14 +1045,13 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
       auto it = pane_states_.find({qs.id, p});
       if (it == pane_states_.end()) continue;  // Pane carried no data.
       const PaneIngestState& ps = it->second;
-      bool cached = !ps.ric_names.empty() || !ps.roc_names.empty();
-      // One lookup per manifest key, no short cut: each hit refreshes the
+      // A pane is cached when every cache its windows read is resident.
+      // One lookup per such key, no short cut: each hit refreshes the
       // entry's recency, which budgeted eviction order depends on.
-      for (const CacheKey& key : ps.ric_names) {
-        if (!store_->Has(key)) cached = false;
-      }
-      for (const CacheKey& key : ps.roc_names) {
-        if (!store_->Has(key)) cached = false;
+      const std::vector<const CacheKey*> reads = WindowReadManifest(ps);
+      bool cached = !reads.empty();
+      for (const CacheKey* key : reads) {
+        if (!store_->Has(*key)) cached = false;
       }
       const bool built_now =
           panes_built_this_recurrence_.count({qs.id, p}) > 0;
@@ -1565,17 +1587,15 @@ void RedoopDriver::OnCacheEvicted(const CacheStore::EvictionNotice& notice) {
     registries_[static_cast<size_t>(node)]->Remove(notice.key);
   }
   // Fleet dedup (DESIGN §17): the evicted entry may be one physical image
-  // shared with other queries — they lose it too. The fan-out drops the
-  // index entry and calls every other holder's EvictFleetPane.
+  // shared with other queries — they lose that image too. The fan-out
+  // drops the index entry and calls every other holder's EvictFleetPane.
   if (options_.fleet != nullptr &&
       notice.key.kind() != CacheKey::Kind::kJoinOutput) {
     auto it = fleet_pane_keys_.find({notice.key.source(), notice.key.pane()});
     if (it != fleet_pane_keys_.end()) {
       const std::string content_key = it->second;
-      const SourceId source = it->first.first;
-      const PaneId pane = it->first.second;
       fleet_pane_keys_.erase(it);
-      options_.fleet->FanoutEviction(content_key, source, pane, query_.id);
+      options_.fleet->FanoutEviction(content_key, notice.key, query_.id);
     }
   }
 }
@@ -1619,11 +1639,16 @@ std::string RedoopDriver::FleetContentKey(SourceId source, PaneId pane) const {
 bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
   FleetContext* fleet = options_.fleet;
   const std::string content_key = FleetContentKey(source, pane);
-  const std::vector<CacheImage>* images = fleet->dedup().Find(content_key);
-  if (images == nullptr) return false;
-  PaneIngestState& ps = pane_states_[{source, pane}];
+  const std::vector<CacheImage>* published = fleet->dedup().Find(content_key);
+  if (published == nullptr) return false;
+  // Copied, and this query made a holder, before the first Put: a budget
+  // eviction while adopting fans out like any other, and that drops the
+  // index entry `published` points into.
+  const std::vector<CacheImage> images = *published;
+  fleet->dedup().AddHolder(content_key, query_.id);
+  fleet_pane_keys_[{source, pane}] = content_key;
   int64_t adopted_bytes = 0;
-  for (const CacheImage& image : *images) {
+  for (const CacheImage& image : images) {
     // Register the shared image under this query's own key and signature,
     // at the producer's node placement — exactly what RegisterJobCaches
     // would have done, minus the job.
@@ -1642,26 +1667,10 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
                                       : CacheType::kReduceInput;
     sig.source = source;
     sig.pane = pane;
-    if (sig.type == CacheType::kReduceInput) {
-      ps.ric_names.push_back(key);
-    } else {
-      ps.roc_names.push_back(key);
-    }
-    panes_built_this_recurrence_.insert({source, pane});
-    pane_built_window_[{source, pane}] = telemetry_window_;
-    store_->Put(key, image.payload,
-                CacheStore::PaneStats{sig.bytes, sig.records});
-    recurrence_leases_.push_back(store_->Acquire(key));
-    registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
-                                                         sig.bytes);
-    cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
-                                   "cache-add", sig.name);
     adopted_bytes += sig.bytes;
-    controller_.AddSignature(std::move(sig), query_.id);
+    RegisterCache(key, std::move(sig), image.payload);
   }
   cluster_->heartbeat_bus().DeliverUpTo(cluster_->simulator().Now());
-  fleet->dedup().AddHolder(content_key, query_.id);
-  fleet_pane_keys_[{source, pane}] = content_key;
   ++fleet->stats().dedup_adoptions;
   fleet->stats().dedup_bytes += adopted_bytes;
   scope_.Increment(obs::metric::kFleetDedupAdoptions);
@@ -1670,18 +1679,21 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
       .With("source", static_cast<int64_t>(source))
       .With("pane", static_cast<int64_t>(pane))
       .With("bytes", adopted_bytes)
-      .With("images", static_cast<int64_t>(images->size()));
+      .With("images", static_cast<int64_t>(images.size()));
   return true;
 }
 
 void RedoopDriver::PublishFleetPane(
     SourceId source, PaneId pane,
     const std::vector<MaterializedCache>& caches) {
-  if (caches.empty()) return;
-  const std::string content_key = FleetContentKey(source, pane);
   std::vector<CacheImage> images;
   images.reserve(caches.size());
   for (const MaterializedCache& cache : caches) {
+    // Only what this query still holds: a recovery-only image its budget
+    // evicted while the job's caches were registered is gone, not shared.
+    // The lookups leave the recency order as it was: these are the job's
+    // own entries, already the most recent of their class, in this order.
+    if (!store_->Has(CacheKey::FromName(cache.name))) continue;
     CacheImage image;
     image.is_reduce_output = cache.is_reduce_output;
     image.partition = cache.partition;
@@ -1691,6 +1703,8 @@ void RedoopDriver::PublishFleetPane(
     image.payload = cache.payload;
     images.push_back(std::move(image));
   }
+  if (images.empty()) return;
+  const std::string content_key = FleetContentKey(source, pane);
   options_.fleet->dedup().Publish(content_key, source, pane,
                                   geometry_.pane_size(), query_.id,
                                   std::move(images));
@@ -1699,18 +1713,25 @@ void RedoopDriver::PublishFleetPane(
   scope_.Increment(obs::metric::kFleetDedupPublished);
 }
 
-void RedoopDriver::EvictFleetPane(SourceId source, PaneId pane) {
-  auto it = fleet_pane_keys_.find({source, pane});
+void RedoopDriver::EvictFleetPane(const CacheKey& image) {
+  const PaneKey pane_key{image.source(), image.pane()};
+  auto it = fleet_pane_keys_.find(pane_key);
   if (it == fleet_pane_keys_.end()) return;
   fleet_pane_keys_.erase(it);
-  auto ps_it = pane_states_.find({source, pane});
+  auto ps_it = pane_states_.find(pane_key);
   if (ps_it == pane_states_.end()) return;
-  PaneIngestState& ps = ps_it->second;
+  const PaneIngestState& ps = ps_it->second;
+  // This query's copy of the image: the manifest key of the same kind and
+  // partition. The pane's other images stay resident.
+  const std::vector<CacheKey>& manifest =
+      image.kind() == CacheKey::Kind::kReduceInput ? ps.ric_names
+                                                   : ps.roc_names;
   int64_t dropped = 0;
   int64_t dropped_bytes = 0;
-  auto drop = [&](const CacheKey& key) {
-    if (!store_->Has(key)) return;
+  for (const CacheKey& key : manifest) {
+    if (key.partition() != image.partition()) continue;
     const CacheStore::Entry* entry = store_->Find(key);
+    if (entry == nullptr) continue;
     dropped_bytes += entry->bytes;
     store_->Remove(key);  // Remove never re-enters eviction callbacks.
     const NodeId node = controller_.OnCacheEvicted(key);
@@ -1721,15 +1742,13 @@ void RedoopDriver::EvictFleetPane(SourceId source, PaneId pane) {
       registries_[static_cast<size_t>(node)]->Remove(key);
     }
     ++dropped;
-  };
-  for (const CacheKey& key : ps.ric_names) drop(key);
-  for (const CacheKey& key : ps.roc_names) drop(key);
-  // Manifests stay intact: EnsureWindowPanes sees the missing store
-  // entries and rebuilds the pane lazily, only when a window reads it.
+  }
+  // Manifests stay intact: EnsureWindowPanes sees a missing window-read
+  // entry and rebuilds the pane lazily, only when a window reads it.
   scope_.Increment(obs::metric::kFleetDedupEvictFanout);
   scope_.Emit(obs::event::kFleetEvictFanout)
-      .With("source", static_cast<int64_t>(source))
-      .With("pane", static_cast<int64_t>(pane))
+      .With("source", static_cast<int64_t>(image.source()))
+      .With("pane", static_cast<int64_t>(image.pane()))
       .With("entries", dropped)
       .With("bytes", dropped_bytes);
 }

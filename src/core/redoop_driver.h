@@ -47,10 +47,11 @@ struct CacheOptions {
   double purge_cycle_s = -1.0;
   /// Logical-byte budget of the driver's CacheStore; 0 = unbounded (keep
   /// every pane the lifespan math declares live, the paper's model). Under
-  /// a budget the least recently used unpinned panes are evicted; they
-  /// flip back to recompute and are rebuilt lazily when a window reads
-  /// them again — window outputs stay byte-identical to the unbounded run,
-  /// only the work volume changes.
+  /// a budget the caches no window reads go first, then the least recently
+  /// used unpinned window-read caches (DESIGN §16); evicted panes flip
+  /// back to recompute and are rebuilt lazily when a window reads them
+  /// again — window outputs stay byte-identical to the unbounded run, only
+  /// the work volume changes.
   int64_t budget_bytes = 0;
 };
 
@@ -303,11 +304,26 @@ class RedoopDriver {
                                 std::vector<int32_t> partitions);
   void RegisterJobCaches(const JobResult& result, SourceId source_for_roc,
                          PaneId pane_for_roc);
+  /// Registers one materialized (or adopted) cache: pane manifest, store
+  /// entry of the class WindowReads gives it (pinned for the recurrence
+  /// when a window reads it), node registry, heartbeat and controller.
+  void RegisterCache(const CacheKey& key, CacheSignature sig,
+                     std::shared_ptr<const FlatKvBuffer> payload);
+  /// Whether this query's windows read caches of `type`. A per-pane-merge
+  /// window merges only the pane partials (ROCs); its RICs only feed
+  /// RebuildOutputsFromInputs. Every other pattern reads both kinds. This
+  /// decides when a pane counts as present and as a hit, which entries a
+  /// recurrence pins, and each store entry's eviction class.
+  bool WindowReads(CacheType type) const;
+  /// The pane's manifest keys of the kinds WindowReads names: RICs first,
+  /// then ROCs.
+  std::vector<const CacheKey*> WindowReadManifest(
+      const PaneIngestState& ps) const;
   void AccumulateJobStats(const JobResult& result);
   WindowReport AssembleWindow(int64_t recurrence);
-  /// Classifies every in-window pane as a cache hit (its caches predate
-  /// this recurrence) or miss (built or still unbuilt this recurrence) and
-  /// journals the verdicts. Called once per window, before assembly runs
+  /// Classifies every in-window pane as a cache hit (its window-read
+  /// caches are resident and predate this recurrence) or miss (built or
+  /// still unbuilt this recurrence) and journals the verdicts. Called once per window, before assembly runs
   /// any job.
   void EmitPaneCacheStats(int64_t recurrence);
   void AfterRecurrence(int64_t recurrence, const WindowReport& report);
@@ -345,7 +361,8 @@ class RedoopDriver {
   /// Marks the panes whose slices `spec` mapped as cached after the fold
   /// job ran.
   void FinishFoldedPanes(int64_t recurrence);
-  /// Ensures every in-window pane's manifest caches are still present.
+  /// Ensures every in-window pane's window-read caches (WindowReads) are
+  /// still present, rebuilding a pane that lost one.
   void EnsureWindowPanes(int64_t recurrence);
   JobConfig BaseJobConfig(const std::string& suffix) const;
   TaskScheduler* scheduler();
@@ -361,13 +378,16 @@ class RedoopDriver {
   /// Adopts another query's published images for this pane (payloads
   /// shared, zero simulated work); false when no image is published.
   bool TryAdoptPane(SourceId source, PaneId pane);
-  /// Publishes this pane's just-built images for later queries to adopt.
+  /// Publishes this pane's just-built images that are still resident for
+  /// later queries to adopt.
   void PublishFleetPane(SourceId source, PaneId pane,
                         const std::vector<MaterializedCache>& caches);
-  /// Rollback fan-out target: another holder's budget evicted the shared
-  /// physical image, so this query's copies are dropped too (manifests
-  /// stay, EnsureWindowPanes rebuilds lazily).
-  void EvictFleetPane(SourceId source, PaneId pane);
+  /// Rollback fan-out target: another holder's budget evicted one shared
+  /// physical image (`image`: its kind, source, pane and partition), so
+  /// this query drops its copy of that image and stops sharing the pane;
+  /// its other images stay (manifests stay, EnsureWindowPanes rebuilds
+  /// lazily).
+  void EvictFleetPane(const CacheKey& image);
 
   Cluster* cluster_;
   BatchFeed* feed_;

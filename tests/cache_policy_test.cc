@@ -1,8 +1,10 @@
 // Property tests for the capacity-bounded CacheStore: the capacity
-// invariant, pin/lease exemption, the exact least-recently-used victim
-// order, typed CacheKey parsing, and the end-to-end guarantee that
-// evict→recompute runs stay byte-identical to the unbounded run at any
-// budget and thread count.
+// invariant, pin/lease exemption, the exact victim order (recovery-only
+// entries first, least recently used first within each class), typed
+// CacheKey parsing, and the end-to-end guarantees that evict→recompute
+// runs stay byte-identical to the unbounded run at any budget and thread
+// count, and that an aggregation keeps its pane partials under a budget
+// its reduce-input caches do not fit.
 
 #include <gtest/gtest.h>
 
@@ -16,13 +18,18 @@
 #include "core/cache_key.h"
 #include "core/cache_store.h"
 #include "core/redoop_driver.h"
+#include "mapreduce/counters.h"
 #include "queries/aggregation_query.h"
+#include "tests/test_util.h"
 #include "workload/rate_profile.h"
 #include "workload/synthetic_feed.h"
 #include "workload/wcc_generator.h"
 
 namespace redoop {
 namespace {
+
+using ::redoop::testing::MeasureRetainedPanes;
+using ::redoop::testing::RetainedPaneSizes;
 
 CacheKey Ric(PaneId pane, int32_t partition = 0) {
   return CacheKey::ReduceInput(/*query=*/1, /*source=*/1, pane, partition);
@@ -33,8 +40,9 @@ std::shared_ptr<const FlatKvBuffer> Payload() {
       FlatKvBuffer::FromKeyValues(std::vector<KeyValue>{{"k", "v", 8}}));
 }
 
-void PutBytes(CacheStore* store, const CacheKey& key, int64_t bytes) {
-  store->Put(key, Payload(), CacheStore::PaneStats{bytes, 1});
+void PutBytes(CacheStore* store, const CacheKey& key, int64_t bytes,
+              CacheStore::Use use = CacheStore::Use::kWindowRead) {
+  store->Put(key, Payload(), CacheStore::PaneStats{bytes, 1}, use);
 }
 
 // Store options whose on_evict appends each victim's pane to `victims`.
@@ -231,6 +239,42 @@ TEST(CachePolicySemantics, LruEvictsLeastRecentlyUsed) {
   }
 }
 
+TEST(CachePolicySemantics, RecoveryOnlyEntriesGoFirstLruWithinEachClass) {
+  constexpr CacheStore::Use kRecovery = CacheStore::Use::kRecoveryOnly;
+  std::vector<PaneId> victims;
+  CacheStore store(RecordingVictims(400, &victims));
+  PutBytes(&store, Ric(0), 100);
+  PutBytes(&store, Ric(1), 100, kRecovery);
+  PutBytes(&store, Ric(2), 100);
+  PutBytes(&store, Ric(3), 100, kRecovery);
+  store.Find(Ric(1));  // 3 is now the least recent recovery-only entry.
+  // 0 is the least recently used entry overall, but a recovery-only one
+  // is left, so that goes: the least recent of its class.
+  PutBytes(&store, Ric(4), 100);
+  EXPECT_EQ(victims, (std::vector<PaneId>{3}));
+  // With the only recovery-only entry pinned, the least recently used
+  // window-read entry goes.
+  CacheStore::Lease pin1 = store.Acquire(Ric(1));
+  PutBytes(&store, Ric(5), 100);
+  EXPECT_EQ(victims, (std::vector<PaneId>{3, 0}));
+  // A recovery-only Put never evicts a window-read entry: past the pinned
+  // 1, only the incoming 6 is left in its class, so the store stays over
+  // budget until the next Put...
+  PutBytes(&store, Ric(6), 100, kRecovery);
+  EXPECT_EQ(victims, (std::vector<PaneId>{3, 0}));
+  EXPECT_EQ(store.total_bytes(), 500);
+  // ...where 6 goes first, then the least recent window-read entry.
+  PutBytes(&store, Ric(7), 100);
+  EXPECT_EQ(victims, (std::vector<PaneId>{3, 0, 6, 2}));
+  // A replacement Put takes the class it is given: 1 turns window-read,
+  // so no recovery-only entry is left and 4, the least recent, goes.
+  pin1.Release();
+  PutBytes(&store, Ric(1), 100);
+  PutBytes(&store, Ric(8), 100);
+  EXPECT_EQ(victims, (std::vector<PaneId>{3, 0, 6, 2, 4}));
+  EXPECT_EQ(store.total_bytes(), 400);
+}
+
 // --- concurrent stat reads (exercised under TSan in CI) ------------------
 
 TEST(CachePolicyConcurrency, StatReadsRaceFreeAgainstMutations) {
@@ -303,9 +347,11 @@ struct DriverRun {
   RunReport report;
   int64_t peak_bytes = 0;
   int64_t evictions = 0;
+  RetainedPaneSizes sizes;
 };
 
-DriverRun RunSmallAgg(int64_t budget_bytes, int32_t threads) {
+DriverRun RunSmallAgg(int64_t budget_bytes, int32_t threads,
+                      int64_t windows = 3) {
   auto feed = std::make_unique<SyntheticFeed>(/*batch_interval=*/60);
   WccGeneratorOptions gen;
   gen.seed = 7;
@@ -320,9 +366,10 @@ DriverRun RunSmallAgg(int64_t budget_bytes, int32_t threads) {
   options.runner.threads = threads;
   RedoopDriver driver(&cluster, feed.get(), query, options);
   DriverRun run;
-  run.report = bench::Unwrap(driver.Run(/*windows=*/3));
+  run.report = bench::Unwrap(driver.Run(windows));
   run.peak_bytes = driver.store().peak_bytes();
   run.evictions = driver.store().evicted_entries();
+  run.sizes = MeasureRetainedPanes(driver, 1, 1, windows);
   return run;
 }
 
@@ -351,6 +398,33 @@ TEST(EvictRecompute, ByteIdenticalAtEveryBudgetRung) {
                    " threads=" + std::to_string(threads));
       const DriverRun bounded = RunSmallAgg(budget, threads);
       EXPECT_TRUE(bench::ResultsMatch(reference.report, bounded.report));
+    }
+  }
+}
+
+// A per-pane-merge window reads only the pane partials (ROCs), so a budget
+// that holds every partial of a window but not one pane's reduce-input
+// caches must still reuse every steady pane: the RICs are evicted first.
+TEST(EvictRecompute, AggregationKeepsPartialsBelowOnePanesInputCaches) {
+  constexpr int64_t kWindows = 4;
+  const DriverRun reference = RunSmallAgg(0, /*threads=*/1, kWindows);
+  // Ten panes per window, plus the next window's fresh pane.
+  const int64_t budget = 11 * reference.sizes.max_pane_roc_bytes;
+  ASSERT_GT(reference.sizes.max_pane_roc_bytes, 0);
+  ASSERT_LT(budget, reference.sizes.min_pane_ric_bytes);
+  for (const int32_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const DriverRun bounded = RunSmallAgg(budget, threads, kWindows);
+    EXPECT_GT(bounded.evictions, 0);
+    EXPECT_TRUE(bench::ResultsMatch(reference.report, bounded.report));
+    ASSERT_EQ(bounded.report.windows.size(), kWindows);
+    for (int64_t w = 1; w < kWindows; ++w) {
+      const int64_t hits =
+          bounded.report.windows[w].counters.Get(counter::kCachePaneHits);
+      EXPECT_EQ(hits, reference.report.windows[w].counters.Get(
+                          counter::kCachePaneHits))
+          << "window " << w;
+      EXPECT_EQ(hits, 9) << "window " << w;  // All but the fresh pane.
     }
   }
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "core/data_packer.h"
 #include "core/pane_naming.h"
@@ -184,6 +187,25 @@ TEST_F(DataPackerTest, RejectsRecordOutsideBatchRange) {
   batch.end = 10;
   batch.records.emplace_back(15, "k", "v", 10);  // Beyond batch end.
   EXPECT_TRUE(packer.Ingest(batch).status().IsInvalidArgument());
+}
+
+TEST_F(DataPackerTest, RejectedBatchBuffersNothingSoItsRetryCountsOnce) {
+  DynamicDataPacker packer(&dfs_, 1, Plan(10));
+  RecordBatch bad = Batch(0, 10, 1);  // One record per second of [0, 10)...
+  bad.records.emplace_back(15, "k", "v", 100);  // ...then one beyond it.
+  EXPECT_TRUE(packer.Ingest(bad).status().IsInvalidArgument());
+  EXPECT_EQ(packer.watermark(), 0);
+
+  auto files = packer.Ingest(Batch(0, 10, 1));  // The corrected retry.
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files->size(), 1u);
+  EXPECT_EQ(files->front().records, 10);
+  auto file = dfs_.GetFile(files->front().file_name);
+  ASSERT_TRUE(file.ok());
+  std::vector<Timestamp> seen;
+  for (const Record& r : (*file)->rows()) seen.push_back(r.timestamp);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<Timestamp>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST_F(DataPackerTest, PaneGridIsImmutable) {

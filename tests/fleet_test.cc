@@ -8,17 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cache_aware_scheduler.h"
 #include "core/fleet.h"
 #include "core/multi_query.h"
+#include "mapreduce/counters.h"
 #include "tests/test_util.h"
 
 namespace redoop {
 namespace {
 
 using ::redoop::testing::MakeWccFeed;
+using ::redoop::testing::MeasureRetainedPanes;
+using ::redoop::testing::RetainedPaneSizes;
 using ::redoop::testing::SameOutput;
 using ::redoop::testing::SmallClusterConfig;
 
@@ -114,15 +118,24 @@ std::vector<RecurringQuery> FleetQueries() {
           MakeAggregationQuery(4, "fd", 1, 200, 100, 4)};
 }
 
-std::vector<RunReport> RunFleetCoordinator(const FleetOptions& fleet,
-                                           int32_t threads,
-                                           int64_t budget_bytes,
-                                           int64_t windows,
-                                           FleetStats* stats = nullptr) {
+/// Two same-pipeline, same-slide aggregations: the second adopts every
+/// pane the first builds.
+std::vector<RecurringQuery> TwinQueries() {
+  return {MakeAggregationQuery(1, "ta", 1, 200, 40, 4),
+          MakeAggregationQuery(2, "tb", 1, 200, 40, 4)};
+}
+
+/// Runs `queries` under one coordinator; `sizes` (optional) receives the
+/// cache sizes query 1 retains after the run.
+std::vector<RunReport> RunFleetCoordinator(
+    const FleetOptions& fleet, int32_t threads, int64_t budget_bytes,
+    int64_t windows, FleetStats* stats = nullptr,
+    std::vector<RecurringQuery> queries = FleetQueries(),
+    RetainedPaneSizes* sizes = nullptr) {
   Cluster cluster(kNodes, SmallClusterConfig());
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get(), fleet);
-  for (RecurringQuery& query : FleetQueries()) {
+  for (RecurringQuery& query : queries) {
     RedoopDriverOptions options;
     options.runner.threads = threads;
     options.cache.budget_bytes = budget_bytes;
@@ -130,6 +143,9 @@ std::vector<RunReport> RunFleetCoordinator(const FleetOptions& fleet,
   }
   std::vector<RunReport> reports = coordinator.Run(windows).value();
   if (stats != nullptr) *stats = coordinator.fleet_stats();
+  if (sizes != nullptr) {
+    *sizes = MeasureRetainedPanes(coordinator.driver(1), 1, 1, windows);
+  }
   return reports;
 }
 
@@ -182,6 +198,71 @@ TEST(FleetCoordinatorTest, TightBudgetEvictionFanoutKeepsOutputs) {
       fleet, /*threads=*/1, /*budget_bytes=*/1, /*windows=*/3, &stats);
   ExpectSameOutputs(baseline, shared);
   EXPECT_GT(stats.dedup_published, 0);
+}
+
+// Under a budget that holds every pane partial (ROC) and one reduce-input
+// cache (RIC) but not one pane's RICs, the publisher still holds one RIC
+// when it publishes a pane, and the evictions of that shared RIC fan out
+// as that image alone: neither tenant loses a partial, so both reuse
+// every steady pane.
+TEST(FleetCoordinatorTest, BudgetedDedupFansOutOnlyTheEvictedImage) {
+  constexpr int64_t kWindows = 4;
+  RetainedPaneSizes sizes;
+  const std::vector<RunReport> reference =
+      RunFleetCoordinator(FleetOptions(), /*threads=*/1, /*budget_bytes=*/0,
+                          kWindows, nullptr, TwinQueries(), &sizes);
+  // Five panes per window, plus the next window's fresh pane, with room.
+  const int64_t budget = 7 * sizes.max_pane_roc_bytes + sizes.max_ric_bytes;
+  ASSERT_GT(sizes.max_pane_roc_bytes, 0);
+  ASSERT_LT(budget, sizes.min_pane_ric_bytes);
+  FleetOptions fleet;
+  fleet.cache_dedup = true;
+  for (const int32_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameOutputs(reference,
+                      RunFleetCoordinator(FleetOptions(), threads, budget,
+                                          kWindows, nullptr, TwinQueries()));
+    FleetStats stats;
+    const std::vector<RunReport> shared = RunFleetCoordinator(
+        fleet, threads, budget, kWindows, &stats, TwinQueries());
+    ExpectSameOutputs(reference, shared);
+    EXPECT_GT(stats.dedup_adoptions, 0);
+    EXPECT_GT(stats.dedup_evict_fanout, 0);
+    for (size_t q = 0; q < shared.size(); ++q) {
+      ASSERT_EQ(shared[q].windows.size(), kWindows);
+      for (int64_t w = 1; w < kWindows; ++w) {
+        const int64_t hits =
+            shared[q].windows[w].counters.Get(counter::kCachePaneHits);
+        EXPECT_EQ(hits, reference[q].windows[w].counters.Get(
+                            counter::kCachePaneHits))
+            << "query " << q << " window " << w;
+        EXPECT_EQ(hits, 4)  // All but the fresh pane.
+            << "query " << q << " window " << w;
+      }
+    }
+  }
+}
+
+// A RIC the publisher's budget evicted while it registered the pane is
+// gone, not shared: with room for the partials alone, every adoption
+// carries partials only.
+TEST(FleetCoordinatorTest, BudgetedDedupPublishesOnlyResidentImages) {
+  constexpr int64_t kWindows = 3;
+  RetainedPaneSizes sizes;
+  const std::vector<RunReport> reference =
+      RunFleetCoordinator(FleetOptions(), /*threads=*/1, /*budget_bytes=*/0,
+                          kWindows, nullptr, TwinQueries(), &sizes);
+  const int64_t budget = 7 * sizes.max_pane_roc_bytes;
+  ASSERT_LT(budget, sizes.max_ric_bytes);
+  FleetOptions fleet;
+  fleet.cache_dedup = true;
+  FleetStats stats;
+  ExpectSameOutputs(reference,
+                    RunFleetCoordinator(fleet, /*threads=*/1, budget,
+                                        kWindows, &stats, TwinQueries()));
+  ASSERT_GT(stats.dedup_adoptions, 0);
+  EXPECT_LE(stats.dedup_bytes,
+            stats.dedup_adoptions * sizes.max_pane_roc_bytes);
 }
 
 TEST(FleetCoordinatorTest, FairShareIsDeterministicAndByteIdentical) {

@@ -1,7 +1,9 @@
 #ifndef REDOOP_TESTS_TEST_UTIL_H_
 #define REDOOP_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "common/config.h"
 #include "common/random.h"
 #include "core/metrics.h"
+#include "core/redoop_driver.h"
 #include "queries/aggregation_query.h"
 #include "queries/join_query.h"
 #include "workload/ffg_generator.h"
@@ -109,6 +112,40 @@ inline uint64_t ReferenceNextZipf(Random* rng, uint64_t n, double s) {
     const double kd = static_cast<double>(k);
     if (kd - x <= h_x1 || u >= h_integral(kd + 0.5) - h(kd)) return k - 1;
   }
+}
+
+/// Cache sizes over the panes of a driver's last window that are still
+/// cached after it ran `windows` recurrences (the window's oldest pane
+/// expired with it), for sizing budgets relative to one pane's caches.
+struct RetainedPaneSizes {
+  int64_t min_pane_ric_bytes = 0;  // Smallest pane's reduce-input caches.
+  int64_t max_pane_roc_bytes = 0;  // Largest pane's reduce-output caches.
+  int64_t max_ric_bytes = 0;       // Largest single reduce-input cache.
+};
+
+inline RetainedPaneSizes MeasureRetainedPanes(const RedoopDriver& driver,
+                                              QueryId query, SourceId source,
+                                              int64_t windows) {
+  RetainedPaneSizes sizes;
+  sizes.min_pane_ric_bytes = std::numeric_limits<int64_t>::max();
+  const PaneId first = driver.geometry().PanesForRecurrence(windows).first;
+  const PaneId last = driver.geometry().PanesForRecurrence(windows - 1).last;
+  for (PaneId p = first; p < last; ++p) {
+    int64_t ric_bytes = 0;
+    for (const CacheSignature* sig : driver.controller().CachesForPane(
+             query, source, p, CacheType::kReduceInput)) {
+      ric_bytes += sig->bytes;
+      sizes.max_ric_bytes = std::max(sizes.max_ric_bytes, sig->bytes);
+    }
+    int64_t roc_bytes = 0;
+    for (const CacheSignature* sig : driver.controller().CachesForPane(
+             query, source, p, CacheType::kReduceOutput)) {
+      roc_bytes += sig->bytes;
+    }
+    sizes.min_pane_ric_bytes = std::min(sizes.min_pane_ric_bytes, ric_bytes);
+    sizes.max_pane_roc_bytes = std::max(sizes.max_pane_roc_bytes, roc_bytes);
+  }
+  return sizes;
 }
 
 }  // namespace redoop::testing

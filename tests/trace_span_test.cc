@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "common/string_utils.h"
 #include "core/redoop_driver.h"
+#include "mapreduce/trace.h"
 #include "obs/event_journal.h"
 #include "obs/trace/span_builder.h"
 #include "obs/trace/trace_context.h"
@@ -161,6 +162,74 @@ TEST(TraceIdTest, KnownAnswers) {
   EXPECT_EQ(Context(0x10ull, 0xfffffffffffffffeull, kMax, false).Serialize(),
             "redoop-trace/0000000000000010/fffffffffffffffe/"
             "9223372036854775807/u");
+}
+
+// The last two ids rendered with printf: the span builder's task-failure
+// span ("taskfail:<trace16>:<task>:<attempt>") and the Perfetto flow id
+// ("<from16>-<window>"). Neither is journaled, so no golden sees them;
+// these values were recorded before either derivation was touched.
+TEST(TraceIdTest, TaskFailureSpanAndFlowIdKnownAnswers) {
+  EventJournal journal;
+  auto append = [&journal](double t, const char* type) -> obs::Event& {
+    return journal.Append(t, type).With("system", "redoop").With("query",
+                                                                 "agg");
+  };
+  append(0, obs::event::kWindowOpen).With("recurrence", int64_t{0});
+  append(0, obs::event::kPaneReady)
+      .With("source", int64_t{1})
+      .With("pane", int64_t{3})
+      .With("ready", int64_t{2});
+  append(1, obs::event::kJobStart).With("job", "agg-w0");
+  for (const int64_t attempt : {0, 1}) {
+    append(1.0 + attempt, obs::event::kTaskStart)
+        .With("task", int64_t{42})
+        .With("attempt", attempt)
+        .With("kind", "map")
+        .With("source", int64_t{1})
+        .With("pane", int64_t{3});
+    if (attempt == 0) {
+      append(1.5, obs::event::kTaskFail)
+          .With("task", int64_t{42})
+          .With("attempt", attempt)
+          .With("kind", "map")
+          .With("source", int64_t{1})
+          .With("pane", int64_t{3});
+    }
+  }
+  append(3, obs::event::kJobFinish).With("job", "agg-w0");
+  append(4, obs::event::kWindowComplete).With("recurrence", int64_t{0});
+  append(10, obs::event::kWindowOpen).With("recurrence", int64_t{1});
+  append(10, obs::event::kCachePaneHit)
+      .With("source", int64_t{1})
+      .With("pane", int64_t{3})
+      .With("reason", "reused")
+      .With("built_in", int64_t{0});
+  append(11, obs::event::kWindowComplete).With("recurrence", int64_t{1});
+
+  Trace trace;
+  ASSERT_TRUE(BuildTrace(journal, &trace).ok());
+  std::vector<obs::trace::SpanId> failures;
+  for (const Span& s : trace.spans) {
+    if (s.kind == SpanKind::kFailure) failures.push_back(s.id);
+  }
+  EXPECT_EQ(failures, (std::vector<obs::trace::SpanId>{0xa86a6e22e5f0fb77ull}));
+
+  // Flow events ("ph":"s" and "f") carry the id in both halves.
+  TraceWriter writer;
+  writer.AddJournal(journal);
+  const std::string json = writer.ToJson();
+  std::vector<std::string> flow_ids;
+  for (size_t at = json.find("\"id\":\""); at != std::string::npos;
+       at = json.find("\"id\":\"", at + 1)) {
+    const size_t begin = at + 6;
+    flow_ids.push_back(json.substr(begin, json.find('"', begin) - begin));
+  }
+  // A recovery edge from the failure to the retry in window 0, and a
+  // pane_reuse edge from pane S1/P3's build span to window 1.
+  EXPECT_EQ(flow_ids,
+            (std::vector<std::string>{
+                "a86a6e22e5f0fb77-0", "a86a6e22e5f0fb77-0",
+                "d2fd6d130df1ae8c-1", "d2fd6d130df1ae8c-1"}));
 }
 
 // The canonical strings are the definition: render them with StringPrintf

@@ -11,11 +11,13 @@
 //   redoop_cli --query=agg --systems=redoop,adaptive --spiked
 //              --proactive-threshold=0.15
 //   redoop_cli --query=agg --nodes=10 --set cost.disk_bps=20971520
+//   redoop_cli --query=agg --windows=4 --cache-budget-bytes=7549747200
 //
 // Flags take --key=value form; --help lists them all. Unknown --set keys
 // are passed straight into the cluster Config (cost model, DFS, node
 // knobs; see CostModelOptions/DfsOptions/NodeOptions::FromConfig).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +56,7 @@ struct CliOptions {
   double spike_multiplier = 2.0;
   double proactive_threshold = 0.15;
   int32_t threads = 0;  // 0 = auto (hardware_concurrency).
+  int64_t cache_budget_bytes = 0;  // 0 = unbounded.
   std::vector<std::string> systems = {"hadoop", "redoop"};
   std::string trace_path;
   std::string events_path;
@@ -80,6 +83,9 @@ void PrintUsage() {
       "  --threads=N                host worker threads for task payloads\n"
       "                             (default 0 = all hardware threads;\n"
       "                             results are identical at any setting)\n"
+      "  --cache-budget-bytes=N     logical-byte budget of each Redoop\n"
+      "                             driver's cache store (default 0 =\n"
+      "                             unbounded)\n"
       "  --systems=a,b,...          any of hadoop, redoop, adaptive,\n"
       "                             redoop-nocache, redoop-inputonly\n"
       "  --trace-out=FILE           write a chrome://tracing timeline (task\n"
@@ -101,6 +107,16 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   const std::string prefix = "--" + name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
+  return true;
+}
+
+/// A whole, non-negative decimal byte count.
+bool ParseByteCount(const std::string& text, int64_t* out) {
+  const char* end = text.data() + text.size();
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 0) return false;
+  *out = value;
   return true;
 }
 
@@ -151,6 +167,14 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->proactive_threshold = std::atof(value.c_str());
     } else if (ParseFlag(arg, "threads", &value)) {
       options->threads = std::atoi(value.c_str());
+    } else if (ParseFlag(arg, "cache-budget-bytes", &value)) {
+      if (!ParseByteCount(value, &options->cache_budget_bytes)) {
+        std::fprintf(stderr,
+                     "--cache-budget-bytes wants a byte count >= 0 "
+                     "(0 = unbounded), got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "systems", &value)) {
       options->systems = SplitString(value, ',');
     } else if (ParseFlag(arg, "trace", &value) ||
@@ -218,7 +242,9 @@ RunReport RunSystem(const CliOptions& options, const std::string& system,
     return driver.Run(options.windows);
   }
   RedoopDriverOptions::Builder builder;
-  builder.Observability(ctx).Threads(options.threads);
+  builder.Observability(ctx)
+      .Threads(options.threads)
+      .CacheBudgetBytes(options.cache_budget_bytes);
   if (system == "adaptive") {
     builder.Adaptive(true).ProactiveThreshold(options.proactive_threshold);
   } else if (system == "redoop-nocache") {
@@ -280,10 +306,15 @@ int Main(int argc, char** argv) {
   std::printf("query=%s  win=%ld s  slide=%ld s  overlap=%.2f  pane=%ld s\n",
               options.query.c_str(), options.win, options.slide,
               spec.Overlap(), Gcd(options.win, options.slide));
-  std::printf("nodes=%d  reducers=%d  rps=%.2f  record=%s  windows=%ld%s\n\n",
+  std::printf("nodes=%d  reducers=%d  rps=%.2f  record=%s  windows=%ld%s\n",
               options.nodes, options.reducers, options.rps,
               HumanBytes(options.record_bytes).c_str(), options.windows,
               options.spiked ? "  (spiked)" : "");
+  if (options.cache_budget_bytes > 0) {
+    std::printf("cache budget=%s per Redoop driver\n",
+                HumanBytes(options.cache_budget_bytes).c_str());
+  }
+  std::printf("\n");
 
   std::vector<RunReport> reports;
   std::vector<std::unique_ptr<obs::ObservabilityContext>> contexts;
