@@ -1,48 +1,32 @@
 #ifndef REDOOP_BENCH_BENCH_UTIL_H_
 #define REDOOP_BENCH_BENCH_UTIL_H_
 
-// Shared experiment harness for the figure-reproduction benchmarks.
-//
-// All benchmarks measure *simulated* time (the cluster simulator's clock),
-// which is deterministic — google-benchmark's wall-clock iteration loop is
-// run once per configuration and the simulated metrics are exported as
-// counters, while the per-window series (the actual figure data) is printed
-// as a table.
+// Helpers shared by bench_harness and its sweeps: the paper's testbed
+// shape, report unwrapping, the warm-window speedup, and the
+// Hadoop/Redoop result cross-check. Every quantity they produce is
+// *simulated* time (the cluster simulator's clock), so it is
+// deterministic.
 
-#include <cmath>
-#include <cstdio>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstdint>
+#include <utility>
 
-#include "baseline/hadoop_driver.h"
-#include "cluster/cluster.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "core/metrics.h"
 #include "core/redoop_driver.h"
-#include "queries/aggregation_query.h"
-#include "queries/join_query.h"
-#include "workload/ffg_generator.h"
-#include "workload/rate_profile.h"
-#include "workload/synthetic_feed.h"
-#include "workload/wcc_generator.h"
 
 namespace redoop::bench {
 
 /// Benchmarks treat a driver configuration error as fatal: unwrap the
-/// StatusOr entry points (RedoopDriver) or pass plain reports (Hadoop
-/// baseline) through unchanged, so templated helpers work with both.
+/// StatusOr entry points (RedoopDriver, MultiQueryCoordinator) or pass
+/// plain reports (Hadoop baseline) through unchanged, so templated helpers
+/// work with both.
 inline WindowReport Unwrap(WindowReport report) { return report; }
 inline RunReport Unwrap(RunReport report) { return report; }
-inline WindowReport Unwrap(StatusOr<WindowReport> report) {
-  REDOOP_CHECK(report.ok()) << report.status().ToString();
-  return std::move(report).value();
-}
-inline RunReport Unwrap(StatusOr<RunReport> report) {
-  REDOOP_CHECK(report.ok()) << report.status().ToString();
-  return std::move(report).value();
+template <typename T>
+T Unwrap(StatusOr<T> result) {
+  REDOOP_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 /// The paper's testbed shape: 30 slaves, 6 map + 2 reduce slots each.
@@ -51,109 +35,6 @@ constexpr int64_t kNumWindows = 10;
 constexpr Timestamp kWin = 18000;  // 5-hour windows.
 constexpr Timestamp kBatchInterval = 600;
 constexpr int32_t kNumReducers = 16;
-
-/// Overlap -> slide for the paper's three settings (overlap = 1 - slide/win).
-inline Timestamp SlideForOverlap(double overlap) {
-  return static_cast<Timestamp>(
-      std::llround(static_cast<double>(kWin) * (1.0 - overlap)));
-}
-
-struct ExperimentSpec {
-  double overlap = 0.9;
-  /// Base record arrival rate (records/second/source).
-  double rps = 11.0;
-  int32_t record_bytes = 2 * kBytesPerMB;
-  /// Optional rate multiplier spikes (Fig. 8); empty = constant rate.
-  std::vector<int64_t> spiked_windows;
-  double spike_multiplier = 2.0;
-  uint64_t seed = 1998;
-};
-
-inline std::shared_ptr<const RateProfile> MakeRate(const ExperimentSpec& s) {
-  if (s.spiked_windows.empty()) {
-    return std::make_shared<ConstantRate>(s.rps);
-  }
-  return std::make_shared<WindowSpikeRate>(s.rps, s.spike_multiplier, kWin,
-                                           SlideForOverlap(s.overlap),
-                                           s.spiked_windows);
-}
-
-inline std::unique_ptr<SyntheticFeed> MakeWccFeed(const ExperimentSpec& s,
-                                                  SourceId source) {
-  auto feed = std::make_unique<SyntheticFeed>(kBatchInterval);
-  WccGeneratorOptions options;
-  options.seed = s.seed;
-  options.record_logical_bytes = s.record_bytes;
-  feed->AddSource(source, std::make_shared<WccGenerator>(MakeRate(s), options));
-  return feed;
-}
-
-inline std::unique_ptr<SyntheticFeed> MakeFfgFeed(const ExperimentSpec& s,
-                                                  SourceId left,
-                                                  SourceId right) {
-  auto feed = std::make_unique<SyntheticFeed>(kBatchInterval);
-  FfgGeneratorOptions options;
-  options.seed = s.seed;
-  options.grid_cells_x = 180;
-  options.grid_cells_y = 180;
-  options.record_logical_bytes = s.record_bytes;
-  auto rate = MakeRate(s);
-  feed->AddSource(left, std::make_shared<FfgGenerator>(rate, options));
-  feed->AddSource(right, std::make_shared<FfgGenerator>(rate, options));
-  return feed;
-}
-
-/// Runs the plain-Hadoop baseline on a fresh cluster.
-inline RunReport RunHadoop(const RecurringQuery& query, SyntheticFeed* feed,
-                           int64_t windows = kNumWindows) {
-  Cluster cluster(kClusterNodes, Config());
-  HadoopRecurringDriver driver(&cluster, feed, query);
-  return Unwrap(driver.Run(windows));
-}
-
-/// Runs Redoop on a fresh cluster with the given options.
-inline RunReport RunRedoop(const RecurringQuery& query, SyntheticFeed* feed,
-                           RedoopDriverOptions options = {},
-                           int64_t windows = kNumWindows) {
-  Cluster cluster(kClusterNodes, Config());
-  RedoopDriver driver(&cluster, feed, query, options);
-  return Unwrap(driver.Run(windows));
-}
-
-/// Prints the per-window response-time series (a Fig. 6/7/8-style panel).
-inline void PrintSeries(const std::string& title,
-                        const std::vector<const RunReport*>& runs) {
-  std::printf("\n=== %s ===\n%-8s", title.c_str(), "window");
-  for (const RunReport* run : runs) {
-    std::printf(" %16s", run->system.c_str());
-  }
-  std::printf("\n");
-  const size_t windows = runs.empty() ? 0 : runs[0]->windows.size();
-  for (size_t w = 0; w < windows; ++w) {
-    std::printf("%-8zu", w + 1);
-    for (const RunReport* run : runs) {
-      std::printf(" %16.1f", run->windows[w].response_time);
-    }
-    std::printf("\n");
-  }
-  std::printf("%-8s", "total");
-  for (const RunReport* run : runs) {
-    std::printf(" %16.1f", run->TotalResponseTime());
-  }
-  std::printf("\n");
-}
-
-/// Prints the shuffle-vs-reduce phase distribution (Fig. 6/7 b,d,f).
-inline void PrintPhaseBreakdown(const std::string& title,
-                                const std::vector<const RunReport*>& runs) {
-  std::printf("\n--- %s: phase distribution (sum over %zu windows) ---\n",
-              title.c_str(), runs.empty() ? 0 : runs[0]->windows.size());
-  std::printf("%-16s %14s %14s\n", "system", "shuffle (s)", "reduce (s)");
-  for (const RunReport* run : runs) {
-    std::printf("%-16s %14.1f %14.1f\n", run->system.c_str(),
-                run->TotalShuffleTime(), run->TotalReduceTime());
-  }
-}
 
 /// Average warm-window (2..n) speedup of `b` over `a` — the paper's
 /// headline metric.

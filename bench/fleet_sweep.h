@@ -10,14 +10,12 @@
 // the two runs. Sweeps the query count at a fixed cluster size and the
 // cluster size at a fixed query count.
 //
-// Used by two front ends with the same cells:
-//   - bench_harness's `fleet` suite entry (metrics land in
-//     BENCH_redoop.json / the smoke baseline), and
-//   - the standalone bench/bench_scalability.cc binary in --fleet mode
-//     (own JSON + bench/baselines/scalability_smoke.json, CI perf-smoke).
+// It has one front end: bench_harness's `fleet` suite entry
+// (`bench_harness --only=fleet`; metrics land in BENCH_redoop.json and the
+// smoke baseline bench/baselines/smoke.json).
 //
 // Every emitted quantity is simulated/deterministic (byte-identical at any
-// --threads), so the documents are cmp-able baselines.
+// --threads), so the smoke document is a cmp-able baseline.
 
 #include <cstdint>
 #include <memory>
@@ -60,12 +58,16 @@ struct FleetSweepScale {
   int32_t threads = 1;
 };
 
+/// The headline cells: 12 and 120 queries on 100 nodes, then the
+/// 120-query fleet on 300 nodes. The 120-query cell is the acceptance
+/// row: shared scans + dedup must beat the private-cache coordinator on
+/// both scanned bytes and simulated time.
 inline FleetSweepScale FleetFullScale() {
   FleetSweepScale s;
-  s.query_counts = {10, 50, 100, 250, 500};
+  s.query_counts = {12, 120};
   s.base_nodes = 100;
-  s.node_counts = {30, 100, 300, 1000};
-  s.node_sweep_queries = 100;
+  s.node_counts = {300};
+  s.node_sweep_queries = 120;
   return s;
 }
 
@@ -254,7 +256,7 @@ inline FleetSweepResult RunFleetSweep(const FleetSweepScale& s) {
 }
 
 /// Flattens the sweep into ordered (key, value) metric pairs under the
-/// `fleet.` prefix — the exact rows both front ends emit.
+/// `fleet.` prefix.
 inline std::vector<std::pair<std::string, double>> FleetMetrics(
     const FleetSweepResult& result) {
   std::vector<std::pair<std::string, double>> out;

@@ -1,9 +1,22 @@
-// bench_harness — runs the figure-reproduction and ablation experiment
-// suite (fig6-fig9, cache + scheduler ablations) in one process and emits
-// a canonical BENCH JSON document of flat dotted metrics:
+// bench_harness — the experiment front end. Runs every suite in one
+// process and emits a canonical BENCH JSON document of flat dotted
+// metrics:
 //
 //   {"bench": "redoop", "schema": 1, "config": "full", "metrics": {
 //    "fig6.overlap_90.warm_speedup": 7.9, ...}}
+//
+// Suites, in run order:
+//   fig6, fig7, fig8, fig9   the paper's Figs. 6-9
+//   ablation_cache           cache tiers and the combiner baseline
+//   ablation_scheduler       cache-aware vs cache-blind reduce placement
+//   overlap_sweep            the fig6 aggregation at overlaps 0.3/0.7/0.8
+//   scalability              the fig6 aggregation on 1/3, 2/3 and 1.5x
+//                            the cluster
+//   stragglers               slow task attempts, speculation off and on
+//   consolidation            two queries on one cluster vs one each
+//   cache_policy             cache byte-budget ladder
+//   fleet                    multi-tenant serving sweep
+//   multicore                host wall-clock at 1/2/8 threads
 //
 // All metrics are simulated-time quantities, so the document is
 // byte-identical across runs of the same binary — it is diffable with
@@ -13,9 +26,9 @@
 //   --smoke       small configuration (6 nodes, 3 windows, 30-min window)
 //                 for CI perf-smoke; full paper scale otherwise
 //   --out=FILE    write the BENCH JSON there (default BENCH_redoop.json)
-//   --only=SUBSTR run only benches whose name contains SUBSTR
-//   --threads=N   host worker threads for task payloads (default 1;
-//                 simulated metrics are identical at any setting)
+//   --only=SUBSTR run only suites whose name contains SUBSTR
+//   --threads=N   host worker threads for task payloads, N >= 1 (default
+//                 1; simulated metrics are identical at any setting)
 //   --journal-out=FILE
 //                 dump the fig7 overlap_90 redoop run's journal (JSONL)
 //                 there; redoop_inspect reproduces the fig7 per_query
@@ -26,8 +39,10 @@
 // stay byte-identical across runs, so nondeterministic host timings never
 // enter it.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -39,6 +54,7 @@
 #include "bench/cache_policy_sweep.h"
 #include "bench/fleet_sweep.h"
 #include "common/string_utils.h"
+#include "core/multi_query.h"
 #include "core/redoop_driver.h"
 #include "exec/task_executor.h"
 #include "mapreduce/kv_arena.h"
@@ -176,11 +192,11 @@ void Analyze(const obs::ObservabilityContext& ctx, AnalyzedRun* run) {
 }
 
 AnalyzedRun RunHadoopAnalyzed(const Scale& scale, const RecurringQuery& query,
-                              SyntheticFeed* feed) {
+                              SyntheticFeed* feed,
+                              JobRunnerOptions options = {}) {
   obs::ObservabilityContext ctx;
   ctx.journal().SetCommonField("system", "hadoop");
   Cluster cluster(scale.nodes, Config());
-  JobRunnerOptions options;
   options.obs = &ctx;
   options.threads = g_threads;
   HadoopRecurringDriver driver(&cluster, feed, query, options);
@@ -279,22 +295,34 @@ std::string OverlapKey(double overlap) {
 
 // --- fig6: recurring aggregation, Hadoop vs Redoop, 3 overlaps ----------
 
+/// One fig6-shaped cell: the WCC aggregation at `overlap` on both systems
+/// with the same engine options, results cross-checked, pair rows under
+/// `prefix`.
+void RunAggregationPair(const Scale& scale, QueryId id,
+                        const std::string& name, double overlap,
+                        const JobRunnerOptions& runner,
+                        const std::string& prefix, Metrics* metrics) {
+  WorkloadSpec w;
+  w.overlap = overlap;
+  w.rps = 8.0;
+  const RecurringQuery query = MakeAggregationQuery(
+      id, name, 1, scale.win, SlideFor(scale, overlap), scale.reducers);
+  auto hadoop_feed = MakeScaledWccFeed(scale, w);
+  const AnalyzedRun hadoop =
+      RunHadoopAnalyzed(scale, query, hadoop_feed.get(), runner);
+  RedoopDriverOptions options;
+  options.runner = runner;
+  auto redoop_feed = MakeScaledWccFeed(scale, w);
+  const AnalyzedRun redoop =
+      RunRedoopAnalyzed(scale, query, redoop_feed.get(), options);
+  CheckMatch(prefix.c_str(), hadoop.report, redoop.report);
+  AddPairMetrics(prefix, hadoop, redoop, metrics);
+}
+
 void RunFig6(const Scale& scale, Metrics* metrics) {
   for (const double overlap : {0.9, 0.5, 0.1}) {
-    WorkloadSpec w;
-    w.overlap = overlap;
-    w.rps = 8.0;
-    const RecurringQuery query =
-        MakeAggregationQuery(1, "fig6-agg", 1, scale.win,
-                             SlideFor(scale, overlap), scale.reducers);
-    auto hadoop_feed = MakeScaledWccFeed(scale, w);
-    const AnalyzedRun hadoop =
-        RunHadoopAnalyzed(scale, query, hadoop_feed.get());
-    auto redoop_feed = MakeScaledWccFeed(scale, w);
-    const AnalyzedRun redoop =
-        RunRedoopAnalyzed(scale, query, redoop_feed.get());
-    CheckMatch("fig6", hadoop.report, redoop.report);
-    AddPairMetrics("fig6." + OverlapKey(overlap), hadoop, redoop, metrics);
+    RunAggregationPair(scale, 1, "fig6-agg", overlap, {},
+                       "fig6." + OverlapKey(overlap), metrics);
   }
 }
 
@@ -391,10 +419,10 @@ void RunFig8(const Scale& scale, Metrics* metrics) {
 
 enum class Injection { kNone, kNodeFailure, kCacheRemoval };
 
-/// Mirrors bench_fig9: per-window failure injection from the second window
-/// on. kNodeFailure kills a rotating node fail_delay_s into the window;
-/// kCacheRemoval wipes the victim's cache files for the window's oldest
-/// pane before the window runs.
+/// Per-window failure injection from the second window on. kNodeFailure
+/// kills a rotating node fail_delay_s into the window; kCacheRemoval
+/// wipes the victim's cache files for the window's oldest pane before the
+/// window runs.
 template <typename Driver>
 RunReport RunWithFailures(const Scale& scale, Cluster* cluster, Driver* driver,
                           const std::string& label, Injection injection) {
@@ -601,6 +629,92 @@ void RunAblationScheduler(const Scale& scale, Metrics* metrics) {
   }
 }
 
+// --- overlap_sweep: fig6's speedup curve between the paper's points ------
+
+/// The overlaps fig6 leaves out; with fig6's 0.1 / 0.5 / 0.9 cells the
+/// warm-speedup curve has six points.
+void RunOverlapSweep(const Scale& scale, Metrics* metrics) {
+  for (const double overlap : {0.8, 0.7, 0.3}) {
+    RunAggregationPair(scale, 10, "sweep-agg", overlap, {},
+                       "overlap_sweep." + OverlapKey(overlap), metrics);
+  }
+}
+
+// --- scalability: cluster size at a fixed workload ----------------------
+
+/// fig6's overlap-0.9 aggregation on 1/3, 2/3 and 1.5x the cluster; the
+/// full-size cell is fig6.overlap_90.
+void RunScalability(const Scale& scale, Metrics* metrics) {
+  for (const int32_t nodes :
+       {scale.nodes / 3, scale.nodes * 2 / 3, scale.nodes * 3 / 2}) {
+    Scale sized = scale;
+    sized.nodes = nodes;
+    RunAggregationPair(sized, 11, "scale-agg", 0.9, {},
+                       StringPrintf("scalability.nodes_%d", nodes), metrics);
+  }
+}
+
+// --- stragglers: slow task attempts, speculation off and on -------------
+
+/// 15% of task attempts run 6x slower, on fig6's overlap-0.9 aggregation,
+/// with and without Hadoop-style speculative execution.
+void RunStragglers(const Scale& scale, Metrics* metrics) {
+  for (const bool speculate : {false, true}) {
+    JobRunnerOptions runner;
+    runner.straggler_probability = 0.15;
+    runner.straggler_slowdown = 6.0;
+    runner.speculative_execution = speculate;
+    runner.seed = 41;
+    RunAggregationPair(scale, 13, "straggle-agg", 0.9, runner,
+                       StringPrintf("stragglers.speculation_%d", speculate),
+                       metrics);
+  }
+}
+
+// --- consolidation: two queries on one cluster --------------------------
+
+/// Two aggregations over one WCC source (overlaps 0.9 and 0.8), each alone
+/// on its own cluster vs both on one cluster through the
+/// MultiQueryCoordinator. Each query's results must match across the two
+/// setups.
+void RunConsolidation(const Scale& scale, Metrics* metrics) {
+  Scale s = scale;
+  s.windows = std::min<int64_t>(scale.windows, 6);
+  WorkloadSpec w;
+  w.rps = 8.0;
+  const RecurringQuery queries[] = {
+      MakeAggregationQuery(21, "mq-a", 1, s.win, SlideFor(s, 0.9),
+                           s.reducers),
+      MakeAggregationQuery(22, "mq-b", 1, s.win, SlideFor(s, 0.8),
+                           s.reducers)};
+  RedoopDriverOptions options;
+  options.runner.threads = g_threads;
+
+  Cluster cluster(s.nodes, Config());
+  auto feed = MakeScaledWccFeed(s, w);
+  MultiQueryCoordinator coordinator(&cluster, feed.get());
+  for (const RecurringQuery& query : queries) {
+    coordinator.AddQuery(query, options);
+  }
+  const std::vector<RunReport> consolidated =
+      Unwrap(coordinator.Run(s.windows));
+
+  double isolated_s = 0.0;
+  double consolidated_s = 0.0;
+  for (size_t q = 0; q < consolidated.size(); ++q) {
+    auto isolated_feed = MakeScaledWccFeed(s, w);
+    const AnalyzedRun isolated =
+        RunRedoopAnalyzed(s, queries[q], isolated_feed.get());
+    CheckMatch("consolidation", isolated.report, consolidated[q]);
+    isolated_s += isolated.report.TotalResponseTime();
+    consolidated_s += consolidated[q].TotalResponseTime();
+  }
+  metrics->Add("consolidation.isolated_total_s", isolated_s);
+  metrics->Add("consolidation.consolidated_total_s", consolidated_s);
+  metrics->Add("consolidation.slowdown",
+               isolated_s > 0.0 ? consolidated_s / isolated_s : 0.0);
+}
+
 // --- cache_policy: byte budget sweep --------------------------------------
 
 /// Budget ladder over the sweep in bench/cache_policy_sweep.h.
@@ -630,21 +744,11 @@ void RunCachePolicy(const Scale& scale, Metrics* metrics) {
 
 /// Query-count and cluster-size grid over the shared sweep
 /// (bench/fleet_sweep.h): private caches vs shared scans + cross-query
-/// dedup + fair share, byte-identity asserted per cell. The full-scale
-/// grid is trimmed to the headline cells (the standalone
-/// bench_scalability --fleet binary carries the whole 10->500 sweep); the
-/// 120-query cell is the acceptance row: shared+dedup must beat the
-/// private-cache coordinator on both scanned bytes and simulated time.
+/// dedup + fair share, byte-identity asserted per cell.
 void RunFleet(const Scale& scale, Metrics* metrics) {
-  FleetSweepScale s;
-  if (std::strcmp(scale.name, "full") == 0) {
-    s = FleetFullScale();
-    s.query_counts = {12, 120};
-    s.node_counts = {300};
-    s.node_sweep_queries = 120;
-  } else {
-    s = FleetSmokeScale();
-  }
+  FleetSweepScale s = std::strcmp(scale.name, "full") == 0
+                          ? FleetFullScale()
+                          : FleetSmokeScale();
   s.threads = g_threads;
   const FleetSweepResult result = RunFleetSweep(s);
   for (const auto& [key, value] : FleetMetrics(result)) {
@@ -763,7 +867,14 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--only=", 0) == 0) {
       only = arg.substr(7);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      g_threads = static_cast<int32_t>(std::atoi(arg.c_str() + 10));
+      int64_t threads = 0;
+      if (!ParseInt64(arg.substr(10), &threads) || threads < 1 ||
+          threads > INT32_MAX) {
+        std::fprintf(stderr, "--threads wants an integer >= 1, got '%s'\n",
+                     arg.c_str() + 10);
+        return 2;
+      }
+      g_threads = static_cast<int32_t>(threads);
     } else if (arg.rfind("--journal-out=", 0) == 0) {
       g_journal_out = arg.substr(14);
     } else {
@@ -783,6 +894,10 @@ int Main(int argc, char** argv) {
       {"fig8", RunFig8},           {"fig9", RunFig9},
       {"ablation_cache", RunAblationCache},
       {"ablation_scheduler", RunAblationScheduler},
+      {"overlap_sweep", RunOverlapSweep},
+      {"scalability", RunScalability},
+      {"stragglers", RunStragglers},
+      {"consolidation", RunConsolidation},
       {"cache_policy", RunCachePolicy},
       {"fleet", RunFleet},
       {"multicore", RunMulticore},

@@ -6,6 +6,10 @@
 //     normalized-prefix sort vs std::sort over KeyValue, hash combine vs
 //     sort+scan combine, and the full map pipeline
 //     (emit -> partition -> combine -> sorted buckets) flat vs string.
+//   - Redoop's metadata and loading costs (report-only, no gate): cache
+//     status matrix and cache controller operations, the paper's §4.2
+//     "negligible overhead" claim, and data packer ingest throughput, its
+//     §3.2 "pane creation piggybacks on loading" claim.
 //
 // Alongside wall time the arena benches report pairs/sec and host bytes
 // allocated, via a counting global operator new hook in this TU — the
@@ -29,18 +33,26 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
+#include "core/cache_controller.h"
+#include "core/cache_status_matrix.h"
+#include "core/data_packer.h"
+#include "core/pane_naming.h"
+#include "dfs/dfs.h"
 #include "exec/task_executor.h"
 #include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
 #include "obs/observability.h"
 #include "obs/telemetry_scope.h"
 #include "obs/trace/trace_context.h"
+#include "queries/join_query.h"
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: every operator new in this binary is tallied so
@@ -325,6 +337,120 @@ double BestOfCounted(int reps, uint64_t* sink, uint64_t* alloc_bytes,
   return best;
 }
 
+/// Best of `reps` timed loops of `iterations` calls, in nanoseconds per
+/// call. `make` builds fresh, untimed state (a pointer) for each
+/// repetition; `op(state, i)` is the timed call.
+template <typename Make, typename Op>
+double BestNsPerOp(int reps, int64_t iterations, uint64_t* sink, Make&& make,
+                   Op&& op) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    auto state = make();
+    const auto start = Clock::now();
+    for (int64_t i = 0; i < iterations; ++i) *sink += op(*state, i);
+    best = std::min(best,
+                    SecondsSince(start) * 1e9 / static_cast<double>(iterations));
+  }
+  return best;
+}
+
+/// A window of `panes_per_window` one-minute panes sliding by one pane.
+WindowGeometry MatrixGeometry(int64_t panes_per_window) {
+  return WindowGeometry(WindowSpec{panes_per_window * 60, 60}, 60);
+}
+
+/// A status matrix over `w`-pane windows with every pair of the first `n`
+/// panes marked done.
+std::unique_ptr<CacheStatusMatrix> FilledMatrix(int64_t w, int64_t n) {
+  auto matrix = std::make_unique<CacheStatusMatrix>(MatrixGeometry(w));
+  for (PaneId l = 0; l < n; ++l) {
+    for (PaneId r = 0; r < n; ++r) matrix->MarkDone(l, r);
+  }
+  return matrix;
+}
+
+/// A controller running one 10-pane join window sliding by one pane.
+std::unique_ptr<WindowAwareCacheController> JoinController() {
+  auto controller = std::make_unique<WindowAwareCacheController>();
+  controller->RegisterQuery(MakeJoinQuery(1, "micro", 1, 2, 600, 60, 4), 60);
+  return controller;
+}
+
+/// Pane `pane` of both join sources lands in HDFS and gets cached.
+void AddJoinPane(WindowAwareCacheController& controller, PaneId pane) {
+  for (const SourceId s : {1, 2}) {
+    controller.OnPaneInHdfs(1, s, pane, {PaneFileName(s, pane)});
+    CacheSignature sig;
+    sig.name = ReduceInputCacheName(1, s, pane, 0);
+    sig.source = s;
+    sig.pane = pane;
+    sig.type = CacheType::kReduceInput;
+    sig.ready = CacheReady::kCacheAvailable;
+    sig.node = static_cast<NodeId>(pane % 30);
+    controller.AddSignature(std::move(sig), 1);
+    controller.OnPaneCached(1, s, pane);
+  }
+}
+
+/// A join controller holding the first window's older nine panes, so
+/// every retired recurrence purges its oldest pane: the steady state.
+/// Without them the first pane's lifespan never completes, nothing is
+/// ever purged, and the cost per recurrence grows with the history.
+std::unique_ptr<WindowAwareCacheController> SteadyJoinController() {
+  auto controller = JoinController();
+  for (PaneId pane = 0; pane < 9; ++pane) AddJoinPane(*controller, pane);
+  return controller;
+}
+
+/// Recurrence `rec`'s new pane added, every map and pair task drained,
+/// then the recurrence retired. Returns the purge notifications.
+uint64_t ControllerRecurrence(WindowAwareCacheController& controller,
+                              int64_t rec) {
+  AddJoinPane(controller, rec + 9);  // Newest pane of window `rec`.
+  while (controller.PopMapTask().has_value()) {
+  }
+  while (auto pair = controller.PopReduceTask()) {
+    controller.MarkPanePairDone(1, pair->left, pair->right);
+  }
+  return controller.FinishRecurrence(1, rec).size();
+}
+
+/// A packer on its own 8-node DFS, fed consecutive one-minute batches.
+struct PackerRig {
+  explicit PackerRig(int64_t panes_per_file)
+      : dfs(8), packer(&dfs, 1, Plan(panes_per_file)) {}
+
+  static PartitionPlan Plan(int64_t panes_per_file) {
+    PartitionPlan plan;
+    plan.pane_size = 60;
+    plan.panes_per_file = panes_per_file;
+    return plan;
+  }
+
+  /// Ingests the next batch of `records`, then deletes the files it
+  /// sealed so the DFS stays bounded. Returns the files sealed.
+  uint64_t Ingest(int64_t records) {
+    RecordBatch batch;
+    batch.start = t;
+    batch.end = t + 60;
+    batch.records.reserve(static_cast<size_t>(records));
+    for (int64_t i = 0; i < records; ++i) {
+      batch.records.emplace_back(t + i % 60, "key", "value", 128);
+    }
+    t += 60;
+    auto files = packer.Ingest(std::move(batch));
+    REDOOP_CHECK(files.ok()) << files.status().ToString();
+    for (const PaneFileInfo& f : *files) {
+      if (!f.file_name.empty()) (void)dfs.DeleteFile(f.file_name);
+    }
+    return files->size();
+  }
+
+  Dfs dfs;
+  DynamicDataPacker packer;
+  Timestamp t = 0;
+};
+
 int Main(int argc, char** argv) {
   Report report;
   bool smoke = false;
@@ -597,6 +723,90 @@ int Main(int argc, char** argv) {
     report.Line("%-24s %10.3f %10.3f %+6.2f%%", label, plain_s * 1e3,
                 stamped_s * 1e3, trace_overhead * 100.0);
     if (trace_overhead < 0.02) trace_target_met = true;
+  }
+
+  // ---- Redoop metadata and loading: report-only host costs. ----
+  report.Line("%s", "");
+  report.Line("%-36s %12s %12s", "redoop case", "ns/op", "items/s");
+  const auto metadata_row = [&](const char* label, double ns, double items) {
+    report.Line("%-36s %12.1f %12.4g", label, ns, items / ns * 1e9);
+  };
+  const int64_t kMatrixOps = smoke ? 100'000 : 1'000'000;
+  for (const int64_t w : {10, 100}) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "matrix-mark-done w=%ld", w);
+    metadata_row(label, BestNsPerOp(reps, kMatrixOps, &sink,
+                                    [&] { return FilledMatrix(w, 0); },
+                                    [&](CacheStatusMatrix& m, int64_t p) {
+                                      m.MarkDone(p % (2 * w),
+                                                 (p + 1) % (2 * w));
+                                      return 0;
+                                    }),
+                 1.0);
+    std::snprintf(label, sizeof(label), "matrix-is-done w=%ld", w);
+    metadata_row(label, BestNsPerOp(reps, kMatrixOps, &sink,
+                                    [&] { return FilledMatrix(w, 2 * w); },
+                                    [&](CacheStatusMatrix& m, int64_t p) {
+                                      return m.IsDone(p % (2 * w),
+                                                      (p + 7) % (2 * w));
+                                    }),
+                 1.0);
+    std::snprintf(label, sizeof(label), "matrix-lifespan w=%ld", w);
+    metadata_row(label, BestNsPerOp(reps, kMatrixOps, &sink,
+                                    [&] { return FilledMatrix(w, 2 * w); },
+                                    [&](CacheStatusMatrix& m, int64_t p) {
+                                      return m.LifespanComplete(true,
+                                                                p % (2 * w));
+                                    }),
+                 1.0);
+    // One purge per freshly filled matrix, best over many matrices.
+    std::snprintf(label, sizeof(label), "matrix-shift w=%ld", w);
+    const int samples = (w == 10 ? 1000 : 20) / (smoke ? 10 : 1);
+    metadata_row(label, BestNsPerOp(samples, 1, &sink,
+                                    [&] { return FilledMatrix(w, 3 * w); },
+                                    [&](CacheStatusMatrix& m, int64_t) {
+                                      return m.Shift(2 * w).first.size();
+                                    }),
+                 1.0);
+  }
+  metadata_row(
+      "controller-add-signature",
+      BestNsPerOp(reps, smoke ? 10'000 : 100'000, &sink, JoinController,
+                  [](WindowAwareCacheController& c, int64_t i) {
+                    CacheSignature sig;
+                    sig.name =
+                        ReduceInputCacheName(1, 1, i, static_cast<int32_t>(i % 4));
+                    sig.source = 1;
+                    sig.pane = i;
+                    sig.partition = static_cast<int32_t>(i % 4);
+                    sig.type = CacheType::kReduceInput;
+                    sig.ready = CacheReady::kCacheAvailable;
+                    sig.node = static_cast<NodeId>(i % 30);
+                    sig.bytes = 1 << 20;
+                    c.AddSignature(std::move(sig), 1);
+                    return 0;
+                  }),
+      1.0);
+  metadata_row("controller-finish-recurrence",
+               BestNsPerOp(reps, smoke ? 200 : 2000, &sink,
+                           SteadyJoinController, ControllerRecurrence),
+               1.0);
+  // Ingest throughput: one op is one batch, and its items are records.
+  const struct { const char* label; int64_t records, panes_per_file, batches; }
+      packer_cases[] = {{"packer-ingest batch=1000", 1000, 1, 2000},
+                        {"packer-ingest batch=10000", 10'000, 1, 200},
+                        {"packer-ingest-multipane batch=1000", 1000, 4, 2000}};
+  for (const auto& c : packer_cases) {
+    metadata_row(c.label,
+                 BestNsPerOp(reps, c.batches / (smoke ? 10 : 1), &sink,
+                             [&] {
+                               return std::make_unique<PackerRig>(
+                                   c.panes_per_file);
+                             },
+                             [&](PackerRig& rig, int64_t) {
+                               return rig.Ingest(c.records);
+                             }),
+                 static_cast<double>(c.records));
   }
 
   report.Line("%s", "");

@@ -18,9 +18,11 @@
 // knobs; see CostModelOptions/DfsOptions/NodeOptions::FromConfig).
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,8 +82,8 @@ void PrintUsage() {
       "  --spiked                   double the rate on windows 2,3,5,6,...\n"
       "  --spike-multiplier=M       spike factor (default 2)\n"
       "  --proactive-threshold=F    adaptive budget fraction (default 0.15)\n"
-      "  --threads=N                host worker threads for task payloads\n"
-      "                             (default 0 = all hardware threads;\n"
+      "  --threads=N                host worker threads for task payloads,\n"
+      "                             N >= 1 (default: all hardware threads;\n"
       "                             results are identical at any setting)\n"
       "  --cache-budget-bytes=N     logical-byte budget of each Redoop\n"
       "                             driver's cache store (default 0 =\n"
@@ -110,12 +112,36 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
-/// A whole, non-negative decimal byte count.
-bool ParseByteCount(const std::string& text, int64_t* out) {
-  const char* end = text.data() + text.size();
+/// Parses --`flag`'s value as a whole decimal integer >= `min` that fits
+/// `Int`. Anything else names the flag on stderr and returns false.
+template <typename Int>
+bool ParseIntFlag(const char* flag, const std::string& text, int64_t min,
+                  Int* out) {
   int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < min ||
+      static_cast<uint64_t>(value) >
+          static_cast<uint64_t>(std::numeric_limits<Int>::max())) {
+    std::fprintf(stderr, "--%s wants an integer >= %ld, got '%s'\n", flag,
+                 min, text.c_str());
+    return false;
+  }
+  *out = static_cast<Int>(value);
+  return true;
+}
+
+/// Parses --`flag`'s value as a finite decimal number >= `min`; anything
+/// else names the flag on stderr and returns false.
+bool ParseDoubleFlag(const char* flag, const std::string& text, double min,
+                     double* out) {
+  const char* end = text.data() + text.size();
+  double value = 0.0;
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < 0) return false;
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value) || value < min) {
+    std::fprintf(stderr, "--%s wants a number >= %g, got '%s'\n", flag, min,
+                 text.c_str());
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -144,35 +170,45 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (ParseFlag(arg, "query", &value)) {
       options->query = value;
     } else if (ParseFlag(arg, "win", &value)) {
-      options->win = std::atoll(value.c_str());
+      if (!ParseIntFlag("win", value, 1, &options->win)) return false;
     } else if (ParseFlag(arg, "slide", &value)) {
-      options->slide = std::atoll(value.c_str());
+      if (!ParseIntFlag("slide", value, 1, &options->slide)) return false;
     } else if (ParseFlag(arg, "windows", &value)) {
-      options->windows = std::atoll(value.c_str());
+      if (!ParseIntFlag("windows", value, 1, &options->windows)) return false;
     } else if (ParseFlag(arg, "nodes", &value)) {
-      options->nodes = std::atoi(value.c_str());
+      if (!ParseIntFlag("nodes", value, 1, &options->nodes)) return false;
     } else if (ParseFlag(arg, "reducers", &value)) {
-      options->reducers = std::atoi(value.c_str());
+      if (!ParseIntFlag("reducers", value, 1, &options->reducers)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "rps", &value)) {
-      options->rps = std::atof(value.c_str());
+      if (!ParseDoubleFlag("rps", value, 0.0, &options->rps)) return false;
     } else if (ParseFlag(arg, "record-bytes", &value)) {
-      options->record_bytes = std::atoi(value.c_str());
+      if (!ParseIntFlag("record-bytes", value, 0, &options->record_bytes)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "batch-interval", &value)) {
-      options->batch_interval = std::atoll(value.c_str());
+      if (!ParseIntFlag("batch-interval", value, 1,
+                        &options->batch_interval)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "seed", &value)) {
-      options->seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseIntFlag("seed", value, 0, &options->seed)) return false;
     } else if (ParseFlag(arg, "spike-multiplier", &value)) {
-      options->spike_multiplier = std::atof(value.c_str());
+      if (!ParseDoubleFlag("spike-multiplier", value, 0.0,
+                           &options->spike_multiplier)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "proactive-threshold", &value)) {
-      options->proactive_threshold = std::atof(value.c_str());
+      if (!ParseDoubleFlag("proactive-threshold", value, 0.0,
+                           &options->proactive_threshold)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "threads", &value)) {
-      options->threads = std::atoi(value.c_str());
+      if (!ParseIntFlag("threads", value, 1, &options->threads)) return false;
     } else if (ParseFlag(arg, "cache-budget-bytes", &value)) {
-      if (!ParseByteCount(value, &options->cache_budget_bytes)) {
-        std::fprintf(stderr,
-                     "--cache-budget-bytes wants a byte count >= 0 "
-                     "(0 = unbounded), got '%s'\n",
-                     value.c_str());
+      if (!ParseIntFlag("cache-budget-bytes", value, 0,
+                        &options->cache_budget_bytes)) {
         return false;
       }
     } else if (ParseFlag(arg, "systems", &value)) {
@@ -294,6 +330,16 @@ int Main(int argc, char** argv) {
   if (options.win <= 0 || options.slide <= 0 || options.slide > options.win) {
     std::fprintf(stderr, "invalid window geometry: win=%ld slide=%ld\n",
                  options.win, options.slide);
+    return 1;
+  }
+  // The drivers ingest up to each window's end, which the feed serves only
+  // in whole batches.
+  if (options.win % options.batch_interval != 0 ||
+      options.slide % options.batch_interval != 0) {
+    std::fprintf(stderr,
+                 "--win=%ld and --slide=%ld must be multiples of "
+                 "--batch-interval=%ld\n",
+                 options.win, options.slide, options.batch_interval);
     return 1;
   }
   if (!ValidateOutputPath("--trace-out", options.trace_path) ||
