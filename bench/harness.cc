@@ -801,7 +801,7 @@ double MapPipelineWallS(int32_t threads, size_t pairs) {
   futures.reserve(kPartitions);
   for (auto& p : parts) {
     futures.push_back(executor.Submit([&input, part = &p] {
-      SortSliceIndicesWith(input, part, KvSortMode::kAuto, nullptr);
+      SortSliceIndicesWith(input, *part, KvSortMode::kAuto, nullptr);
       return 0;
     }));
   }

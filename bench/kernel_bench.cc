@@ -5,7 +5,10 @@
 //   - flat KV arena kernels: arena emit vs per-pair strings, the
 //     normalized-prefix sort vs std::sort over KeyValue, hash combine vs
 //     sort+scan combine, and the full map pipeline
-//     (emit -> partition -> combine -> sorted buckets) flat vs string.
+//     (emit -> partition -> combine -> the engine's partition-indexed map
+//     output, BuildMapOutput) flat vs string.
+//   - the range merge (MergeFlatRuns) on recbench's two merge shapes,
+//     report-only: ns per record and allocations per merge.
 //   - Redoop's metadata and loading costs (report-only, no gate): cache
 //     status matrix and cache controller operations, the paper's §4.2
 //     "negligible overhead" claim, and data packer ingest throughput, its
@@ -27,6 +30,7 @@
 //            reported but not enforced (exit 0).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
@@ -49,6 +53,9 @@
 #include "exec/task_executor.h"
 #include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
+#include "mapreduce/map_output.h"
+#include "mapreduce/partitioner.h"
+#include "mapreduce/reducer.h"
 #include "obs/observability.h"
 #include "obs/telemetry_scope.h"
 #include "obs/trace/trace_context.h"
@@ -188,51 +195,32 @@ uint64_t Fnv1a(std::string_view s) {
   return h;
 }
 
-constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+/// The string baseline's partition function, as the engine's Partitioner.
+class Fnv1aPartitioner : public Partitioner {
+ public:
+  int32_t Partition(std::string_view key,
+                    int32_t num_partitions) const override {
+    return static_cast<int32_t>(Fnv1a(key) %
+                                static_cast<uint64_t>(num_partitions));
+  }
+};
 
-/// Open-addressing hash combine over flat slices — the engine's map-side
-/// combine kernel: groups in first-occurrence order, combined output gets
-/// the single sorted materialization. Combiner work: (key, group size).
-FlatKvBuffer HashCombineFlat(const FlatKvBuffer& in,
-                             const std::vector<uint32_t>& idx) {
-  if (idx.empty()) return FlatKvBuffer();
-  size_t cap = 16;
-  while (cap < idx.size() * 2) cap <<= 1;
-  std::vector<uint32_t> table(cap, kNone);
-  struct Group {
-    uint64_t hash;
-    uint32_t head;
-    uint32_t count;
-  };
-  std::vector<Group> groups;
-  for (uint32_t pos = 0; pos < static_cast<uint32_t>(idx.size()); ++pos) {
-    const std::string_view key = in.key(idx[pos]);
-    const uint64_t h = Fnv1a(key);
-    size_t slot = h & (cap - 1);
-    while (true) {
-      if (table[slot] == kNone) {
-        table[slot] = static_cast<uint32_t>(groups.size());
-        groups.push_back({h, pos, 1});
-        break;
-      }
-      Group& g = groups[table[slot]];
-      if (g.hash == h && in.key(idx[g.head]) == key) {
-        ++g.count;
-        break;
-      }
-      slot = (slot + 1) & (cap - 1);
-    }
+/// Combiner work of the string baseline: (key, group size).
+class CountCombiner : public Reducer {
+ public:
+  void Reduce(const std::string& key, std::span<const KeyValue> values,
+              ReduceContext* context) const override {
+    context->Emit(key, std::to_string(values.size()), 24);
   }
-  FlatKvBuffer combined;
-  combined.Reserve(groups.size());
-  char value[24];
-  for (const Group& g : groups) {
-    const int len = std::snprintf(value, sizeof(value), "%u", g.count);
-    combined.Append(in.key(idx[g.head]),
-                    std::string_view(value, static_cast<size_t>(len)), 24);
+  bool PrefersFlatInput() const override { return true; }
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
+    char count[24];
+    const auto end = std::to_chars(count, count + sizeof(count), values.size());
+    context->Emit(
+        key, std::string_view(count, static_cast<size_t>(end.ptr - count)), 24);
   }
-  return combined.SortedCopy();
-}
+};
 
 /// The seed engine's combine: sort the strings, scan groups, emit, re-sort.
 std::vector<KeyValue> SortCombineStrings(std::vector<KeyValue> bucket) {
@@ -249,25 +237,51 @@ std::vector<KeyValue> SortCombineStrings(std::vector<KeyValue> bucket) {
   return combined;
 }
 
-/// Full map-side pipeline, flat representation: arena emit, partition by
-/// slice, per-partition hash combine + sorted materialization.
+/// Full map-side pipeline, flat representation — the engine's own map
+/// output: arena emit, then BuildMapOutput's partition-indexed layout
+/// (partition by slice, per-partition hash combine, one sorted run per
+/// partition in a single buffer).
 uint64_t PipelineFlat(size_t n, size_t partitions, uint64_t seed) {
   FlatKvBuffer out;
   out.Reserve(n);
   EmitPairs(n, seed, [&](std::string_view k, std::string_view v) {
     out.Append(k, v, 24);
   });
-  std::vector<std::vector<uint32_t>> idx(partitions);
-  for (size_t i = 0; i < out.size(); ++i) {
-    idx[Fnv1a(out.key(i)) % partitions].push_back(static_cast<uint32_t>(i));
+  const CountCombiner combiner;
+  const MapOutput spill = BuildMapOutput(out, Fnv1aPartitioner(),
+                                         static_cast<int32_t>(partitions),
+                                         &combiner);
+  return spill.pairs.size() +
+         static_cast<uint64_t>(spill.pairs.total_logical_bytes());
+}
+
+/// One of recbench's merge shapes over WCC-style keys: `k` sorted runs of
+/// `n` "client-<c>" pairs, clients drawn from `clients` (so hot keys recur
+/// across runs) with aggregate-style "count:sum:max" values. Every key
+/// shares "client-", the prefix the merge's head cache skips.
+std::vector<FlatKvBuffer> ClientRuns(size_t k, size_t n, uint64_t clients,
+                                     uint64_t seed) {
+  Random rng(seed);
+  std::vector<FlatKvBuffer> runs;
+  for (size_t r = 0; r < k; ++r) {
+    FlatKvBuffer run;
+    for (size_t i = 0; i < n; ++i) {
+      char key[32];
+      char value[48];
+      const int key_len = std::snprintf(
+          key, sizeof(key), "client-%llu",
+          static_cast<unsigned long long>(rng.Uniform(clients)));
+      const int value_len = std::snprintf(
+          value, sizeof(value), "%llu:%llu:%llu",
+          static_cast<unsigned long long>(1 + rng.Uniform(9)),
+          static_cast<unsigned long long>(rng.Uniform(100000)),
+          static_cast<unsigned long long>(rng.Uniform(10000)));
+      run.Append(std::string_view(key, static_cast<size_t>(key_len)),
+                 std::string_view(value, static_cast<size_t>(value_len)), 48);
+    }
+    runs.push_back(run.SortedCopy());
   }
-  uint64_t checksum = 0;
-  for (const std::vector<uint32_t>& part : idx) {
-    const FlatKvBuffer bucket = HashCombineFlat(out, part);
-    checksum += bucket.size() + static_cast<uint64_t>(
-                                    bucket.total_logical_bytes());
-  }
-  return checksum;
+  return runs;
 }
 
 /// Full map-side pipeline, string representation — the seed engine: emit
@@ -578,12 +592,12 @@ int Main(int argc, char** argv) {
     uint64_t base_alloc = 0, flat_alloc = 0;
     const double base_s = BestOfCounted(reps, &sink, &base_alloc, [&] {
       reset();
-      SortSliceIndicesWith(input, &indices, KvSortMode::kComparison);
+      SortSliceIndicesWith(input, indices, KvSortMode::kComparison);
       return indices.size();
     });
     const double radix_s = BestOfCounted(reps, &sink, &flat_alloc, [&] {
       reset();
-      SortSliceIndicesWith(input, &indices, KvSortMode::kRadix);
+      SortSliceIndicesWith(input, indices, KvSortMode::kRadix);
       return indices.size();
     });
     const double speedup = base_s / radix_s;
@@ -600,7 +614,7 @@ int Main(int argc, char** argv) {
       uint64_t par_alloc = 0;
       const double par_s = BestOfCounted(reps, &sink, &par_alloc, [&] {
         reset();
-        SortSliceIndicesWith(input, &indices, KvSortMode::kRadix, &executor);
+        SortSliceIndicesWith(input, indices, KvSortMode::kRadix, &executor);
         return indices.size();
       });
       std::snprintf(label, sizeof(label), "radix-sort t%d", threads);
@@ -618,14 +632,14 @@ int Main(int argc, char** argv) {
       base_input.emplace_back(std::string(k), std::string(v), 24);
     });
     const FlatKvBuffer flat_input = FlatKvBuffer::FromKeyValues(base_input);
-    std::vector<uint32_t> all(flat_input.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+    const CountCombiner combiner;
     uint64_t base_alloc = 0, flat_alloc = 0;
     const double base_s = BestOfCounted(reps, &sink, &base_alloc, [&] {
       return SortCombineStrings(base_input).size();
     });
     const double flat_s = BestOfCounted(reps, &sink, &flat_alloc, [&] {
-      return HashCombineFlat(flat_input, all).size();
+      return BuildMapOutput(flat_input, Fnv1aPartitioner(), 1, &combiner)
+          .pairs.size();
     });
     report.Line("%-24s %10.3f %10.3f %6.2fx %9.1f %9.1f %9.1f", "hash-combine",
                 base_s * 1e3, flat_s * 1e3, base_s / flat_s,
@@ -723,6 +737,36 @@ int Main(int argc, char** argv) {
     report.Line("%-24s %10.3f %10.3f %+6.2f%%", label, plain_s * 1e3,
                 stamped_s * 1e3, trace_overhead * 100.0);
     if (trace_overhead < 0.02) trace_target_met = true;
+  }
+
+  {
+    // Range merge on recbench's two shapes (report-only): a window's ten
+    // pane partials of ~200 keys, and a pane job's 450 map slices of two
+    // pairs. ns per merged record, heap allocations per merge.
+    report.Line("%s", "");
+    report.Line("%-24s %10s %10s", "merge case", "ns/record", "allocs");
+    const struct { size_t k, n; } merge_shapes[] = {{10, 200}, {450, 2}};
+    for (const auto& shape : merge_shapes) {
+      const std::vector<FlatKvBuffer> runs =
+          ClientRuns(shape.k, shape.n, /*clients=*/200, /*seed=*/2014);
+      std::vector<KvRange> ranges;
+      for (const FlatKvBuffer& run : runs) {
+        ranges.emplace_back(run, 0, run.size());
+      }
+      const int64_t merges = smoke ? 20 : 200;
+      const double ns = BestNsPerOp(
+          reps, merges, &sink, [] { return std::make_unique<int>(0); },
+          [&](int&, int64_t) { return MergeFlatRuns(ranges).size(); });
+      const uint64_t calls_before = g_alloc_calls;
+      sink += MergeFlatRuns(ranges).size();
+      const uint64_t allocs = g_alloc_calls - calls_before;
+      char label[64];
+      std::snprintf(label, sizeof(label), "merge-flat k=%zu n=%zu", shape.k,
+                    shape.n);
+      report.Line("%-24s %10.1f %10llu", label,
+                  ns / static_cast<double>(shape.k * shape.n),
+                  static_cast<unsigned long long>(allocs));
+    }
   }
 
   // ---- Redoop metadata and loading: report-only host costs. ----

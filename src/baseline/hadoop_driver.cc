@@ -179,11 +179,10 @@ WindowReport HadoopRecurringDriver::RunRecurrence(int64_t recurrence) {
   report.map_phase_time = result.map_phase_time;
   report.window_input_bytes = window_bytes;
   report.fresh_input_bytes = window_bytes;  // Hadoop reprocesses everything.
-  report.output_records = static_cast<int64_t>(result.output.size());
+  report.output = result.MergedOutput();
+  report.output_records = static_cast<int64_t>(report.output.size());
   report.counters = result.counters;
   report.task_reports = std::move(result.task_reports);
-  report.output = std::move(result.output);
-  SortByKey(&report.output);
   if (query_.emit_deltas) {
     report.delta = ComputeWindowDelta(previous_output_, report.output);
     previous_output_ = report.output;

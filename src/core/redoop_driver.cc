@@ -909,7 +909,7 @@ void RedoopDriver::RunJoinWindowRecompute(int64_t recurrence) {
     REDOOP_CHECK(result.status.ok()) << result.status.ToString();
     RegisterJobCaches(result, /*source_for_roc=*/0, kInvalidPane);
     AccumulateJobStats(result);
-    output = std::move(result.output);
+    output = result.MergedOutput();
   }
   FinishFoldedPanes(recurrence);
   last_join_output_bytes_ = TotalLogicalBytes(output);
@@ -1104,7 +1104,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
     JobResult result = runner_->Run(spec);
     REDOOP_CHECK(result.status.ok()) << result.status.ToString();
     AccumulateJobStats(result);
-    return std::move(result.output);
+    return result.MergedOutput();
   };
 
   WindowReport report;
@@ -1147,7 +1147,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       RegisterJobCaches(result, /*source_for_roc=*/0, kInvalidPane);
       AccumulateJobStats(result);
       FinishFoldedPanes(recurrence);
-      report.output = std::move(result.output);
+      report.output = result.MergedOutput();
       break;
     }
     case EffectivePattern::kPanePairJoin: {
@@ -1164,9 +1164,10 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       // finalization is a pure metadata union — no re-reading or
       // re-writing of result bytes (this is where the join's Fig. 7 gains
       // come from: Hadoop rewrites the whole window's output every
-      // recurrence).
+      // recurrence). On the host the union is one k-way merge of the
+      // sorted pair outputs.
       std::vector<std::shared_ptr<const FlatKvBuffer>> pair_outputs;
-      size_t output_records = 0;
+      int64_t output_bytes = 0;
       for (PaneId l = panes.first; l < panes.last; ++l) {
         for (PaneId r = panes.first; r < panes.last; ++r) {
           for (int32_t part = 0; part < num_partitions; ++part) {
@@ -1179,15 +1180,12 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
                 store_->Find(CacheKey::FromName(sig->name));
             REDOOP_CHECK(entry != nullptr);
             pair_outputs.push_back(entry->payload());
-            output_records += pair_outputs.back()->size();
+            output_bytes += pair_outputs.back()->total_logical_bytes();
           }
         }
       }
-      report.output.reserve(output_records);
-      for (const auto& pair_output : pair_outputs) {
-        pair_output->AppendToKeyValues(&report.output);
-      }
-      last_join_output_bytes_ = TotalLogicalBytes(report.output);
+      report.output = MergeToKeyValues(pair_outputs);
+      last_join_output_bytes_ = output_bytes;
       break;
     }
     case EffectivePattern::kNoCaching: {
@@ -1213,7 +1211,6 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
     }
   }
 
-  SortByKey(&report.output);
   report.output_records = static_cast<int64_t>(report.output.size());
   for (const QuerySource& qs : query_.sources) {
     for (PaneId p = panes.first; p < panes.last; ++p) {
@@ -1544,9 +1541,7 @@ StatusOr<std::vector<KeyValue>> RedoopDriver::RunAdHocQuery(Timestamp begin,
   JobResult result = runner_->Run(spec);
   REDOOP_RETURN_IF_ERROR(result.status);
   AccumulateJobStats(result);
-  std::vector<KeyValue> output = std::move(result.output);
-  SortByKey(&output);
-  return output;
+  return result.MergedOutput();
 }
 
 // ---------------------------------------------------------------------------

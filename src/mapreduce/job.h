@@ -24,8 +24,8 @@ struct JobConfig {
   std::string name = "job";
   std::shared_ptr<const Mapper> mapper;
   std::shared_ptr<const Reducer> reducer;
-  /// Optional map-side combiner, run over each map task's sorted partition
-  /// buckets before they are spilled/shuffled (Hadoop's combiner). Must be
+  /// Optional map-side combiner, run over each partition of a map task's
+  /// output before it is spilled/shuffled (Hadoop's combiner). Must be
   /// associative/commutative and emit the same format it consumes;
   /// aggregation reducers usually double as their own combiner.
   std::shared_ptr<const Reducer> combiner;
@@ -113,11 +113,12 @@ struct JobSpec {
   /// When non-empty, only these reduce partitions run (cache-rebuild jobs
   /// regenerate just the lost partitions; the deterministic partitioner
   /// guarantees the replay routes the same keys there). Maps still execute
-  /// fully — their cost cannot be avoided — but other partitions' buckets
-  /// are discarded. Standard reduce phase only.
+  /// fully — their cost cannot be avoided — but other partitions' slices
+  /// of their output are never read. Standard reduce phase only.
   std::vector<int32_t> active_partitions;
-  /// When set, each reduce partition's output is also written to HDFS under
-  /// "<output_prefix>/part-<partition>".
+  /// When set, the job's output is also written to HDFS as
+  /// "<output_prefix>/part-all": partitions in order, each in its
+  /// reducer's emission order.
   std::string output_prefix;
   /// Nodes the scheduler should prefer for reduce partition p (e.g. where
   /// partition p's caches live). Parallel to partition ids; optional.

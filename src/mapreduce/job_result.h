@@ -1,6 +1,8 @@
 #ifndef REDOOP_MAPREDUCE_JOB_RESULT_H_
 #define REDOOP_MAPREDUCE_JOB_RESULT_H_
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "common/status.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/kv.h"
+#include "mapreduce/kv_arena.h"
 #include "mapreduce/task.h"
 
 namespace redoop {
@@ -30,15 +33,29 @@ struct JobResult {
   /// Map phase span: first map start to last map finish.
   SimDuration map_phase_time = 0.0;
 
-  /// Final output pairs, partitions concatenated in partition order, each
-  /// partition sorted by (key, value).
-  std::vector<KeyValue> output;
+  /// Final output: each reduce task's pairs, in partition order, as one
+  /// run sorted by (key, value). A reducer that emitted out of order had
+  /// its run sorted once, stably. The runs are shared with the job's
+  /// output caches, never copied. (The DFS part file, when the spec names
+  /// one, holds the same pairs in partition order and emission order.)
+  std::vector<std::shared_ptr<const FlatKvBuffer>> partition_outputs;
+
+  /// Every output pair sorted by (key, value): one stable k-way merge of
+  /// partition_outputs, materialized as strings once. A job whose result
+  /// only feeds caches never calls it, and so never pays for it.
+  std::vector<KeyValue> MergedOutput() const;
 
   Counters counters;
   std::vector<TaskReport> task_reports;
   /// Caches materialized per the spec's CacheDirectives.
   std::vector<MaterializedCache> caches;
 };
+
+/// Merges sorted flat runs (stable in run order) into one (key, value)-
+/// sorted vector of strings — the materialization of a job's or a
+/// window's result.
+std::vector<KeyValue> MergeToKeyValues(
+    std::span<const std::shared_ptr<const FlatKvBuffer>> runs);
 
 }  // namespace redoop
 

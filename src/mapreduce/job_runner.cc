@@ -9,106 +9,9 @@
 
 #include "common/logging.h"
 #include "common/string_utils.h"
+#include "mapreduce/map_output.h"
 
 namespace redoop {
-
-namespace {
-
-/// FNV-1a over key bytes — the hash-combine table hash. Any hash works:
-/// group *iteration* order is first-occurrence order, never table order,
-/// so the hash choice is unobservable in the output.
-uint64_t HashKeyBytes(std::string_view key) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
-
-/// Map-side combine over one partition's pairs (`idx`, in emission order)
-/// without sorting the raw pairs first: an open-addressing hash table
-/// groups equal keys, the combiner runs per group, and only the (smaller)
-/// combined output pays a sort. Determinism does not depend on the hash:
-/// groups are visited in first-occurrence order and each group's members
-/// are ordered by (value, emission index) — exactly the sequence the old
-/// sort-then-scan combine presented.
-FlatKvBuffer CombinePartition(const FlatKvBuffer& flat,
-                              const std::vector<uint32_t>& idx,
-                              const Reducer* combiner) {
-  if (idx.empty()) return FlatKvBuffer();
-  // Table capacity: power of two, load factor <= 0.5.
-  size_t cap = 16;
-  while (cap < idx.size() * 2) cap <<= 1;
-  std::vector<uint32_t> table(cap, kNoSlot);  // slot -> group id
-  struct Group {
-    uint64_t hash = 0;
-    uint32_t head = 0;  // First position in idx (defines the group key).
-    uint32_t tail = 0;
-    uint32_t count = 0;
-  };
-  std::vector<Group> groups;
-  // Intrusive chain threading each group's positions, in arrival order.
-  std::vector<uint32_t> next(idx.size(), kNoSlot);
-  for (uint32_t pos = 0; pos < static_cast<uint32_t>(idx.size()); ++pos) {
-    const std::string_view key = flat.key(idx[pos]);
-    const uint64_t h = HashKeyBytes(key);
-    size_t slot = h & (cap - 1);
-    while (true) {
-      if (table[slot] == kNoSlot) {
-        table[slot] = static_cast<uint32_t>(groups.size());
-        Group g;
-        g.hash = h;
-        g.head = g.tail = pos;
-        g.count = 1;
-        groups.push_back(g);
-        break;
-      }
-      Group& g = groups[table[slot]];
-      if (g.hash == h && flat.key(idx[g.head]) == key) {
-        next[g.tail] = pos;
-        g.tail = pos;
-        ++g.count;
-        break;
-      }
-      slot = (slot + 1) & (cap - 1);
-    }
-  }
-  ReduceContext combine_out;
-  KvGroupScratch scratch;
-  const bool flat_combine = combiner->PrefersFlatInput();
-  std::vector<uint32_t> members;
-  for (const Group& g : groups) {
-    members.clear();
-    members.reserve(g.count);
-    for (uint32_t pos = g.head;; pos = next[pos]) {
-      members.push_back(idx[pos]);
-      if (pos == g.tail) break;
-    }
-    // Members share the key; order them by (value, emission index) so the
-    // combiner sees the same sequence a sorted bucket scan would.
-    std::sort(members.begin(), members.end(),
-              [&flat](uint32_t a, uint32_t b) {
-                const std::string_view va = flat.value(a);
-                const std::string_view vb = flat.value(b);
-                if (va != vb) return va < vb;
-                return a < b;
-              });
-    const std::string_view key = flat.key(members.front());
-    if (flat_combine) {
-      combiner->ReduceFlat(key, KvRange(flat, members), &combine_out);
-    } else {
-      combiner->Reduce(scratch.KeyFor(key),
-                       scratch.Fill(KvRange(flat, members)), &combine_out);
-    }
-  }
-  // One sorted materialization of the (combined, smaller) output.
-  return combine_out.flat().SortedCopy();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Internal task/run state
@@ -139,12 +42,11 @@ struct JobRunner::MapTaskState {
   /// Straggler draw for the current attempt, consumed at Start (before any
   /// offload) so the RNG stream is thread-count invariant.
   double straggler_factor = 1.0;
-  /// Partitioned, sorted map output: one flat bucket per reduce partition.
+  /// Partition-indexed, sorted map output (the spill file and its index).
   /// Published once per attempt as an immutable shared payload — in-flight
   /// reduce closures hold their own reference, so a failure-triggered
   /// re-run can never mutate data a worker thread is still merging.
-  std::shared_ptr<const std::vector<FlatKvBuffer>> buckets;
-  std::vector<int64_t> bucket_bytes;
+  std::shared_ptr<const MapOutput> output;
   int64_t output_records = 0;
   int64_t output_bytes = 0;
 };
@@ -152,8 +54,7 @@ struct JobRunner::MapTaskState {
 /// Everything a map payload produces: computed off the simulator thread
 /// (or inline at threads=1) from immutable inputs only.
 struct JobRunner::MapPayloadResult {
-  std::shared_ptr<const std::vector<FlatKvBuffer>> buckets;
-  std::vector<int64_t> bucket_bytes;
+  std::shared_ptr<const MapOutput> output;
   int64_t output_records = 0;  // Pre-combine, sizing the sort charge.
   int64_t output_bytes = 0;    // Pre-combine.
 };
@@ -162,7 +63,10 @@ struct JobRunner::MapPayloadResult {
 /// runs_by_pane (source, pane) map order — deterministic — with empty
 /// merges already skipped, mirroring the seed's inline loop.
 struct JobRunner::ReducePayloadResult {
-  std::shared_ptr<const FlatKvBuffer> output;
+  std::shared_ptr<const FlatKvBuffer> output;  // Sorted by (key, value).
+  /// The reducer's pairs in emission order, kept only when that order was
+  /// not sorted and the job writes a DFS part file.
+  std::shared_ptr<const FlatKvBuffer> emission;
   int64_t output_bytes = 0;
   struct PaneMerge {
     SourceId source = 0;
@@ -199,8 +103,10 @@ struct JobRunner::ReduceTaskState {
   /// Straggler draw for the current attempt (see MapTaskState).
   double straggler_factor = 1.0;
   /// Shared so output caches and the job result alias it instead of
-  /// deep-copying every pair.
+  /// deep-copying every pair. Sorted by (key, value); `emission` holds the
+  /// reducer's own order when it differs (see ReducePayloadResult).
   std::shared_ptr<const FlatKvBuffer> output;
+  std::shared_ptr<const FlatKvBuffer> emission;
   std::vector<MaterializedCache> caches;
 };
 
@@ -212,12 +118,21 @@ struct JobRunner::RunState {
   std::vector<std::unique_ptr<ReduceTaskState>> reduces;
   int64_t maps_completed = 0;
   int64_t reduces_completed = 0;
-  /// Per-reduce-partition total of completed map bucket bytes, maintained
+  /// Every map before this index has left kPending; a map that returns to
+  /// it moves the cursor back. The scheduling loop starts here instead of
+  /// rescanning every map after each completion.
+  size_t first_pending_map = 0;
+  /// Per-reduce-partition total of completed map output bytes, maintained
   /// incrementally as maps finish (and rolled back when a completed map's
   /// output is lost to a node failure). Replaces the O(maps × reduces)
   /// rescan the scheduling loop used to pay per placement decision.
   std::vector<int64_t> partition_shuffle_bytes;
   bool reduces_unlocked = false;  // Set once all maps are done.
+  /// Every map's output, in map order, taken when the map barrier lifts:
+  /// one shared snapshot keeps them alive for all reduce payloads of that
+  /// barrier instead of one reference per (reduce, map).
+  std::shared_ptr<const std::vector<std::shared_ptr<const MapOutput>>>
+      map_outputs;
   bool finished = false;
   Status failure;  // First fatal error.
   SimTime first_map_start = -1.0;
@@ -327,8 +242,13 @@ void JobRunner::BuildMapTasks(const JobSpec& spec, RunState* run) {
 
 void JobRunner::TryScheduleTasks(RunState* run) {
   if (run->finished) return;
-  // Maps first (FIFO over pending tasks).
-  for (auto& task : run->maps) {
+  // Maps first (FIFO over pending tasks), from the first pending one.
+  while (run->first_pending_map < run->maps.size() &&
+         run->maps[run->first_pending_map]->state != TaskState::kPending) {
+    ++run->first_pending_map;
+  }
+  for (size_t m = run->first_pending_map; m < run->maps.size(); ++m) {
+    MapTaskState* task = run->maps[m].get();
     if (task->state != TaskState::kPending) continue;
     MapPlacementRequest request;
     request.replica_nodes = task->replica_nodes;
@@ -337,7 +257,7 @@ void JobRunner::TryScheduleTasks(RunState* run) {
     request.input_bytes = task->input_bytes;
     const NodeId node = scheduler_->SelectNodeForMap(request, *cluster_);
     if (node == kInvalidNode) break;  // No free map slots anywhere.
-    StartMapTask(run, task.get(), node);
+    StartMapTask(run, task, node);
   }
   // Reduces once the map barrier lifted.
   if (!run->reduces_unlocked) return;
@@ -458,59 +378,19 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
   MapPayloadResult out;
   MapContext context;
   // Most mappers emit about one pair per record. The context is scratch:
-  // only the exactly-sized buckets below outlive this call.
+  // only the exactly-sized map output below outlives this call.
   context.Reserve(static_cast<size_t>(record_end - record_begin));
   const std::vector<Record>& rows = file->rows();
   for (int64_t r = record_begin; r < record_end; ++r) {
     mapper->Map(rows[static_cast<size_t>(r)], &context);
   }
-  // Partition by slice, straight off the arena: the key never leaves the
-  // flat buffer, each partition collects pair indices, and the bytes are
-  // copied exactly once — into their sorted (or combined) bucket.
-  const FlatKvBuffer& output = context.flat();
-  out.output_records = static_cast<int64_t>(output.size());
-  out.output_bytes = output.total_logical_bytes();
-  std::vector<uint32_t> pair_partition(output.size());
-  std::vector<size_t> partition_counts(static_cast<size_t>(num_partitions), 0);
-  std::vector<size_t> partition_bytes(static_cast<size_t>(num_partitions), 0);
-  for (size_t i = 0; i < output.size(); ++i) {
-    const std::string_view key = output.key(i);
-    const int32_t p = partitioner->Partition(key, num_partitions);
-    pair_partition[i] = static_cast<uint32_t>(p);
-    ++partition_counts[static_cast<size_t>(p)];
-    partition_bytes[static_cast<size_t>(p)] +=
-        key.size() + output.value(i).size();
-  }
-  std::vector<std::vector<uint32_t>> partition_indices(
-      static_cast<size_t>(num_partitions));
-  for (size_t p = 0; p < partition_indices.size(); ++p) {
-    partition_indices[p].reserve(partition_counts[p]);
-  }
-  for (size_t i = 0; i < output.size(); ++i) {
-    partition_indices[pair_partition[i]].push_back(static_cast<uint32_t>(i));
-  }
-
-  std::vector<FlatKvBuffer> buckets(static_cast<size_t>(num_partitions));
-  out.bucket_bytes.assign(static_cast<size_t>(num_partitions), 0);
-  for (size_t p = 0; p < buckets.size(); ++p) {
-    std::vector<uint32_t>& idx = partition_indices[p];
-    if (combiner != nullptr) {
-      // Map-side combine: key groups collapse before the spill/shuffle via
-      // a hash table over the raw pairs — only the combined output is
-      // sorted. The sort is charged on the pre-combine volume; everything
-      // downstream (spill, shuffle, reduce) sees the combined one.
-      buckets[p] = CombinePartition(output, idx, combiner);
-    } else {
-      SortSliceIndices(output, &idx);
-      FlatKvBuffer bucket;
-      bucket.Reserve(idx.size(), partition_bytes[p]);
-      for (uint32_t i : idx) bucket.AppendFrom(output, i);
-      buckets[p] = std::move(bucket);
-    }
-    out.bucket_bytes[p] = buckets[p].total_logical_bytes();
-  }
-  out.buckets =
-      std::make_shared<const std::vector<FlatKvBuffer>>(std::move(buckets));
+  // One partition-indexed run, sorted (or combined) per partition: the
+  // pairs are copied exactly once, into their place in the spill layout.
+  const FlatKvBuffer& emitted = context.flat();
+  out.output_records = static_cast<int64_t>(emitted.size());
+  out.output_bytes = emitted.total_logical_bytes();
+  out.output = std::make_shared<const MapOutput>(
+      BuildMapOutput(emitted, *partitioner, num_partitions, combiner));
   return out;
 }
 
@@ -518,13 +398,14 @@ void JobRunner::InstallMapResult(RunState* run, MapTaskState* task,
                                  MapPayloadResult result) {
   const CostModel& cost = cluster_->cost_model();
   const JobSpec& spec = *run->spec;
-  task->buckets = std::move(result.buckets);
-  task->bucket_bytes = std::move(result.bucket_bytes);
+  task->output = std::move(result.output);
   task->output_records = result.output_records;
   task->output_bytes = result.output_bytes;
 
   int64_t spilled_bytes = 0;
-  for (int64_t b : task->bucket_bytes) spilled_bytes += b;
+  for (const MapOutput::Partition& p : task->output->partitions) {
+    spilled_bytes += p.logical_bytes;
+  }
   task->timing.compute = cost.MapComputeTime(task->input_bytes);
   if (spec.config.combiner != nullptr) {
     // The combiner scans the full pre-combine output once.
@@ -569,8 +450,10 @@ void JobRunner::FinishMapTask(RunState* run, MapTaskState* task,
   run->last_map_finish =
       std::max(run->last_map_finish, task->timing.finished_at);
   ++run->maps_completed;
-  for (size_t p = 0; p < task->bucket_bytes.size(); ++p) {
-    run->partition_shuffle_bytes[p] += task->bucket_bytes[p];
+  const std::vector<MapOutput::Partition>& partitions =
+      task->output->partitions;
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    run->partition_shuffle_bytes[p] += partitions[p].logical_bytes;
   }
 
   TaskReport report;
@@ -615,21 +498,28 @@ void JobRunner::FinishMapTask(RunState* run, MapTaskState* task,
         .With("write", report.timing.write);
   }
 
-  if (AllMapsDone(*run) && !run->reduces_unlocked) {
-    run->reduces_unlocked = true;
-    // The barrier lifted: every pending reduce becomes schedulable now.
-    for (auto& reduce : run->reduces) {
-      if (reduce->state == TaskState::kPending) {
-        reduce->ready_at = cluster_->simulator().Now();
-      }
-    }
-  }
+  if (AllMapsDone(*run) && !run->reduces_unlocked) UnlockReduces(run);
   TryScheduleTasks(run);
   MaybeFinishJob(run);
 }
 
 bool JobRunner::AllMapsDone(const RunState& run) const {
   return run.maps_completed == static_cast<int64_t>(run.maps.size());
+}
+
+void JobRunner::UnlockReduces(RunState* run) {
+  run->reduces_unlocked = true;
+  auto outputs =
+      std::make_shared<std::vector<std::shared_ptr<const MapOutput>>>();
+  outputs->reserve(run->maps.size());
+  for (const auto& map : run->maps) outputs->push_back(map->output);
+  run->map_outputs = std::move(outputs);
+  // The barrier lifted: every pending reduce becomes schedulable now.
+  for (auto& reduce : run->reduces) {
+    if (reduce->state == TaskState::kPending) {
+      reduce->ready_at = cluster_->simulator().Now();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -646,6 +536,7 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   task->timing.ready_at = task->ready_at;
   task->timing.scheduled_at = cluster_->simulator().Now();
   task->output.reset();
+  task->emission.reset();
   task->caches.clear();
   if (scope_.active()) {
     obs::Event& e =
@@ -666,34 +557,49 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
 
   task->timing.startup = cost.TaskStartupTime();
 
-  // ---- Shuffle: view this partition's sorted bucket from every map
-  // output. The buckets are collected as zero-copy runs for the k-way
-  // merge below; nothing is concatenated or re-sorted. ----
+  // ---- Shuffle: view this partition's sorted slice of every map output
+  // (the snapshot taken when the map barrier lifted). The slices are
+  // collected as zero-copy runs for the k-way merge below; nothing is
+  // concatenated or re-sorted. ----
+  const std::vector<std::shared_ptr<const MapOutput>>& map_outputs =
+      *run->map_outputs;
   int64_t new_bytes = 0;
   int64_t new_records = 0;
-  std::vector<const FlatKvBuffer*> runs;
-  // (source, pane) -> this partition's sorted bucket runs, for
-  // reduce-input caching.
-  std::map<std::pair<SourceId, PaneId>, std::vector<const FlatKvBuffer*>>
-      runs_by_pane;
-  for (const auto& map : run->maps) {
-    REDOOP_CHECK(map->state == TaskState::kCompleted);
-    const FlatKvBuffer& bucket = (*map->buckets)[static_cast<size_t>(partition)];
-    if (bucket.empty()) continue;
-    const int64_t bytes = map->bucket_bytes[static_cast<size_t>(partition)];
+  int64_t local_bytes = 0;
+  int64_t remote_bytes = 0;
+  bool any_local = false;
+  bool any_remote = false;
+  std::vector<KvRange> runs;
+  // (source, pane) -> this partition's sorted runs, for reduce-input
+  // caching.
+  std::map<std::pair<SourceId, PaneId>, std::vector<KvRange>> runs_by_pane;
+  for (size_t m = 0; m < map_outputs.size(); ++m) {
+    const MapTaskState& map = *run->maps[m];
+    REDOOP_CHECK(map.state == TaskState::kCompleted);
+    const MapOutput& output = *map_outputs[m];
+    const KvRange range = output.Range(partition);
+    if (range.empty()) continue;
+    const int64_t bytes =
+        output.partitions[static_cast<size_t>(partition)].logical_bytes;
     new_bytes += bytes;
-    new_records += static_cast<int64_t>(bucket.size());
-    if (map->node == node) {
+    new_records += static_cast<int64_t>(range.size());
+    if (map.node == node) {
       task->timing.shuffle += cost.LocalReadTime(bytes);
-      counters.Increment(counter::kShuffleLocalBytes, bytes);
+      local_bytes += bytes;
+      any_local = true;
     } else {
       task->timing.shuffle += cost.LocalReadTime(bytes) + cost.TransferTime(bytes);
-      counters.Increment(counter::kShuffleRemoteBytes, bytes);
+      remote_bytes += bytes;
+      any_remote = true;
     }
-    runs.push_back(&bucket);
+    runs.push_back(range);
     if (spec.cache.cache_reduce_input) {
-      runs_by_pane[{map->source, map->pane}].push_back(&bucket);
+      runs_by_pane[{map.source, map.pane}].push_back(range);
     }
+  }
+  if (any_local) counters.Increment(counter::kShuffleLocalBytes, local_bytes);
+  if (any_remote) {
+    counters.Increment(counter::kShuffleRemoteBytes, remote_bytes);
   }
 
   // ---- Cached side inputs (reduce input caches from prior recurrences). --
@@ -748,12 +654,10 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   task->straggler_factor = DrawStragglerFactor();
 
   // Keep every run's backing storage alive (and immutable) for the
-  // payload's lifetime: map buckets are publish-once shared payloads (a
-  // failure-triggered re-run installs a fresh vector, never mutates this
-  // one), and side inputs are shared cache payloads.
-  std::vector<std::shared_ptr<const std::vector<FlatKvBuffer>>> bucket_refs;
-  bucket_refs.reserve(run->maps.size());
-  for (const auto& map : run->maps) bucket_refs.push_back(map->buckets);
+  // payload's lifetime: map outputs are publish-once shared payloads held
+  // by the barrier's snapshot (a failure-triggered re-run installs a fresh
+  // output and a fresh snapshot, never mutates these), and side inputs are
+  // shared cache payloads.
   std::vector<std::shared_ptr<const FlatKvBuffer>> side_refs;
   side_refs.reserve(task->side_inputs.size());
   for (const ReduceSideInput& side : task->side_inputs) {
@@ -766,22 +670,23 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   // charging write costs happens at install, on the simulator thread.
   auto payload = [runs = std::move(runs),
                   runs_by_pane = std::move(runs_by_pane),
-                  bucket_refs = std::move(bucket_refs),
+                  map_outputs = run->map_outputs,
                   side_refs = std::move(side_refs),
-                  reducer = spec.config.reducer]() mutable {
-    // Cached payloads are materialized sorted (they are merge outputs), so
-    // they join the merge as runs directly, after the map buckets and in
-    // side-input order. The sorted-copy fallback guards against exotic
-    // caches (e.g. a multi-emission reducer's output cache fed back as a
-    // side input); the deque keeps earlier pointers stable.
+                  reducer = spec.config.reducer,
+                  keep_emission = !spec.output_prefix.empty()]() mutable {
+    // Cached payloads are materialized sorted (they are merge outputs or
+    // sorted reduce outputs), so they join the merge as whole-buffer runs,
+    // after the map slices and in side-input order. The sorted-copy
+    // fallback guards against caches built elsewhere; the deque keeps
+    // earlier references stable.
     std::deque<FlatKvBuffer> resorted;
     for (const auto& side : side_refs) {
-      if (side->IsSorted()) {
-        runs.push_back(side.get());
-      } else {
+      const FlatKvBuffer* sorted = side.get();
+      if (!side->IsSorted()) {
         resorted.push_back(side->SortedCopy());
-        runs.push_back(&resorted.back());
+        sorted = &resorted.back();
       }
+      runs.emplace_back(*sorted, 0, sorted->size());
     }
     ReducePayloadResult out;
     const auto merged =
@@ -807,10 +712,18 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
       }
       i = j;
     }
-    out.output = std::make_shared<const FlatKvBuffer>(context.TakeFlat());
+    // The result is one sorted run per partition; a reducer that emitted
+    // out of order is sorted here once, stably, off the simulator thread.
+    auto emitted = std::make_shared<const FlatKvBuffer>(context.TakeFlat());
+    if (emitted->IsSorted()) {
+      out.output = std::move(emitted);
+    } else {
+      out.output = std::make_shared<const FlatKvBuffer>(emitted->SortedCopy());
+      if (keep_emission) out.emission = std::move(emitted);
+    }
     out.output_bytes = out.output->total_logical_bytes();
     for (const auto& [key, pane_runs] : runs_by_pane) {
-      // Each pane's cache is the merge of that pane's sorted map buckets —
+      // Each pane's cache is the merge of that pane's sorted map slices —
       // the same k-way kernel, never a re-sort. A single-pane task without
       // side inputs already merged exactly those runs above: share it.
       std::shared_ptr<const FlatKvBuffer> pairs =
@@ -857,6 +770,7 @@ void JobRunner::InstallReduceResult(RunState* run, ReduceTaskState* task,
   const NodeId node = task->node;
 
   task->output = std::move(result.output);
+  task->emission = std::move(result.emission);
   const int64_t output_bytes = result.output_bytes;
 
   // ---- Writes: reduce-output cache and HDFS output. Reduce-input caches
@@ -1139,15 +1053,20 @@ void JobRunner::OnNodeFailure(NodeId node) {
       if (task->state == TaskState::kCompleted && task->node == node) {
         // The lost output's contribution to the per-partition shuffle
         // totals rolls back; the re-run adds it again on completion.
-        for (size_t p = 0; p < task->bucket_bytes.size(); ++p) {
-          run->partition_shuffle_bytes[p] -= task->bucket_bytes[p];
+        const std::vector<MapOutput::Partition>& partitions =
+            task->output->partitions;
+        for (size_t p = 0; p < partitions.size(); ++p) {
+          run->partition_shuffle_bytes[p] -= partitions[p].logical_bytes;
         }
         task->state = TaskState::kPending;
         task->id = next_task_id_++;
         ++task->attempt;
         task->ready_at = cluster_->simulator().Now();
         --run->maps_completed;
+        run->first_pending_map = std::min(
+            run->first_pending_map, static_cast<size_t>(task->index));
         run->reduces_unlocked = false;
+        run->map_outputs.reset();
         run->result.counters.Increment(counter::kMapTaskRetries);
       }
     }
@@ -1218,6 +1137,8 @@ void JobRunner::FailTaskAttempt(RunState* run, TaskType type, int64_t index) {
     task->id = next_task_id_++;
     ++task->attempt;
     task->ready_at = cluster_->simulator().Now();
+    run->first_pending_map =
+        std::min(run->first_pending_map, static_cast<size_t>(index));
     run->result.counters.Increment(counter::kMapTaskRetries);
     if (task->attempt >= options_.max_task_attempts) {
       run->failure = Status::Aborted(
@@ -1341,10 +1262,7 @@ JobResult JobRunner::Run(const JobSpec& spec) {
         if (run->finished || run != active_run_) return;
         const SimTime now = cluster_->simulator().Now();
         for (auto& map : run->maps) map->ready_at = now;
-        if (run->maps.empty()) {
-          run->reduces_unlocked = true;
-          for (auto& reduce : run->reduces) reduce->ready_at = now;
-        }
+        if (run->maps.empty()) UnlockReduces(run);
         TryScheduleTasks(run);
         MaybeFinishJob(run);
       });
@@ -1384,30 +1302,35 @@ JobResult JobRunner::Run(const JobSpec& spec) {
   }
 
   if (result.status.ok()) {
-    // Assemble output and caches in deterministic partition order.
+    // Assemble outputs and caches in deterministic partition order.
     size_t output_records = 0;
-    for (const auto& task : run.reduces) {
-      if (task->output != nullptr) output_records += task->output->size();
-    }
-    result.output.reserve(output_records);
     for (auto& task : run.reduces) {
       result.shuffle_time_total += task->timing.shuffle;
       result.reduce_time_total += task->timing.read + task->timing.sort +
                                   task->timing.compute + task->timing.write;
       if (task->output != nullptr) {
-        task->output->AppendToKeyValues(&result.output);
+        result.partition_outputs.push_back(task->output);
+        output_records += task->output->size();
       }
       for (MaterializedCache& cache : task->caches) {
         if (cache.bytes < 0) continue;  // Dropped: node disk was full.
         result.caches.push_back(std::move(cache));
       }
     }
-    // Write the job output to DFS when requested.
+    // Write the job output to DFS when requested: partitions in order,
+    // each in its reducer's emission order, like Hadoop's part files.
     if (!spec.output_prefix.empty()) {
       std::vector<Record> out_records;
-      out_records.reserve(result.output.size());
-      for (const KeyValue& kv : result.output) {
-        out_records.emplace_back(0, kv.key, kv.value, kv.logical_bytes);
+      out_records.reserve(output_records);
+      for (const auto& task : run.reduces) {
+        if (task->output == nullptr) continue;
+        const FlatKvBuffer& part =
+            task->emission != nullptr ? *task->emission : *task->output;
+        for (size_t i = 0; i < part.size(); ++i) {
+          out_records.emplace_back(0, std::string(part.key(i)),
+                                   std::string(part.value(i)),
+                                   part.logical_bytes(i));
+        }
       }
       const std::string out_name = spec.output_prefix + "/part-all";
       if (cluster_->dfs().Exists(out_name)) {

@@ -125,6 +125,9 @@ class JobRunner {
   /// process boundary. No-op when the driver isn't tracing this window.
   void StampTaskContext(int64_t task, int64_t attempt, obs::Event* e) const;
   bool AllMapsDone(const RunState& run) const;
+  /// Lifts the map barrier: snapshots the map outputs for the reduces and
+  /// makes every pending reduce schedulable now.
+  void UnlockReduces(RunState* run);
   void MaybeFinishJob(RunState* run);
 
   static MapPayloadResult ExecuteMapPayload(const DfsFile* file,

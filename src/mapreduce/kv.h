@@ -30,7 +30,7 @@ struct KeyValue {
 };
 
 /// The deterministic (key, value) total order used everywhere after the
-/// shuffle: bucket sorts, cached runs, and the reduce-side merge all agree
+/// shuffle: map output sorts, cached runs, and the reduce-side merge all agree
 /// on it, so results are byte-identical across schedules.
 struct KeyValueLess {
   bool operator()(const KeyValue& a, const KeyValue& b) const {

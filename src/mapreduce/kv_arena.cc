@@ -91,7 +91,7 @@ std::vector<uint32_t> FlatKvBuffer::SortedOrder() const {
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<uint32_t>(i);
   }
-  SortSliceIndices(*this, &order);
+  SortSliceIndices(*this, order);
   return order;
 }
 
@@ -229,31 +229,42 @@ void RadixSortEntries(const FlatKvBuffer& buf, const uint32_t* src,
 
 }  // namespace
 
-void SortSliceIndices(const FlatKvBuffer& buf,
-                      std::vector<uint32_t>* indices) {
-  SortSliceIndicesWith(buf, indices, KvSortMode::kAuto, nullptr);
-}
+namespace {
 
-void SortSliceIndicesWith(const FlatKvBuffer& buf,
-                          std::vector<uint32_t>* indices, KvSortMode mode,
-                          exec::TaskExecutor* executor) {
-  const size_t n = indices->size();
+void SortSliceEntries(const FlatKvBuffer& buf, std::span<uint32_t> indices,
+                      KvSortMode mode, exec::TaskExecutor* executor,
+                      std::vector<KvSortEntry>* entries) {
+  const size_t n = indices.size();
   const bool radix =
       mode == KvSortMode::kRadix ||
       (mode == KvSortMode::kAuto && n >= kKvRadixSortMinEntries);
-  std::vector<KvSortEntry> entries(n);
+  entries->resize(n);
   if (radix) {
-    RadixSortEntries(buf, indices->data(), &entries, executor);
+    RadixSortEntries(buf, indices.data(), entries, executor);
   } else {
     for (size_t k = 0; k < n; ++k) {
-      entries[k].index = (*indices)[k];
-      entries[k].prefix = buf.prefix(entries[k].index);
+      (*entries)[k].index = indices[k];
+      (*entries)[k].prefix = buf.prefix(indices[k]);
     }
-    std::sort(entries.begin(), entries.end(), KvEntryLess{&buf});
+    std::sort(entries->begin(), entries->end(), KvEntryLess{&buf});
   }
-  for (size_t k = 0; k < n; ++k) {
-    (*indices)[k] = entries[k].index;
-  }
+  for (size_t k = 0; k < n; ++k) indices[k] = (*entries)[k].index;
+}
+
+}  // namespace
+
+void SortSliceIndices(const FlatKvBuffer& buf, std::span<uint32_t> indices,
+                      std::vector<KvSortEntry>* scratch) {
+  std::vector<KvSortEntry> entries;
+  SortSliceEntries(buf, indices, KvSortMode::kAuto, nullptr,
+                   scratch != nullptr ? scratch : &entries);
+}
+
+void SortSliceIndicesWith(const FlatKvBuffer& buf,
+                          std::span<uint32_t> indices, KvSortMode mode,
+                          exec::TaskExecutor* executor) {
+  std::vector<KvSortEntry> entries;
+  SortSliceEntries(buf, indices, mode, executor, &entries);
 }
 
 FlatKvBuffer FlatKvBuffer::SortedCopy() const {
@@ -270,6 +281,15 @@ size_t FlatKvBuffer::data_bytes() const {
   return total;
 }
 
+size_t FlatKvBuffer::data_bytes(size_t begin, size_t end) const {
+  if (begin == 0 && end == slices_.size()) return data_bytes();
+  size_t total = 0;
+  for (size_t i = begin; i < end; ++i) {
+    total += slices_[i].key_len + slices_[i].value_len;
+  }
+  return total;
+}
+
 void FlatKvBuffer::Clear() {
   chunks_.clear();
   slices_.clear();
@@ -279,15 +299,11 @@ void FlatKvBuffer::Clear() {
 std::vector<KeyValue> FlatKvBuffer::ToKeyValues() const {
   std::vector<KeyValue> out;
   out.reserve(size());
-  AppendToKeyValues(&out);
-  return out;
-}
-
-void FlatKvBuffer::AppendToKeyValues(std::vector<KeyValue>* out) const {
   for (size_t i = 0; i < size(); ++i) {
-    out->emplace_back(std::string(key(i)), std::string(value(i)),
-                      logical_bytes(i));
+    out.emplace_back(std::string(key(i)), std::string(value(i)),
+                     logical_bytes(i));
   }
+  return out;
 }
 
 FlatKvBuffer FlatKvBuffer::FromKeyValues(std::span<const KeyValue> kvs) {
@@ -309,16 +325,28 @@ int64_t FlatKvBuffer::HostBytes() const {
 
 namespace {
 
+/// Length of the common prefix of `a` and `b`.
+size_t CommonPrefixLength(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
 /// Loser tree over flat run heads — the MergeSortedRuns kernel operating
-/// on slices. Each run's current head caches its normalized key prefix,
-/// so a match is usually one uint64 compare; full bytes are only read on
-/// prefix ties.
+/// on slices. Each run's current head caches the normalized prefix of its
+/// key past the `skip_` bytes all keys share, in one dense array, so a
+/// match is usually one uint64 compare; a prefix tie compares the head's
+/// cached key and value bytes without going back through the buffer.
 class FlatLoserTree {
  public:
-  explicit FlatLoserTree(std::span<const FlatKvBuffer* const> runs)
-      : runs_(runs), pos_(runs.size(), 0), head_prefix_(runs.size(), 0) {
+  explicit FlatLoserTree(std::span<const KvRange> runs)
+      : runs_(runs),
+        skip_(SharedKeyPrefix(runs)),
+        prefixes_(runs.size(), 0),
+        heads_(runs.size()) {
     for (size_t r = 0; r < runs_.size(); ++r) {
-      if (!runs_[r]->empty()) head_prefix_[r] = runs_[r]->prefix(0);
+      if (!runs_[r].empty()) Load(r);
     }
     size_ = 1;
     while (size_ < runs_.size()) size_ <<= 1;
@@ -326,7 +354,7 @@ class FlatLoserTree {
     std::vector<size_t> winner(2 * size_, kSentinel);
     for (size_t i = 0; i < size_; ++i) {
       winner[size_ + i] =
-          (i < runs_.size() && !runs_[i]->empty()) ? i : kSentinel;
+          (i < runs_.size() && !runs_[i].empty()) ? i : kSentinel;
     }
     for (size_t n = size_ - 1; n >= 1; --n) {
       const size_t a = winner[2 * n];
@@ -348,11 +376,13 @@ class FlatLoserTree {
   /// Appends the smallest head to `out` and advances its run.
   void PopInto(FlatKvBuffer* out) {
     const size_t run = tree_[0];
-    out->AppendFrom(*runs_[run], pos_[run]);
-    ++pos_[run];
+    const KvRange& range = runs_[run];
+    Head& head = heads_[run];
+    out->Append(head.key, head.value, range.logical_bytes(head.pos));
+    ++head.pos;
     size_t winner = kSentinel;
-    if (pos_[run] < runs_[run]->size()) {
-      head_prefix_[run] = runs_[run]->prefix(pos_[run]);
+    if (head.pos < range.size()) {
+      Load(run);
       winner = run;
     }
     for (size_t n = (size_ + run) / 2; n >= 1; n /= 2) {
@@ -364,46 +394,94 @@ class FlatLoserTree {
  private:
   static constexpr size_t kSentinel = static_cast<size_t>(-1);
 
+  struct Head {
+    std::string_view key;
+    std::string_view value;
+    size_t pos = 0;  // Position in the run.
+  };
+
+  /// Caches run `run`'s pair at its head position. Every key is at least
+  /// `skip_` bytes long (it starts with the shared prefix), so the cut is
+  /// always in range.
+  void Load(size_t run) {
+    Head& head = heads_[run];
+    head.key = runs_[run].key(head.pos);
+    head.value = runs_[run].value(head.pos);
+    prefixes_[run] = FlatKvBuffer::NormalizedPrefix(head.key.substr(skip_));
+  }
+
   /// True when run `a`'s head wins (strictly smaller (key, value), or
   /// equal with the lower run index — the stability tie-break).
   bool Beats(size_t a, size_t b) const {
     if (a == kSentinel) return false;
     if (b == kSentinel) return true;
-    if (head_prefix_[a] != head_prefix_[b]) {
-      return head_prefix_[a] < head_prefix_[b];
-    }
-    const int c = runs_[a]->Compare(pos_[a], *runs_[b], pos_[b]);
+    if (prefixes_[a] != prefixes_[b]) return prefixes_[a] < prefixes_[b];
+    const Head& ha = heads_[a];
+    const Head& hb = heads_[b];
+    int c = CompareBytes(ha.key, hb.key);
+    if (c == 0) c = CompareBytes(ha.value, hb.value);
     if (c != 0) return c < 0;
     return a < b;
   }
 
-  std::span<const FlatKvBuffer* const> runs_;
-  std::vector<size_t> pos_;           // Head index per run.
-  std::vector<uint64_t> head_prefix_; // Normalized prefix of each head.
-  std::vector<size_t> tree_;          // [0] = winner; [1..) = losers.
-  size_t size_ = 1;                   // Leaf count (power of two).
+  std::span<const KvRange> runs_;
+  size_t skip_ = 0;                 // Key bytes every run shares.
+  std::vector<uint64_t> prefixes_;  // Per run: head key prefix past skip_.
+  std::vector<Head> heads_;         // Per run: head pair and position.
+  std::vector<size_t> tree_;        // [0] = winner; [1..) = losers.
+  size_t size_ = 1;                 // Leaf count (power of two).
 };
 
 }  // namespace
 
-FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs) {
+size_t KvRange::data_bytes() const {
+  if (indices_ == nullptr) return buf_->data_bytes(begin_, begin_ + count_);
+  size_t total = 0;
+  for (size_t k = 0; k < count_; ++k) {
+    total += key(k).size() + value(k).size();
+  }
+  return total;
+}
+
+size_t SharedKeyPrefix(std::span<const KvRange> runs) {
+  std::string_view anchor;  // The first non-empty run's first key.
+  bool any = false;
+  size_t shared = 0;
+  for (const KvRange& run : runs) {
+    if (run.empty()) continue;
+    const std::string_view first = run.key(0);
+    if (!any) {
+      any = true;
+      anchor = first;
+      shared = first.size();
+    }
+    const std::string_view last = run.key(run.size() - 1);
+    shared = std::min({shared, CommonPrefixLength(first, last),
+                       CommonPrefixLength(first, anchor)});
+  }
+  return shared;
+}
+
+FlatKvBuffer MergeFlatRuns(std::span<const KvRange> runs) {
   size_t total = 0;
   size_t total_bytes = 0;
   size_t non_empty = 0;
-  const FlatKvBuffer* last = nullptr;
-  for (const FlatKvBuffer* run : runs) {
-    total += run->size();
-    total_bytes += run->data_bytes();
-    if (!run->empty()) {
+  const KvRange* last = nullptr;
+  for (const KvRange& run : runs) {
+    total += run.size();
+    total_bytes += run.data_bytes();
+    if (!run.empty()) {
       ++non_empty;
-      last = run;
+      last = &run;
     }
   }
   FlatKvBuffer merged;
   merged.Reserve(total, total_bytes);
   if (non_empty == 0) return merged;
   if (non_empty == 1) {  // Single run: a straight byte copy, no compares.
-    for (size_t i = 0; i < last->size(); ++i) merged.AppendFrom(*last, i);
+    for (size_t k = 0; k < last->size(); ++k) {
+      merged.AppendFrom(last->buffer(), last->Index(k));
+    }
     return merged;
   }
   FlatLoserTree tree(runs);

@@ -51,8 +51,8 @@ struct KvSortEntry {
 /// Flat, arena-backed KV storage: key/value bytes live contiguously in
 /// chunked slabs, pairs are described by KvSlice views. This is the
 /// intermediate-pair representation of the execution engine — map output,
-/// partition buckets, shuffle runs, merged reduce input, and cache
-/// payloads — replacing std::vector<KeyValue> and its two heap strings
+/// shuffle runs, merged reduce input, reduce output, and cache payloads —
+/// replacing std::vector<KeyValue> and its two heap strings
 /// per pair.
 ///
 /// Mutation model: append-only while building, then published immutably
@@ -102,6 +102,8 @@ class FlatKvBuffer {
   /// Key+value bytes held: the sum of every pair's key and value lengths,
   /// i.e. what a copy of this buffer reserves.
   size_t data_bytes() const;
+  /// data_bytes() of pairs [begin, end) only.
+  size_t data_bytes(size_t begin, size_t end) const;
 
   /// The pair's 8-byte big-endian normalized key prefix (see KvSortEntry).
   uint64_t prefix(size_t i) const { return NormalizedPrefix(key(i)); }
@@ -134,9 +136,6 @@ class FlatKvBuffer {
                     logical_bytes(i));
   }
   std::vector<KeyValue> ToKeyValues() const;
-  /// Does not reserve: a caller filling one vector from many buffers
-  /// reserves the total once (per-call reserves regrow it quadratically).
-  void AppendToKeyValues(std::vector<KeyValue>* out) const;
   static FlatKvBuffer FromKeyValues(std::span<const KeyValue> kvs);
 
   /// Normalized prefix of an arbitrary key (exposed for sort entries built
@@ -185,7 +184,8 @@ class FlatKvBuffer {
 
 /// Sorts `indices` (pairs of `buf`) by (key, value), equal pairs staying
 /// in index order — SortedOrder() restricted to a subset. Used by the map
-/// path to order one partition's pairs without touching the others.
+/// path to order one partition's slice of its index array without
+/// touching the others.
 ///
 /// Adaptive: large runs go through an LSD radix sort over the 16-byte sort
 /// entries (8 histogram+scatter passes on the normalized prefix, then a
@@ -193,7 +193,11 @@ class FlatKvBuffer {
 /// sort, whose constant factor wins below ~1k entries. Both paths order by
 /// the same strict total order (prefix, key bytes, value bytes, index), so
 /// the output permutation is identical whichever path runs.
-void SortSliceIndices(const FlatKvBuffer& buf, std::vector<uint32_t>* indices);
+///
+/// A non-null `scratch` holds the sort entries (contents overwritten), so
+/// a caller sorting many slices in a row allocates them once.
+void SortSliceIndices(const FlatKvBuffer& buf, std::span<uint32_t> indices,
+                      std::vector<KvSortEntry>* scratch = nullptr);
 
 /// Forced sort strategy for SortSliceIndicesWith. kAuto is what
 /// SortSliceIndices uses: radix at >= kKvRadixSortMinEntries, comparison
@@ -209,7 +213,7 @@ inline constexpr size_t kKvRadixSortMinEntries = 1024;
 /// order) — the scatter passes stay sequential. The executor never changes
 /// the output permutation, only wall-clock.
 void SortSliceIndicesWith(const FlatKvBuffer& buf,
-                          std::vector<uint32_t>* indices, KvSortMode mode,
+                          std::span<uint32_t> indices, KvSortMode mode,
                           exec::TaskExecutor* executor = nullptr);
 
 /// A lightweight view of a key group inside a FlatKvBuffer: either a
@@ -234,6 +238,8 @@ class KvRange {
   size_t Index(size_t k) const {
     return indices_ == nullptr ? begin_ + k : indices_[k];
   }
+  /// Key+value bytes of the viewed pairs (what a copy of them reserves).
+  size_t data_bytes() const;
 
  private:
   const FlatKvBuffer* buf_;
@@ -243,12 +249,25 @@ class KvRange {
 };
 
 /// K-way merge of sorted flat runs into one sorted flat buffer — the
-/// loser-tree kernel of MergeSortedRuns ported to slices, with the run
-/// heads' normalized key prefixes cached so most matches are decided by
-/// one integer compare. Ties (equal key and value) are emitted in run
-/// order, then within-run order: the merge is stable with respect to the
-/// concatenation order of `runs`, keeping reduce groups deterministic.
-FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs);
+/// loser-tree kernel of MergeSortedRuns ported to slices. A run is any
+/// KvRange: a partition's slice of a map output, or a whole buffer. Ties
+/// (equal key and value) are emitted in run order, then within-run order:
+/// the merge is stable with respect to the concatenation order of `runs`,
+/// keeping reduce groups deterministic.
+///
+/// Each run head caches the normalized prefix of its key *after* the
+/// bytes every key of every run shares (SharedKeyPrefix), so keys such as
+/// "client-<n>" are told apart by one integer compare instead of tying on
+/// "client-". Prefix ties still fall back to the full (key, value)
+/// compare, so the order is exact.
+FlatKvBuffer MergeFlatRuns(std::span<const KvRange> runs);
+
+/// Length of the key prefix shared by every pair of every run: the
+/// minimum, over non-empty runs, of the common prefix of the run's first
+/// and last key and of its first key with the first run's first key.
+/// Exact for sorted runs — any key between a run's first and last key
+/// starts with their common prefix — and 0 when no run has a pair.
+size_t SharedKeyPrefix(std::span<const KvRange> runs);
 
 /// Reusable scratch that materializes flat pairs as KeyValue strings for
 /// the user-facing Reduce interface. String capacity is recycled across

@@ -162,14 +162,14 @@ TEST_P(FlatVsStringFuzzTest, MergeOutputIdentical) {
   }
   std::vector<FlatKvBuffer> flat_runs;
   std::vector<std::span<const KeyValue>> string_views;
-  std::vector<const FlatKvBuffer*> flat_views;
+  std::vector<KvRange> flat_views;
   for (std::vector<KeyValue>& run : string_runs) {
     SortByKey(&run);
     flat_runs.push_back(FlatKvBuffer::FromKeyValues(run));
   }
   for (size_t r = 0; r < num_runs; ++r) {
     string_views.emplace_back(string_runs[r]);
-    flat_views.push_back(&flat_runs[r]);
+    flat_views.emplace_back(flat_runs[r], 0, flat_runs[r].size());
   }
   const std::vector<KeyValue> string_merged = MergeSortedRuns(string_views);
   const FlatKvBuffer flat_merged = MergeFlatRuns(flat_views);

@@ -1,6 +1,10 @@
 // Additional JobRunner edge cases: partition filters, placement hints,
 // page-cache read dedup, reducer-only jobs, and empty inputs.
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -41,7 +45,7 @@ TEST_F(EdgeTest, JobWithNoInputsCompletesEmpty) {
   spec.config.num_reducers = 2;
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(result.output.empty());
+  EXPECT_TRUE(result.MergedOutput().empty());
   EXPECT_GT(result.Elapsed(), 0.0) << "startup + empty reducers still cost";
 }
 
@@ -60,7 +64,7 @@ TEST_F(EdgeTest, EmptyInputSliceYieldsNoMaps) {
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.counters.Get(counter::kMapTasks), 0);
-  EXPECT_TRUE(result.output.empty());
+  EXPECT_TRUE(result.MergedOutput().empty());
 }
 
 TEST_F(EdgeTest, ActivePartitionsFilterReduces) {
@@ -84,8 +88,9 @@ TEST_F(EdgeTest, ActivePartitionsFilterReduces) {
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.counters.Get(counter::kReduceTasks), 1);
-  ASSERT_FALSE(result.output.empty());
-  for (const KeyValue& kv : result.output) {
+  const std::vector<KeyValue> output = result.MergedOutput();
+  ASSERT_FALSE(output.empty());
+  for (const KeyValue& kv : output) {
     EXPECT_EQ(partitioner.Partition(kv.key, 4), 1)
         << kv.key << " does not belong to the active partition";
   }
@@ -159,35 +164,111 @@ TEST_F(EdgeTest, PreferredNodeHintIsHonored) {
   EXPECT_EQ(result.task_reports[0].node, 3);
 }
 
-TEST_F(EdgeTest, OutputConcatenatedInPartitionOrder) {
-  std::vector<Record> records;
-  for (int i = 0; i < 30; ++i) {
-    records.emplace_back(i, "key-" + std::to_string(i), "1", 64);
+// Emits two pairs per key group, against (key, value) order and with
+// distinct logical sizes: (key, "z<sum>") first, then (key, "a<sum>").
+class TwoPairReducer : public Reducer {
+ public:
+  void Reduce(const std::string& key, std::span<const KeyValue> values,
+              ReduceContext* context) const override {
+    int64_t total = 0;
+    for (const KeyValue& v : values) total += std::stoll(v.value);
+    context->Emit(key, "z" + std::to_string(total), 40);
+    context->Emit(key, "a" + std::to_string(total), 24);
   }
-  ASSERT_TRUE(cluster_.dfs().CreateFile("in", records, 0, 30).ok());
+};
+
+JobSpec TwoPairJob(int32_t num_reducers) {
   JobSpec spec;
   spec.config.mapper = std::make_shared<const IdentityMapper>();
-  spec.config.reducer = std::make_shared<const SumReducer>();
-  spec.config.num_reducers = 3;
+  spec.config.reducer = std::make_shared<const TwoPairReducer>();
+  spec.config.num_reducers = num_reducers;
   MapInput input;
   input.file_name = "in";
   spec.map_inputs.push_back(input);
+  return spec;
+}
+
+std::vector<Record> KeyRecords(int n) {
+  std::vector<Record> records;
+  for (int i = 0; i < n; ++i) {
+    records.emplace_back(i, "key-" + std::to_string(i), "1", 64);
+  }
+  return records;
+}
+
+TEST_F(EdgeTest, MergedOutputIsSortedAcrossPartitions) {
+  ASSERT_TRUE(cluster_.dfs().CreateFile("in", KeyRecords(30), 0, 30).ok());
+  JobResult result = runner_.Run(TwoPairJob(3));
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_EQ(result.partition_outputs.size(), 3u);
+
+  // Each partition is one sorted run, but keys interleave across them:
+  // concatenating the runs in partition order is not sorted.
+  std::vector<KeyValue> concatenated;
+  for (const auto& run : result.partition_outputs) {
+    ASSERT_FALSE(run->empty());
+    EXPECT_TRUE(run->IsSorted());
+    for (const KeyValue& kv : run->ToKeyValues()) concatenated.push_back(kv);
+  }
+  EXPECT_FALSE(IsSortedByKey(concatenated));
+
+  // What the concatenated output plus SortByKey gave: every pair the
+  // reducer emitted, sorted by (key, value) — logical sizes included.
+  std::vector<KeyValue> want;
+  for (int i = 0; i < 30; ++i) {
+    want.emplace_back("key-" + std::to_string(i), "z1", 40);
+    want.emplace_back("key-" + std::to_string(i), "a1", 24);
+  }
+  SortByKey(&want);
+  EXPECT_EQ(result.MergedOutput(), want);
+}
+
+TEST_F(EdgeTest, PartFileKeepsPartitionAndEmissionOrder) {
+  constexpr int kKeys = 100;
+  constexpr int32_t kReducers = 3;
+  ASSERT_TRUE(
+      cluster_.dfs().CreateFile("in", KeyRecords(kKeys), 0, kKeys).ok());
+  JobSpec spec = TwoPairJob(kReducers);
+  spec.output_prefix = "out";
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
 
+  // The part file holds the partitions in order, each key group's pairs
+  // in the order the reducer emitted them (unsorted "z" before "a").
   HashPartitioner partitioner;
-  int32_t last_partition = 0;
-  std::string last_key_in_partition;
-  for (const KeyValue& kv : result.output) {
-    const int32_t p = partitioner.Partition(kv.key, 3);
-    ASSERT_GE(p, last_partition) << "partitions must appear in order";
-    if (p != last_partition) {
-      last_partition = p;
-      last_key_in_partition.clear();
+  std::vector<std::vector<std::string>> keys(kReducers);
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "key-" + std::to_string(i);
+    keys[static_cast<size_t>(partitioner.Partition(key, kReducers))]
+        .push_back(key);
+  }
+  std::vector<Record> want;
+  for (std::vector<std::string>& partition : keys) {
+    std::sort(partition.begin(), partition.end());
+    for (const std::string& key : partition) {
+      want.emplace_back(0, key, "z1", 40);
+      want.emplace_back(0, key, "a1", 24);
     }
-    EXPECT_GE(kv.key, last_key_in_partition)
-        << "keys sorted within a partition";
-    last_key_in_partition = kv.key;
+  }
+  auto file = cluster_.dfs().GetFile("out/part-all");
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ((*file)->rows(), want);
+
+  // Same records in the same order: the blocks split where a file of
+  // those records splits, on the same replica nodes, as drawn by a DFS
+  // that saw the same file creations.
+  Cluster reference(4, MakeConfig());
+  ASSERT_TRUE(
+      reference.dfs().CreateFile("in", KeyRecords(kKeys), 0, kKeys).ok());
+  ASSERT_TRUE(reference.dfs().CreateFile("out/part-all", want, 0, 0).ok());
+  const DfsFile* expected = *reference.dfs().GetFile("out/part-all");
+  const std::vector<Block>& blocks = (*file)->blocks;
+  ASSERT_GE(blocks.size(), 2u);
+  ASSERT_EQ(blocks.size(), expected->blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    EXPECT_EQ(blocks[b].record_begin, expected->blocks[b].record_begin);
+    EXPECT_EQ(blocks[b].record_end, expected->blocks[b].record_end);
+    EXPECT_EQ(blocks[b].replicas, expected->blocks[b].replicas);
   }
 }
 
@@ -206,7 +287,7 @@ TEST_F(EdgeTest, RunnerIsReusableAcrossJobs) {
   JobResult second = runner_.Run(spec);
   ASSERT_TRUE(first.status.ok());
   ASSERT_TRUE(second.status.ok());
-  EXPECT_EQ(first.output.size(), second.output.size());
+  EXPECT_EQ(first.MergedOutput().size(), second.MergedOutput().size());
   EXPECT_GT(second.submitted_at, first.finished_at - 1e-9)
       << "the simulated clock moves forward across jobs";
   // Durations are identical: same work, warm state does not leak between
@@ -240,10 +321,12 @@ TEST_F(EdgeTest, CombinerCollapsesShuffleWithoutChangingResults) {
   ASSERT_TRUE(combined.status.ok());
 
   // Identical results.
-  ASSERT_EQ(plain.output.size(), combined.output.size());
-  for (size_t i = 0; i < plain.output.size(); ++i) {
-    EXPECT_EQ(plain.output[i].key, combined.output[i].key);
-    EXPECT_EQ(plain.output[i].value, combined.output[i].value);
+  const std::vector<KeyValue> plain_output = plain.MergedOutput();
+  const std::vector<KeyValue> combined_output = combined.MergedOutput();
+  ASSERT_EQ(plain_output.size(), combined_output.size());
+  for (size_t i = 0; i < plain_output.size(); ++i) {
+    EXPECT_EQ(plain_output[i].key, combined_output[i].key);
+    EXPECT_EQ(plain_output[i].value, combined_output[i].value);
   }
   // Far fewer shuffled bytes: per map task at most 3 pairs survive.
   const int64_t plain_shuffle =
@@ -327,7 +410,7 @@ SideInputRun RunWithSideInputs(std::shared_ptr<const FlatKvBuffer> first,
   JobResult result = runner.Run(spec);
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   SideInputRun run;
-  run.output = result.output;
+  run.output = result.MergedOutput();
   for (const MaterializedCache& cache : result.caches) {
     run.caches.emplace_back(cache.name, cache.payload->ToKeyValues());
   }

@@ -14,6 +14,13 @@
 namespace redoop {
 namespace {
 
+/// Whole-buffer merge runs.
+std::vector<KvRange> Whole(std::initializer_list<const FlatKvBuffer*> bufs) {
+  std::vector<KvRange> runs;
+  for (const FlatKvBuffer* buf : bufs) runs.emplace_back(*buf, 0, buf->size());
+  return runs;
+}
+
 TEST(FlatKvBufferTest, AppendAndRead) {
   FlatKvBuffer buf;
   buf.Append("alpha", "1", 14);
@@ -190,8 +197,7 @@ TEST(MergeFlatRunsTest, MergesSortedRunsStably) {
   b.Append("b", "2", 8);
   b.Append("c", "runA", 8);  // Equal (key, value) as run a's pair.
   FlatKvBuffer c;  // Empty run.
-  const std::vector<const FlatKvBuffer*> runs = {&a, &b, &c};
-  FlatKvBuffer merged = MergeFlatRuns(runs);
+  FlatKvBuffer merged = MergeFlatRuns(Whole({&a, &b, &c}));
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_TRUE(merged.IsSorted());
   EXPECT_EQ(merged.key(0), "a");
@@ -203,26 +209,22 @@ TEST(MergeFlatRunsTest, MergesSortedRunsStably) {
 TEST(MergeFlatRunsTest, SingleAndEmptyRuns) {
   FlatKvBuffer only;
   only.Append("x", "1", 8);
-  const std::vector<const FlatKvBuffer*> single = {&only};
-  EXPECT_EQ(MergeFlatRuns(single).size(), 1u);
-  const std::vector<const FlatKvBuffer*> none = {};
-  EXPECT_TRUE(MergeFlatRuns(none).empty());
+  EXPECT_EQ(MergeFlatRuns(Whole({&only})).size(), 1u);
+  EXPECT_TRUE(MergeFlatRuns(Whole({})).empty());
 }
 
 TEST(MergeFlatRunsTest, ResultHoldsOneExactChunk) {
   const FlatKvBuffer a = DescendingPairs(9000).SortedCopy();
   const FlatKvBuffer b = DescendingPairs(7000).SortedCopy();
   const FlatKvBuffer empty;
-  const std::vector<const FlatKvBuffer*> runs = {&a, &empty, &b};
-  const FlatKvBuffer merged = MergeFlatRuns(runs);
+  const FlatKvBuffer merged = MergeFlatRuns(Whole({&a, &empty, &b}));
   ASSERT_EQ(merged.size(), a.size() + b.size());
   EXPECT_TRUE(merged.IsSorted());
   const size_t bytes = a.data_bytes() + b.data_bytes();
   EXPECT_EQ(merged.HostBytes(), SliceIndexBytes(merged.size()) +
                                     static_cast<int64_t>(bytes));
   // The single-run fast path copies into the same exact reservation.
-  const std::vector<const FlatKvBuffer*> single = {&empty, &a};
-  EXPECT_EQ(MergeFlatRuns(single).HostBytes(),
+  EXPECT_EQ(MergeFlatRuns(Whole({&empty, &a})).HostBytes(),
             SliceIndexBytes(a.size()) + static_cast<int64_t>(a.data_bytes()));
 }
 
@@ -265,7 +267,7 @@ TEST(SortSliceIndicesTest, SortsSubsetOnly) {
   buf.Append("a", "1", 8);
   buf.Append("b", "1", 8);
   std::vector<uint32_t> idx = {0, 2};  // "c", "b" — skip "a".
-  SortSliceIndices(buf, &idx);
+  SortSliceIndices(buf, idx);
   EXPECT_EQ(idx, (std::vector<uint32_t>{2, 0}));
 }
 

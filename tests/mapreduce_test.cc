@@ -164,7 +164,7 @@ TEST_F(JobRunnerTest, WordCountIsExact) {
   WriteInput("in", {"a b a", "c b a", "c c c c"});
   JobResult result = runner_.Run(WordCountSpec("in"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  const auto counts = AsMap(result.output);
+  const auto counts = AsMap(result.MergedOutput());
   EXPECT_EQ(counts.at("a"), "3");
   EXPECT_EQ(counts.at("b"), "2");
   EXPECT_EQ(counts.at("c"), "5");
@@ -185,7 +185,7 @@ TEST_F(JobRunnerTest, RecordRangeSelectsSlice) {
   spec.map_inputs[0].record_end = 3;
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  const auto counts = AsMap(result.output);
+  const auto counts = AsMap(result.MergedOutput());
   EXPECT_EQ(counts.size(), 2u);
   EXPECT_TRUE(counts.count("b"));
   EXPECT_TRUE(counts.count("c"));
@@ -200,7 +200,7 @@ TEST_F(JobRunnerTest, MultipleInputsConcatenate) {
   spec.map_inputs.push_back(second);
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(AsMap(result.output).at("x"), "2");
+  EXPECT_EQ(AsMap(result.MergedOutput()).at("x"), "2");
 }
 
 TEST_F(JobRunnerTest, PerSourceMapperOverride) {
@@ -230,9 +230,10 @@ TEST_F(JobRunnerTest, PerSourceMapperOverride) {
 
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  ASSERT_EQ(result.output.size(), 2u);
-  EXPECT_EQ(result.output[0].value, "L");
-  EXPECT_EQ(result.output[1].value, "R");
+  const std::vector<KeyValue> output = result.MergedOutput();
+  ASSERT_EQ(output.size(), 2u);
+  EXPECT_EQ(output[0].value, "L");
+  EXPECT_EQ(output[1].value, "R");
 }
 
 TEST_F(JobRunnerTest, SideInputsFeedReducers) {
@@ -254,7 +255,7 @@ TEST_F(JobRunnerTest, SideInputsFeedReducers) {
 
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(AsMap(result.output).at("word"), "6") << "1 mapped + 5 cached";
+  EXPECT_EQ(AsMap(result.MergedOutput()).at("word"), "6") << "1 mapped + 5 cached";
 }
 
 TEST_F(JobRunnerTest, ReduceInputCachingMaterializesPerPane) {
@@ -430,7 +431,7 @@ TEST_F(JobRunnerTest, ExplicitReduceTasksJoinSideInputsOnly) {
 
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.output.size(), 3u);
+  EXPECT_EQ(result.MergedOutput().size(), 3u);
   ASSERT_EQ(result.caches.size(), 1u);
   EXPECT_EQ(result.caches[0].name, "pairout");
   EXPECT_EQ(result.caches[0].pane, 3);
@@ -499,7 +500,7 @@ TEST_F(JobRunnerTest, NodeFailureMidJobTriggersReexecution) {
   cluster_.simulator().Schedule(2.5, [this] { cluster_.FailNode(1); });
   JobResult result = runner_.Run(spec);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  const auto counts = AsMap(result.output);
+  const auto counts = AsMap(result.MergedOutput());
   EXPECT_EQ(counts.at("alpha"), "60");
   EXPECT_EQ(counts.at("beta"), "60");
   EXPECT_GT(result.counters.Get(counter::kMapTaskRetries) +
@@ -515,7 +516,7 @@ TEST_F(JobRunnerTest, JobSurvivesFailureOfMultipleNodes) {
   cluster_.simulator().Schedule(3.5, [this] { cluster_.FailNode(2); });
   JobResult result = runner_.Run(WordCountSpec("big"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(AsMap(result.output).at("w"), "40");
+  EXPECT_EQ(AsMap(result.MergedOutput()).at("w"), "40");
 }
 
 TEST_F(JobRunnerTest, DiskFullHandlerInvoked) {

@@ -206,7 +206,7 @@ JobFingerprint RunStragglerJob(int32_t threads) {
   JobResult result = runner.Run(MakeStragglerJob(&cluster));
   EXPECT_TRUE(result.status.ok());
   JobFingerprint fp;
-  fp.output = result.output;
+  fp.output = result.MergedOutput();
   fp.counters = result.counters.ToString();
   fp.elapsed = result.Elapsed();
   fp.journal_jsonl = obs.journal().ToJsonl();
@@ -254,7 +254,7 @@ JobFingerprint RunWithMidJobNodeDeath(int32_t threads) {
   JobResult result = runner.Run(spec);
   EXPECT_TRUE(result.status.ok());
   JobFingerprint fp;
-  fp.output = result.output;
+  fp.output = result.MergedOutput();
   fp.counters = result.counters.ToString();
   fp.elapsed = result.Elapsed();
   fp.journal_jsonl = obs.journal().ToJsonl();

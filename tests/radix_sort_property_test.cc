@@ -40,14 +40,14 @@ void ExpectAllModesMatchReference(const FlatKvBuffer& buf) {
        {KvSortMode::kAuto, KvSortMode::kComparison, KvSortMode::kRadix}) {
     std::vector<uint32_t> got(buf.size());
     std::iota(got.begin(), got.end(), 0u);
-    SortSliceIndicesWith(buf, &got, mode);
+    SortSliceIndicesWith(buf, got, mode);
     EXPECT_EQ(got, want) << "mode=" << static_cast<int>(mode);
   }
   for (const int32_t threads : {1, 2, 8}) {
     exec::TaskExecutor executor(threads);
     std::vector<uint32_t> got(buf.size());
     std::iota(got.begin(), got.end(), 0u);
-    SortSliceIndicesWith(buf, &got, KvSortMode::kRadix, &executor);
+    SortSliceIndicesWith(buf, got, KvSortMode::kRadix, &executor);
     EXPECT_EQ(got, want) << "threads=" << threads;
   }
 }
@@ -111,7 +111,7 @@ TEST(RadixSortPropertyTest, DuplicatePairsKeepIndexOrder) {
   // downstream byte-identity (merge, grouping, pane layout) rests on.
   std::vector<uint32_t> got(buf.size());
   std::iota(got.begin(), got.end(), 0u);
-  SortSliceIndicesWith(buf, &got, KvSortMode::kRadix);
+  SortSliceIndicesWith(buf, got, KvSortMode::kRadix);
   uint32_t prev_dup = 0;
   bool first = true;
   for (const uint32_t i : got) {
@@ -177,7 +177,7 @@ TEST(RadixSortPropertyTest, LargeParallelHistogramPath) {
     exec::TaskExecutor executor(threads);
     std::vector<uint32_t> got(buf.size());
     std::iota(got.begin(), got.end(), 0u);
-    SortSliceIndicesWith(buf, &got, KvSortMode::kRadix, &executor);
+    SortSliceIndicesWith(buf, got, KvSortMode::kRadix, &executor);
     EXPECT_EQ(got, want) << "threads=" << threads;
   }
 }

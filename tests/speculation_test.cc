@@ -66,9 +66,11 @@ TEST(StragglerTest, StragglersSlowTheJobDown) {
 
   EXPECT_GT(slow.Elapsed(), 2.0 * fast.Elapsed());
   // Results identical regardless of timing.
-  ASSERT_EQ(fast.output.size(), slow.output.size());
-  for (size_t i = 0; i < fast.output.size(); ++i) {
-    EXPECT_EQ(fast.output[i], slow.output[i]);
+  const std::vector<KeyValue> fast_output = fast.MergedOutput();
+  const std::vector<KeyValue> slow_output = slow.MergedOutput();
+  ASSERT_EQ(fast_output.size(), slow_output.size());
+  for (size_t i = 0; i < fast_output.size(); ++i) {
+    EXPECT_EQ(fast_output[i], slow_output[i]);
   }
 }
 
@@ -97,9 +99,11 @@ TEST(SpeculationTest, BackupsRescueStragglers) {
   EXPECT_LT(with.Elapsed(), without.Elapsed())
       << "speculation should beat a straggler-ridden run";
   // Same results either way.
-  ASSERT_EQ(with.output.size(), without.output.size());
-  for (size_t i = 0; i < with.output.size(); ++i) {
-    EXPECT_EQ(with.output[i], without.output[i]);
+  const std::vector<KeyValue> with_output = with.MergedOutput();
+  const std::vector<KeyValue> without_output = without.MergedOutput();
+  ASSERT_EQ(with_output.size(), without_output.size());
+  for (size_t i = 0; i < with_output.size(); ++i) {
+    EXPECT_EQ(with_output[i], without_output[i]);
   }
   // No leaked slots: everything returned after the job.
   EXPECT_EQ(spec_cluster.TotalFreeMapSlots(), TotalMapSlots(spec_cluster));
@@ -135,7 +139,7 @@ TEST(SpeculationTest, SurvivesNodeFailureMidSpeculation) {
   cluster.simulator().Schedule(4.0, [&cluster] { cluster.FailNode(1); });
   JobResult result = runner.Run(MakeJob(&cluster, "in"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.output.size(), 5u) << "5 distinct keys";
+  EXPECT_EQ(result.MergedOutput().size(), 5u) << "5 distinct keys";
   // Slot accounting is intact on every surviving node.
   for (int32_t n = 0; n < cluster.num_nodes(); ++n) {
     if (!cluster.node(n).alive()) continue;

@@ -14,6 +14,9 @@
 //       Structured regression report between two runs' metric documents
 //       (BENCH JSON, metric snapshots, or analyze --json reports).
 //
+// --tolerance is a plain fraction (0.10, not "10%") and --straggler-k a
+// number > 0; a malformed value is a usage error naming the flag.
+//
 // Exit codes: 0 success (diff: no regressions), 1 diff found regressions,
 // 2 usage error, 3 input could not be loaded.
 
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "obs/analysis/analysis.h"
 #include "obs/analysis/run_diff.h"
 #include "obs/event_journal.h"
@@ -71,20 +75,18 @@ bool ParseArgs(int argc, char** argv, AnalyzeArgs* args) {
   }
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string value;
     if (arg == "--json") {
       args->json = true;
     } else if (arg == "--per-query") {
       args->analysis.group_by_query = true;
-    } else if (arg.rfind("--straggler-k=", 0) == 0) {
-      args->analysis.straggler_k = std::atof(arg.c_str() + 14);
-      if (args->analysis.straggler_k <= 0.0) {
-        std::fprintf(stderr, "--straggler-k must be positive\n");
+    } else if (ParseFlag(arg, "straggler-k", &value)) {
+      if (!ParseDoubleFlag("straggler-k", value, 0.0,
+                           &args->analysis.straggler_k, /*exclusive=*/true)) {
         return false;
       }
-    } else if (arg.rfind("--tolerance=", 0) == 0) {
-      args->diff.tolerance = std::atof(arg.c_str() + 12);
-      if (args->diff.tolerance < 0.0) {
-        std::fprintf(stderr, "--tolerance must be nonnegative\n");
+    } else if (ParseFlag(arg, "tolerance", &value)) {
+      if (!ParseDoubleFlag("tolerance", value, 0.0, &args->diff.tolerance)) {
         return false;
       }
     } else if (arg.rfind("--", 0) == 0) {

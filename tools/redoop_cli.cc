@@ -17,17 +17,15 @@
 // are passed straight into the cluster Config (cost model, DFS, node
 // knobs; see CostModelOptions/DfsOptions/NodeOptions::FromConfig).
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "baseline/hadoop_driver.h"
+#include "cli_flags.h"
 #include "mapreduce/trace.h"
 #include "common/math_utils.h"
 #include "common/string_utils.h"
@@ -102,48 +100,6 @@ void PrintUsage() {
       "exit codes: 0 ok, 1 bad flags/geometry, 2 unknown system,\n"
       "            3 result mismatch, 4 unwritable output path,\n"
       "            5 driver rejected the configuration\n");
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-/// Parses --`flag`'s value as a whole decimal integer >= `min` that fits
-/// `Int`. Anything else names the flag on stderr and returns false.
-template <typename Int>
-bool ParseIntFlag(const char* flag, const std::string& text, int64_t min,
-                  Int* out) {
-  int64_t value = 0;
-  if (!ParseInt64(text, &value) || value < min ||
-      static_cast<uint64_t>(value) >
-          static_cast<uint64_t>(std::numeric_limits<Int>::max())) {
-    std::fprintf(stderr, "--%s wants an integer >= %ld, got '%s'\n", flag,
-                 min, text.c_str());
-    return false;
-  }
-  *out = static_cast<Int>(value);
-  return true;
-}
-
-/// Parses --`flag`'s value as a finite decimal number >= `min`; anything
-/// else names the flag on stderr and returns false.
-bool ParseDoubleFlag(const char* flag, const std::string& text, double min,
-                     double* out) {
-  const char* end = text.data() + text.size();
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end ||
-      !std::isfinite(value) || value < min) {
-    std::fprintf(stderr, "--%s wants a number >= %g, got '%s'\n", flag, min,
-                 text.c_str());
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options) {

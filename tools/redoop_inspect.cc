@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/string_utils.h"
 #include "obs/analysis/analysis.h"
 #include "obs/event_journal.h"
@@ -93,27 +94,18 @@ bool ParseArgs(int argc, char** argv, InspectArgs* args) {
   args->analysis.group_by_query = true;  // The tool's whole point.
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string value;
     if (arg == "--json") {
       args->json = true;
     } else if (arg.rfind("--by=", 0) == 0) {
       args->top.by = arg.substr(5);
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      const long limit = std::atol(arg.c_str() + 8);
-      if (limit <= 0) {
-        std::fprintf(stderr, "--limit must be positive\n");
-        return false;
-      }
-      args->top.limit = static_cast<size_t>(limit);
-    } else if (arg.rfind("--window=", 0) == 0) {
-      args->window = std::atol(arg.c_str() + 9);
-      if (args->window < 0) {
-        std::fprintf(stderr, "--window must be non-negative\n");
-        return false;
-      }
-    } else if (arg.rfind("--straggler-k=", 0) == 0) {
-      args->analysis.straggler_k = std::atof(arg.c_str() + 14);
-      if (args->analysis.straggler_k <= 0.0) {
-        std::fprintf(stderr, "--straggler-k must be positive\n");
+    } else if (ParseFlag(arg, "limit", &value)) {
+      if (!ParseIntFlag("limit", value, 1, &args->top.limit)) return false;
+    } else if (ParseFlag(arg, "window", &value)) {
+      if (!ParseIntFlag("window", value, 0, &args->window)) return false;
+    } else if (ParseFlag(arg, "straggler-k", &value)) {
+      if (!ParseDoubleFlag("straggler-k", value, 0.0,
+                           &args->analysis.straggler_k, /*exclusive=*/true)) {
         return false;
       }
     } else if (arg.rfind("--", 0) == 0) {
