@@ -208,11 +208,6 @@ class Fnv1aPartitioner : public Partitioner {
 /// Combiner work of the string baseline: (key, group size).
 class CountCombiner : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
-    context->Emit(key, std::to_string(values.size()), 24);
-  }
-  bool PrefersFlatInput() const override { return true; }
   void ReduceFlat(std::string_view key, const KvRange& values,
                   ReduceContext* context) const override {
     char count[24];

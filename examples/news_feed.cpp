@@ -6,7 +6,8 @@
 // incrementally from its pane caches.
 
 #include <cstdio>
-#include <span>
+#include <string>
+#include <string_view>
 
 #include "core/redoop_driver.h"
 #include "queries/aggregation_query.h"
@@ -21,11 +22,11 @@ namespace {
 // cross a tier boundary, so the per-window deltas stay sparse.
 class ActivityTierFinalizer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     AggregateValue total;
-    for (const KeyValue& kv : values) {
-      total.Merge(AggregateValue::Parse(kv.value));
+    for (size_t i = 0; i < values.size(); ++i) {
+      total.Merge(AggregateValue::Parse(values.value(i)));
     }
     context->Emit(key, "tier-" + std::to_string(total.count / 40));
   }

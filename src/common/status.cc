@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include "common/logging.h"
+
 namespace redoop {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -36,6 +38,11 @@ std::string Status::ToString() const {
     result += message_;
   }
   return result;
+}
+
+void AbortOnMissingValue(const Status& status) {
+  REDOOP_LOG_FATAL << "StatusOr::value() without a value: "
+                   << status.ToString();
 }
 
 }  // namespace redoop

@@ -91,6 +91,9 @@ class Status {
   std::string message_;
 };
 
+/// Logs `status` as fatal: StatusOr::value() was called on an error.
+[[noreturn]] void AbortOnMissingValue(const Status& status);
+
 /// Either a value of type T or an error Status. A default-constructed
 /// StatusOr holds an Internal error.
 template <typename T>
@@ -105,11 +108,19 @@ class StatusOr {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// Requires ok(). Accessing the value of a non-OK StatusOr is a
-  /// programming error.
-  const T& value() const& { return *value_; }
-  T& value() & { return *value_; }
-  T&& value() && { return *std::move(value_); }
+  /// Requires ok(): the value of a non-OK StatusOr aborts with its status.
+  const T& value() const& {
+    CheckHasValue();
+    return *value_;
+  }
+  T& value() & {
+    CheckHasValue();
+    return *value_;
+  }
+  T&& value() && {
+    CheckHasValue();
+    return *std::move(value_);
+  }
 
   const T& operator*() const& { return *value_; }
   T& operator*() & { return *value_; }
@@ -117,6 +128,10 @@ class StatusOr {
   T* operator->() { return &*value_; }
 
  private:
+  void CheckHasValue() const {
+    if (!value_.has_value()) AbortOnMissingValue(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

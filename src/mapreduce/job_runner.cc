@@ -693,23 +693,14 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
         std::make_shared<const FlatKvBuffer>(MergeFlatRuns(runs));
     const FlatKvBuffer& input = *merged;
     // Grouping + user reduce calls: each key group is a zero-copy view
-    // into the merged flat input. Reducers that opt into the flat surface
-    // never see a per-pair string; the classic interface gets its groups
-    // materialized into reusable scratch.
+    // into the merged flat input.
     ReduceContext context;
-    KvGroupScratch group_scratch;
-    const bool flat_reduce = reducer->PrefersFlatInput();
     size_t i = 0;
     while (i < input.size()) {
       const std::string_view group_key = input.key(i);
       size_t j = i;
       while (j < input.size() && input.key(j) == group_key) ++j;
-      if (flat_reduce) {
-        reducer->ReduceFlat(group_key, KvRange(input, i, j), &context);
-      } else {
-        reducer->Reduce(group_scratch.KeyFor(group_key),
-                        group_scratch.Fill(KvRange(input, i, j)), &context);
-      }
+      reducer->ReduceFlat(group_key, KvRange(input, i, j), &context);
       i = j;
     }
     // The result is one sorted run per partition; a reducer that emitted

@@ -489,19 +489,4 @@ FlatKvBuffer MergeFlatRuns(std::span<const KvRange> runs) {
   return merged;
 }
 
-KeyValue& KvGroupScratch::Slot(size_t k) {
-  if (k >= storage_.size()) storage_.resize(k + 1);
-  return storage_[k];
-}
-
-std::span<const KeyValue> KvGroupScratch::Fill(const KvRange& range) {
-  for (size_t k = 0; k < range.size(); ++k) {
-    KeyValue& kv = Slot(k);
-    kv.key.assign(range.key(k));
-    kv.value.assign(range.value(k));
-    kv.logical_bytes = range.logical_bytes(k);
-  }
-  return {storage_.data(), range.size()};
-}
-
 }  // namespace redoop

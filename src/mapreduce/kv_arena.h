@@ -129,12 +129,8 @@ class FlatKvBuffer {
 
   void Clear();
 
-  /// Materialization to the string representation (job results, the
-  /// user-facing Reduce adapter, tests).
-  KeyValue Get(size_t i) const {
-    return KeyValue(std::string(key(i)), std::string(value(i)),
-                    logical_bytes(i));
-  }
+  /// Conversion to and from the string representation (window outputs,
+  /// the Reducer::Reduce adapter, tests).
   std::vector<KeyValue> ToKeyValues() const;
   static FlatKvBuffer FromKeyValues(std::span<const KeyValue> kvs);
 
@@ -268,29 +264,6 @@ FlatKvBuffer MergeFlatRuns(std::span<const KvRange> runs);
 /// Exact for sorted runs — any key between a run's first and last key
 /// starts with their common prefix — and 0 when no run has a pair.
 size_t SharedKeyPrefix(std::span<const KvRange> runs);
-
-/// Reusable scratch that materializes flat pairs as KeyValue strings for
-/// the user-facing Reduce interface. String capacity is recycled across
-/// Fill calls, so steady-state grouping does one assign per pair instead
-/// of two heap allocations.
-class KvGroupScratch {
- public:
-  /// Views the group as a KeyValue span (valid until the next Fill or
-  /// destruction).
-  std::span<const KeyValue> Fill(const KvRange& range);
-
-  /// Reusable key string for the Reduce(const std::string&, ...) call.
-  const std::string& KeyFor(std::string_view key) {
-    key_.assign(key);
-    return key_;
-  }
-
- private:
-  KeyValue& Slot(size_t k);
-
-  std::vector<KeyValue> storage_;
-  std::string key_;
-};
 
 }  // namespace redoop
 

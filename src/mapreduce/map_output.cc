@@ -99,8 +99,6 @@ void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
     }
   }
   ReduceContext combine_out;
-  KvGroupScratch scratch;
-  const bool flat_combine = combiner->PrefersFlatInput();
   std::vector<Member> sorted;
   std::vector<uint32_t> members;
   for (const Group& g : groups) {
@@ -117,13 +115,8 @@ void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
               });
     members.clear();
     for (const Member& m : sorted) members.push_back(m.index);
-    const std::string_view key = flat.key(members.front());
-    if (flat_combine) {
-      combiner->ReduceFlat(key, KvRange(flat, members), &combine_out);
-    } else {
-      combiner->Reduce(scratch.KeyFor(key),
-                       scratch.Fill(KvRange(flat, members)), &combine_out);
-    }
+    combiner->ReduceFlat(flat.key(members.front()), KvRange(flat, members),
+                         &combine_out);
   }
   // One sorted pass over the (combined, smaller) output.
   const FlatKvBuffer& combined = combine_out.flat();

@@ -48,53 +48,41 @@ class ReduceContext {
 
 /// User reduce function: consumes one key group (all shuffled values for a
 /// key, in deterministic sorted order) and emits zero or more output pairs.
-/// The group is a view into the merged reduce input (or the map-side
-/// combine groups); it is only valid for the duration of the call.
-/// Implementations must be stateless.
+/// The group is a KvRange view into the merged reduce input (or a
+/// map-side combine group); it and its string_views are only valid for
+/// the duration of the call. Implementations must be stateless.
 ///
-/// Two input surfaces exist:
-///   - Reduce(key, span<const KeyValue>, ...) — the classic string
-///     interface every existing reducer implements. The engine
-///     materializes each group's strings into reusable scratch before the
-///     call, so user code sees exactly what it always saw.
-///   - ReduceFlat(key, KvRange, ...) — opt-in zero-materialization path
-///     over the flat buffer. A reducer that overrides it and returns true
-///     from PrefersFlatInput() skips per-pair string construction
-///     entirely. Both paths must emit identical bytes.
+/// ReduceFlat is the one function a reducer implements and the only one
+/// the engine calls. Reduce is an adapter for callers that hold string
+/// pairs: it copies the group into a flat buffer once and forwards.
 class Reducer {
  public:
   virtual ~Reducer() = default;
+
+  virtual void ReduceFlat(std::string_view key, const KvRange& values,
+                          ReduceContext* context) const = 0;
+
+  /// String adapter over ReduceFlat. Virtual only because recbench's
+  /// TracedReducer overrides it and recbench's reference calls it; the
+  /// recbench port to the flat API (ROADMAP item 3, step 1) deletes it.
   virtual void Reduce(const std::string& key,
                       std::span<const KeyValue> values,
-                      ReduceContext* context) const = 0;
-
-  /// True to have the engine call ReduceFlat instead of materializing
-  /// the group for Reduce.
-  virtual bool PrefersFlatInput() const { return false; }
-
-  /// Flat twin of Reduce. The default adapter materializes and forwards,
-  /// so calling ReduceFlat is always safe; override together with
-  /// PrefersFlatInput() to skip the materialization.
-  virtual void ReduceFlat(std::string_view key, const KvRange& values,
-                          ReduceContext* context) const {
-    KvGroupScratch scratch;
-    Reduce(std::string(key), scratch.Fill(values), context);
+                      ReduceContext* context) const {
+    const FlatKvBuffer group = FlatKvBuffer::FromKeyValues(values);
+    ReduceFlat(key, KvRange(group, 0, group.size()), context);
   }
+
+  /// Unread by the engine, which always calls ReduceFlat. Kept only
+  /// because recbench's TracedReducer overrides it; the recbench port
+  /// (ROADMAP item 3, step 1) deletes it.
+  virtual bool PrefersFlatInput() const { return true; }
 };
 
 /// Null reducer: consumes everything, emits nothing. Used by Redoop's
 /// pane-caching pass, whose only purpose is materializing the shuffled,
-/// sorted reducer inputs as caches — with the flat path it never touches
-/// a single pair.
+/// sorted reducer inputs as caches — it never touches a single pair.
 class NullReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
-    (void)key;
-    (void)values;
-    (void)context;
-  }
-  bool PrefersFlatInput() const override { return true; }
   void ReduceFlat(std::string_view key, const KvRange& values,
                   ReduceContext* context) const override {
     (void)key;
@@ -106,13 +94,6 @@ class NullReducer : public Reducer {
 /// Identity reducer: re-emits every value under its key.
 class IdentityReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
-    for (const KeyValue& v : values) {
-      context->Emit(key, v.value, v.logical_bytes);
-    }
-  }
-  bool PrefersFlatInput() const override { return true; }
   void ReduceFlat(std::string_view key, const KvRange& values,
                   ReduceContext* context) const override {
     for (size_t i = 0; i < values.size(); ++i) {
@@ -132,13 +113,13 @@ class ComposedReducer : public Reducer {
                   std::shared_ptr<const Reducer> second)
       : first_(std::move(first)), second_(std::move(second)) {}
 
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     ReduceContext intermediate;
-    first_->Reduce(key, values, &intermediate);
-    if (intermediate.flat().empty()) return;
-    const std::vector<KeyValue> staged = intermediate.output();
-    second_->Reduce(key, staged, context);
+    first_->ReduceFlat(key, values, &intermediate);
+    const FlatKvBuffer& staged = intermediate.flat();
+    if (staged.empty()) return;
+    second_->ReduceFlat(key, KvRange(staged, 0, staged.size()), context);
   }
 
  private:

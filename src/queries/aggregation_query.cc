@@ -54,14 +54,15 @@ AggregateValue AggregateValue::Parse(std::string_view s) {
   return v;
 }
 
-std::string AggregateValue::Serialize() const {
-  std::string out;
-  for (const int64_t v : {count, sum, max}) {
-    char digits[20];  // "-9223372036854775808" is the longest int64.
-    if (!out.empty()) out += ':';
-    out.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
-  }
-  return out;
+std::string_view AggregateValue::SerializeTo(
+    char (&buf)[kMaxSerializedSize]) const {
+  return CharWriter(buf)
+      .AppendInt(count)
+      .Append(":")
+      .AppendInt(sum)
+      .Append(":")
+      .AppendInt(max)
+      .view();
 }
 
 void AggregateValue::Merge(const AggregateValue& other) {
@@ -97,17 +98,19 @@ void AggregationMapper::Map(const Record& record,
   // final aggregates are small.
   const int32_t projected_bytes =
       std::max<int32_t>(32, record.logical_bytes / 4);
-  context->Emit(record.key, v.Serialize(), projected_bytes);
+  char buf[AggregateValue::kMaxSerializedSize];
+  context->Emit(record.key, v.SerializeTo(buf), projected_bytes);
 }
 
-void AggregationReducer::Reduce(const std::string& key,
-                                std::span<const KeyValue> values,
-                                ReduceContext* context) const {
+void AggregationReducer::ReduceFlat(std::string_view key,
+                                    const KvRange& values,
+                                    ReduceContext* context) const {
   AggregateValue total;
-  for (const KeyValue& kv : values) {
-    total.Merge(AggregateValue::Parse(kv.value));
+  for (size_t i = 0; i < values.size(); ++i) {
+    total.Merge(AggregateValue::Parse(values.value(i)));
   }
-  context->Emit(key, total.Serialize());
+  char buf[AggregateValue::kMaxSerializedSize];
+  context->Emit(key, total.SerializeTo(buf));
 }
 
 RecurringQuery MakeAggregationQuery(QueryId id, const std::string& name,

@@ -1,8 +1,8 @@
 #ifndef REDOOP_QUERIES_AGGREGATION_QUERY_H_
 #define REDOOP_QUERIES_AGGREGATION_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -20,10 +20,19 @@ struct AggregateValue {
   int64_t sum = 0;
   int64_t max = 0;
 
+  /// Longest wire value: three "-9223372036854775808" and two ':'.
+  static constexpr size_t kMaxSerializedSize = 3 * 20 + 2;
+
   /// Reads "count:sum:max" exactly as sscanf("%ld:%ld:%ld") does; a value
   /// that is not three integers aborts ("malformed aggregate value").
   static AggregateValue Parse(std::string_view s);
-  std::string Serialize() const;
+  /// Writes "count:sum:max" (what printf("%ld:%ld:%ld") writes) into
+  /// `buf` and returns a view of it, valid while `buf` is.
+  std::string_view SerializeTo(char (&buf)[kMaxSerializedSize]) const;
+  std::string Serialize() const {
+    char buf[kMaxSerializedSize];
+    return std::string(SerializeTo(buf));
+  }
   void Merge(const AggregateValue& other);
 };
 
@@ -40,8 +49,8 @@ class AggregationMapper : public Mapper {
 /// reducer and as the window finalizer.
 class AggregationReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override;
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override;
 };
 
 /// Builds the paper's recurring aggregation query (Fig. 6 workload):

@@ -9,14 +9,23 @@ namespace redoop {
 
 namespace {
 /// Splits a "a|b|c" partial into its elements (empty string -> none).
-void AddElements(const std::string& serialized, std::set<std::string>* out) {
+void AddElements(std::string_view serialized, std::set<std::string>* out) {
   size_t start = 0;
   while (start < serialized.size()) {
     size_t end = serialized.find('|', start);
-    if (end == std::string::npos) end = serialized.size();
-    if (end > start) out->insert(serialized.substr(start, end - start));
+    if (end == std::string_view::npos) end = serialized.size();
+    if (end > start) out->emplace(serialized.substr(start, end - start));
     start = end + 1;
   }
+}
+
+/// The set of elements across every partial in `values`.
+std::set<std::string> ElementsOf(const KvRange& values) {
+  std::set<std::string> elements;
+  for (size_t i = 0; i < values.size(); ++i) {
+    AddElements(values.value(i), &elements);
+  }
+  return elements;
 }
 
 std::string SerializeElements(const std::set<std::string>& elements) {
@@ -40,27 +49,19 @@ void DistinctElementMapper::Map(const Record& record,
                 std::max<int32_t>(32, record.logical_bytes / 8));
 }
 
-void DistinctSetReducer::Reduce(const std::string& key,
-                                std::span<const KeyValue> values,
-                                ReduceContext* context) const {
-  std::set<std::string> elements;
-  for (const KeyValue& kv : values) {
-    AddElements(kv.value, &elements);
-  }
-  std::string serialized = SerializeElements(elements);
+void DistinctSetReducer::ReduceFlat(std::string_view key,
+                                    const KvRange& values,
+                                    ReduceContext* context) const {
+  const std::string serialized = SerializeElements(ElementsOf(values));
   const int32_t bytes =
       std::max<int32_t>(32, static_cast<int32_t>(serialized.size()) + 8);
-  context->Emit(key, std::move(serialized), bytes);
+  context->Emit(key, serialized, bytes);
 }
 
-void DistinctCountFinalizer::Reduce(const std::string& key,
-                                    std::span<const KeyValue> values,
-                                    ReduceContext* context) const {
-  std::set<std::string> elements;
-  for (const KeyValue& kv : values) {
-    AddElements(kv.value, &elements);
-  }
-  context->Emit(key, StringPrintf("%zu", elements.size()));
+void DistinctCountFinalizer::ReduceFlat(std::string_view key,
+                                        const KvRange& values,
+                                        ReduceContext* context) const {
+  context->Emit(key, StringPrintf("%zu", ElementsOf(values).size()));
 }
 
 RecurringQuery MakeDistinctCountQuery(QueryId id, const std::string& name,

@@ -2,8 +2,8 @@
 #define REDOOP_QUERIES_DISTINCT_COUNT_QUERY_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/recurring_query.h"
 
@@ -23,15 +23,15 @@ class DistinctElementMapper : public Mapper {
 /// carries the set, not a counter.)
 class DistinctSetReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override;
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override;
 };
 
 /// Finalizer: collapses the merged element set into its cardinality.
 class DistinctCountFinalizer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override;
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override;
 };
 
 /// Builds a recurring exact distinct-count query: every `slide` seconds,

@@ -1,6 +1,8 @@
 #include "queries/join_query.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
@@ -20,41 +22,36 @@ void JoinTaggingMapper::Map(const Record& record,
                 std::max<int32_t>(32, record.logical_bytes));
 }
 
-void EquiJoinReducer::Reduce(const std::string& key,
-                             std::span<const KeyValue> values,
-                             ReduceContext* context) const {
-  std::vector<const std::string*> left;
-  std::vector<const std::string*> right;
-  for (const KeyValue& kv : values) {
-    REDOOP_CHECK(kv.value.size() >= 2 && kv.value[1] == '|')
-        << "untagged join input: " << kv.value;
-    if (kv.value[0] == 'L') {
-      left.push_back(&kv.value);
-    } else if (kv.value[0] == 'R') {
-      right.push_back(&kv.value);
+void EquiJoinReducer::ReduceFlat(std::string_view key, const KvRange& values,
+                                 ReduceContext* context) const {
+  // Positions of each side's values within the group, in group order.
+  std::vector<size_t> left;
+  std::vector<size_t> right;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const std::string_view value = values.value(i);
+    REDOOP_CHECK(value.size() >= 2 && value[1] == '|')
+        << "untagged join input: " << value;
+    if (value[0] == 'L') {
+      left.push_back(i);
+    } else if (value[0] == 'R') {
+      right.push_back(i);
     } else {
-      REDOOP_LOG_FATAL << "unknown join tag in: " << kv.value;
+      REDOOP_LOG_FATAL << "unknown join tag in: " << value;
     }
   }
-  // Gather per-side logical sizes so the emitted pair's simulated size
-  // reflects the concatenated tuples, not just the short value strings.
-  std::vector<int32_t> left_bytes;
-  std::vector<int32_t> right_bytes;
-  for (const KeyValue& kv : values) {
-    (kv.value[0] == 'L' ? left_bytes : right_bytes)
-        .push_back(kv.logical_bytes);
-  }
-  for (size_t li = 0; li < left.size(); ++li) {
-    for (size_t ri = 0; ri < right.size(); ++ri) {
-      std::string joined;
-      joined.reserve(left[li]->size() + right[ri]->size());
-      joined.append(*left[li], 2, std::string::npos);
+  std::string joined;
+  for (const size_t l : left) {
+    const std::string_view left_payload = values.value(l).substr(2);
+    for (const size_t r : right) {
+      const std::string_view right_payload = values.value(r).substr(2);
+      joined.assign(left_payload);
       joined.push_back('&');
-      joined.append(*right[ri], 2, std::string::npos);
-      // The emitted pair keeps the join columns of both tuples (about half
-      // of each side's payload).
-      context->Emit(key, std::move(joined),
-                    (left_bytes[li] + right_bytes[ri]) / 2);
+      joined.append(right_payload);
+      // The emitted pair's simulated size reflects the concatenated
+      // tuples, not just the short value strings: it keeps the join
+      // columns of both (about half of each side's payload).
+      context->Emit(key, joined,
+                    (values.logical_bytes(l) + values.logical_bytes(r)) / 2);
     }
   }
 }

@@ -2,8 +2,8 @@
 #define REDOOP_QUERIES_JOIN_QUERY_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/recurring_query.h"
 
@@ -28,8 +28,8 @@ class JoinTaggingMapper : public Mapper {
 /// join), which is what Redoop's kPanePairJoin pattern requires.
 class EquiJoinReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override;
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override;
 };
 
 /// Builds the paper's recurring binary join query (Fig. 7 workload):

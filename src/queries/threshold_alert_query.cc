@@ -11,12 +11,12 @@ ThresholdAlertFinalizer::ThresholdAlertFinalizer(int64_t min_count)
   REDOOP_CHECK(min_count >= 0);
 }
 
-void ThresholdAlertFinalizer::Reduce(const std::string& key,
-                                     std::span<const KeyValue> values,
-                                     ReduceContext* context) const {
+void ThresholdAlertFinalizer::ReduceFlat(std::string_view key,
+                                         const KvRange& values,
+                                         ReduceContext* context) const {
   AggregateValue total;
-  for (const KeyValue& kv : values) {
-    total.Merge(AggregateValue::Parse(kv.value));
+  for (size_t i = 0; i < values.size(); ++i) {
+    total.Merge(AggregateValue::Parse(values.value(i)));
   }
   if (total.count <= min_count_) return;
   context->Emit(key, StringPrintf("ALERT count=%ld sum=%ld", total.count,

@@ -2,8 +2,8 @@
 #define REDOOP_QUERIES_THRESHOLD_ALERT_QUERY_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/recurring_query.h"
 
@@ -19,8 +19,8 @@ class ThresholdAlertFinalizer : public Reducer {
  public:
   explicit ThresholdAlertFinalizer(int64_t min_count);
 
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override;
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override;
 
  private:
   int64_t min_count_;

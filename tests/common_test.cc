@@ -68,6 +68,11 @@ TEST(StatusOrTest, HoldsError) {
   EXPECT_TRUE(v.status().IsNotFound());
 }
 
+TEST(StatusOrTest, ValueOfErrorAborts) {
+  StatusOr<int> v = Status::NotFound("gone");
+  EXPECT_DEATH(v.value(), "without a value: NotFound: gone");
+}
+
 TEST(StatusOrTest, MoveOnlyValue) {
   StatusOr<std::unique_ptr<int>> v = std::make_unique<int>(7);
   ASSERT_TRUE(v.ok());

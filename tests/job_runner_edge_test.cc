@@ -2,7 +2,9 @@
 // page-cache read dedup, reducer-only jobs, and empty inputs.
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,11 +18,27 @@ namespace {
 
 class SumReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     int64_t total = 0;
-    for (const KeyValue& v : values) total += std::stoll(v.value);
+    for (size_t i = 0; i < values.size(); ++i) {
+      total += std::stoll(std::string(values.value(i)));
+    }
     context->Emit(key, std::to_string(total), 8);
+  }
+};
+
+// SumReducer whose string Reduce fails the test: the engine must reach a
+// reducer, and a combiner, through ReduceFlat alone.
+class FlatOnlySumReducer : public Reducer {
+ public:
+  void Reduce(const std::string&, std::span<const KeyValue>,
+              ReduceContext*) const override {
+    ADD_FAILURE() << "the engine called the string Reduce";
+  }
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
+    SumReducer().ReduceFlat(key, values, context);
   }
 };
 
@@ -168,10 +186,12 @@ TEST_F(EdgeTest, PreferredNodeHintIsHonored) {
 // distinct logical sizes: (key, "z<sum>") first, then (key, "a<sum>").
 class TwoPairReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     int64_t total = 0;
-    for (const KeyValue& v : values) total += std::stoll(v.value);
+    for (size_t i = 0; i < values.size(); ++i) {
+      total += std::stoll(std::string(values.value(i)));
+    }
     context->Emit(key, "z" + std::to_string(total), 40);
     context->Emit(key, "a" + std::to_string(total), 24);
   }
@@ -340,6 +360,48 @@ TEST_F(EdgeTest, CombinerCollapsesShuffleWithoutChangingResults) {
   EXPECT_LT(combined.counters.Get(counter::kReduceInputRecords), 60);
 }
 
+TEST(ReducerEntryPointTest, EngineCallsOnlyReduceFlat) {
+  // 60 records of 512 bytes over 5 keys in 4 KiB blocks: several map
+  // tasks, each combining its split, and three reduce partitions.
+  std::vector<Record> records;
+  for (int i = 0; i < 60; ++i) {
+    records.emplace_back(i, "key-" + std::to_string(i % 5),
+                         std::to_string(i), 512);
+  }
+  // Key k sums k, k + 5, ..., k + 55.
+  const std::vector<KeyValue> want = {{"key-0", "330", 8},
+                                      {"key-1", "342", 8},
+                                      {"key-2", "354", 8},
+                                      {"key-3", "366", 8},
+                                      {"key-4", "378", 8}};
+  for (const int32_t threads : {1, 2}) {
+    Config config;
+    config.SetInt("dfs.block_size", 4096);
+    Cluster cluster(4, config);
+    DefaultScheduler scheduler;
+    JobRunnerOptions options;
+    options.threads = threads;
+    JobRunner runner(&cluster, &scheduler, options);
+    ASSERT_TRUE(cluster.dfs().CreateFile("in", records, 0, 60).ok());
+    JobSpec spec;
+    spec.config.mapper = std::make_shared<const IdentityMapper>();
+    spec.config.reducer = std::make_shared<const FlatOnlySumReducer>();
+    spec.config.combiner = spec.config.reducer;
+    spec.config.num_reducers = 3;
+    MapInput input;
+    input.file_name = "in";
+    spec.map_inputs.push_back(input);
+
+    const JobResult result = runner.Run(spec);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_GT(result.counters.Get(counter::kMapTasks), 1)
+        << "threads=" << threads;
+    EXPECT_LT(result.counters.Get(counter::kReduceInputRecords), 60)
+        << "the combiner ran; threads=" << threads;
+    EXPECT_EQ(result.MergedOutput(), want) << "threads=" << threads;
+  }
+}
+
 // A cached side input that arrives unsorted (a multi-emission reducer's
 // output cache fed back, say) is re-sorted inside the reduce payload
 // before the merge. The order-sensitive reducer below sees every value of
@@ -348,12 +410,12 @@ TEST_F(EdgeTest, CombinerCollapsesShuffleWithoutChangingResults) {
 // a two-thread pool.
 class ConcatReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     std::string joined;
-    for (const KeyValue& v : values) {
+    for (size_t i = 0; i < values.size(); ++i) {
       if (!joined.empty()) joined += '|';
-      joined += v.value;
+      joined += values.value(i);
     }
     context->Emit(key, joined, 8);
   }

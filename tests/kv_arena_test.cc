@@ -244,23 +244,6 @@ TEST(KvRangeTest, ContiguousAndIndexViews) {
   EXPECT_EQ(subset.value(1), "a");
 }
 
-TEST(KvGroupScratchTest, MaterializesAndRecyclesStorage) {
-  FlatKvBuffer buf;
-  buf.Append("key", "long-value-one", 8);
-  buf.Append("key", "two", 9);
-  KvGroupScratch scratch;
-  std::span<const KeyValue> group = scratch.Fill(KvRange(buf, 0, 2));
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0].value, "long-value-one");
-  EXPECT_EQ(group[1].logical_bytes, 9);
-  // Refill with a shorter group: contents replaced, size honored.
-  FlatKvBuffer other;
-  other.Append("x", "y", 4);
-  group = scratch.Fill(KvRange(other, 0, 1));
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0].key, "x");
-}
-
 TEST(SortSliceIndicesTest, SortsSubsetOnly) {
   FlatKvBuffer buf;
   buf.Append("c", "1", 8);

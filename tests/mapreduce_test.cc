@@ -107,10 +107,12 @@ class WordMapper : public Mapper {
 
 class CountReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     int64_t total = 0;
-    for (const KeyValue& v : values) total += std::stoll(v.value);
+    for (size_t i = 0; i < values.size(); ++i) {
+      total += std::stoll(std::string(values.value(i)));
+    }
     context->Emit(key, std::to_string(total), 16);
   }
 };

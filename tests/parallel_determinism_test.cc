@@ -159,8 +159,8 @@ TEST(ParallelDeterminismTest, AdaptivePartitioningIdenticalAtEveryThreadCount) {
 
 class CountReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     context->Emit(key, std::to_string(values.size()), 8);
   }
 };

@@ -1,17 +1,23 @@
 // Unit + property tests for the query library: the aggregation semigroup
 // (merge-of-partials == reduce-of-all, the invariant Redoop's per-pane
-// merging rests on) and the equi-join's pane-pair decomposability.
+// merging rests on), the equi-join's pane-pair decomposability, and known
+// answers for every shipped reducer's emitted bytes.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "queries/aggregation_query.h"
+#include "queries/distinct_count_query.h"
 #include "queries/join_query.h"
+#include "queries/threshold_alert_query.h"
 
 namespace redoop {
 namespace {
@@ -284,6 +290,214 @@ TEST_P(JoinDecomposabilityTest, UnionOfPanePairsEqualsWholeJoin) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinDecomposabilityTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// ------------------------ Reducer known answers -----------------------------
+//
+// Every shipped reducer's emitted bytes, pinned: seeded key groups are
+// reduced through ReduceFlat, as the engine hands them (slices of one flat
+// buffer), and the FNV-1a digest of the emitted (key, value, logical_bytes)
+// sequence must equal a constant recorded before the reducers moved from
+// the string Reduce to ReduceFlat. The string Reduce adapter must emit the
+// same sequence.
+
+struct Group {
+  std::string key;
+  std::vector<KeyValue> values;
+};
+
+/// FNV-1a over the emitted sequence, each field length-prefixed so that no
+/// two different sequences frame alike.
+uint64_t EmissionDigest(const FlatKvBuffer& out) {
+  std::string framed;
+  for (size_t i = 0; i < out.size(); ++i) {
+    framed += std::to_string(out.key(i).size()) + ":";
+    framed += out.key(i);
+    framed += std::to_string(out.value(i).size()) + ":";
+    framed += out.value(i);
+    framed += std::to_string(out.logical_bytes(i)) + ";";
+  }
+  return Fnv1a64(framed);
+}
+
+struct Emissions {
+  uint64_t flat_digest = 0;
+  uint64_t adapter_digest = 0;
+  size_t pairs = 0;
+};
+
+Emissions Reduced(const Reducer& reducer, const std::vector<Group>& groups) {
+  std::vector<KeyValue> all;
+  for (const Group& g : groups) {
+    all.insert(all.end(), g.values.begin(), g.values.end());
+  }
+  const FlatKvBuffer input = FlatKvBuffer::FromKeyValues(all);
+  ReduceContext flat;
+  size_t begin = 0;
+  for (const Group& g : groups) {
+    const size_t end = begin + g.values.size();
+    reducer.ReduceFlat(g.key, KvRange(input, begin, end), &flat);
+    begin = end;
+  }
+  ReduceContext adapter;
+  for (const Group& g : groups) reducer.Reduce(g.key, g.values, &adapter);
+  return {EmissionDigest(flat.flat()), EmissionDigest(adapter.flat()),
+          flat.flat().size()};
+}
+
+constexpr int kGroups = 40;
+constexpr int kMaxGroupValues = 8;
+
+int32_t LogicalBytes(Random* rng) {
+  return static_cast<int32_t>(rng->UniformInt(8, 4096));
+}
+
+/// A signed field of up to 19 digits, small enough that summing a group's
+/// fields cannot overflow.
+int64_t AggregateField(Random* rng) {
+  constexpr uint64_t kBound =
+      std::numeric_limits<int64_t>::max() / kMaxGroupValues;
+  const uint64_t magnitude =
+      (rng->NextUint64() >> rng->Uniform(64)) % (kBound + 1);
+  const auto v = static_cast<int64_t>(magnitude);
+  return rng->Bernoulli(0.5) ? -v : v;
+}
+
+/// Groups of 1..kMaxGroupValues "count:sum:max" partials.
+std::vector<Group> AggregateGroups(uint64_t seed) {
+  Random rng(seed);
+  std::vector<Group> groups;
+  for (int g = 0; g < kGroups; ++g) {
+    Group group{"key-" + std::to_string(g), {}};
+    const int n = 1 + static_cast<int>(rng.Uniform(kMaxGroupValues));
+    for (int i = 0; i < n; ++i) {
+      AggregateValue v;
+      v.count = AggregateField(&rng);
+      v.sum = AggregateField(&rng);
+      v.max = AggregateField(&rng);
+      group.values.emplace_back(group.key, v.Serialize(), LogicalBytes(&rng));
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+/// Groups of "a|b|c" element-set partials over a small element domain,
+/// empty partials and empty segments included; the first group holds
+/// only empty partials.
+std::vector<Group> DistinctGroups(uint64_t seed) {
+  Random rng(seed);
+  std::vector<Group> groups;
+  for (int g = 0; g < kGroups; ++g) {
+    Group group{"key-" + std::to_string(g), {}};
+    const int n = 1 + static_cast<int>(rng.Uniform(kMaxGroupValues));
+    for (int i = 0; i < n; ++i) {
+      std::string partial;
+      const int elements = g == 0 ? 0 : static_cast<int>(rng.Uniform(5));
+      for (int e = 0; e < elements; ++e) {
+        if (e > 0 || rng.Bernoulli(0.1)) partial += '|';
+        if (rng.Bernoulli(0.1)) partial += '|';
+        partial += "obj-" + std::to_string(rng.Uniform(12));
+      }
+      group.values.emplace_back(group.key, partial, LogicalBytes(&rng));
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+/// Groups of tagged join tuples, sides interleaved: the first group is
+/// left-only, the second right-only, the third 3 x 4; the rest draw 0..4
+/// tuples per side.
+std::vector<Group> JoinGroups(uint64_t seed) {
+  Random rng(seed);
+  std::vector<Group> groups;
+  for (int g = 0; g < kGroups; ++g) {
+    Group group{"cell-" + std::to_string(g), {}};
+    int lefts = static_cast<int>(rng.Uniform(5));
+    int rights = static_cast<int>(rng.Uniform(5));
+    if (g == 0) rights = 0;
+    if (g == 1) lefts = 0;
+    if (g == 2) {
+      lefts = 3;
+      rights = 4;
+    }
+    std::vector<std::string> tags(static_cast<size_t>(lefts), "L|");
+    tags.resize(static_cast<size_t>(lefts + rights), "R|");
+    rng.Shuffle(&tags);
+    for (const std::string& tag : tags) {
+      std::string payload;
+      const int len = static_cast<int>(rng.Uniform(24));
+      for (int c = 0; c < len; ++c) {
+        payload += static_cast<char>('a' + rng.Uniform(26));
+      }
+      group.values.emplace_back(group.key, tag + payload, LogicalBytes(&rng));
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+TEST(ReducerKnownAnswerTest, Aggregation) {
+  const std::vector<Group> groups = AggregateGroups(11);
+  const Emissions e = Reduced(AggregationReducer(), groups);
+  EXPECT_EQ(e.pairs, groups.size());
+  EXPECT_EQ(e.flat_digest, 0x4851b274d0ff2581ULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, ThresholdAlertDropsGroups) {
+  const std::vector<Group> groups = AggregateGroups(12);
+  const Emissions e = Reduced(ThresholdAlertFinalizer(0), groups);
+  EXPECT_GT(e.pairs, 0u);
+  EXPECT_LT(e.pairs, groups.size()) << "groups with count <= 0 are dropped";
+  EXPECT_EQ(e.flat_digest, 0x71be68784313556fULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, ComposedAggregationThenAlert) {
+  const std::vector<Group> groups = AggregateGroups(13);
+  const ComposedReducer composed(
+      std::make_shared<const AggregationReducer>(),
+      std::make_shared<const ThresholdAlertFinalizer>(0));
+  const Emissions e = Reduced(composed, groups);
+  EXPECT_GT(e.pairs, 0u);
+  EXPECT_LT(e.pairs, groups.size());
+  EXPECT_EQ(e.flat_digest, 0x883759a575bcae66ULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, DistinctSet) {
+  const std::vector<Group> groups = DistinctGroups(14);
+  const Emissions e = Reduced(DistinctSetReducer(), groups);
+  EXPECT_EQ(e.pairs, groups.size());
+  EXPECT_EQ(e.flat_digest, 0x468edd098894da6bULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, DistinctCountWithEmptyPartials) {
+  const std::vector<Group> groups = DistinctGroups(15);
+  const Emissions e = Reduced(DistinctCountFinalizer(), groups);
+  EXPECT_EQ(e.pairs, groups.size());
+  EXPECT_EQ(e.flat_digest, 0xb5916a21345cd502ULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, EquiJoinOneSidedAndManyByMany) {
+  const std::vector<Group> groups = JoinGroups(16);
+  const Emissions e = Reduced(EquiJoinReducer(), groups);
+  EXPECT_EQ(e.flat_digest, 0xa848a6ac487b0ad4ULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
+
+TEST(ReducerKnownAnswerTest, Identity) {
+  const std::vector<Group> groups = JoinGroups(17);
+  const Emissions e = Reduced(IdentityReducer(), groups);
+  size_t values = 0;
+  for (const Group& g : groups) values += g.values.size();
+  EXPECT_EQ(e.pairs, values);
+  EXPECT_EQ(e.flat_digest, 0xb32a2614365555caULL);
+  EXPECT_EQ(e.adapter_digest, e.flat_digest);
+}
 
 // ------------------------- Query factories ----------------------------------
 

@@ -198,14 +198,14 @@ TEST(SharedKeyPrefixTest, MinimumOverRunBoundsAndFirstKeys) {
 /// different member order shows in the bytes.
 class ConcatCombiner : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     std::string joined;
     int32_t bytes = 0;
-    for (const KeyValue& v : values) {
+    for (size_t i = 0; i < values.size(); ++i) {
       if (!joined.empty()) joined += '|';
-      joined += v.value;
-      bytes += v.logical_bytes;
+      joined += values.value(i);
+      bytes += values.logical_bytes(i);
     }
     context->Emit(key, joined, bytes);
   }

@@ -12,8 +12,8 @@ namespace {
 
 class CountReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, std::span<const KeyValue> values,
-              ReduceContext* context) const override {
+  void ReduceFlat(std::string_view key, const KvRange& values,
+                  ReduceContext* context) const override {
     context->Emit(key, std::to_string(values.size()), 8);
   }
 };
