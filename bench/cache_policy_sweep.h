@@ -43,7 +43,8 @@ struct CachePolicyScale {
   Timestamp batch_interval = kBatchInterval;
   int32_t reducers = kNumReducers;
   double rps_factor = 1.0;
-  /// Host worker threads (wall-clock only; metrics identical at any value).
+  /// Host worker threads for task payloads and feed generation
+  /// (wall-clock only; metrics identical at any value).
   int32_t threads = 1;
 };
 
@@ -75,7 +76,7 @@ inline Timestamp SweepSlide(const CachePolicyScale& s, double overlap) {
 
 inline std::unique_ptr<SyntheticFeed> SweepWccFeed(
     const CachePolicyScale& s) {
-  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval);
+  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval, s.threads);
   WccGeneratorOptions options;
   options.seed = 1998;
   options.record_logical_bytes = 2 * kBytesPerMB;
@@ -87,7 +88,7 @@ inline std::unique_ptr<SyntheticFeed> SweepWccFeed(
 
 inline std::unique_ptr<SyntheticFeed> SweepFfgFeed(
     const CachePolicyScale& s) {
-  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval);
+  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval, s.threads);
   FfgGeneratorOptions options;
   options.seed = 2013;
   options.grid_cells_x = 180;

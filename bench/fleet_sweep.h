@@ -54,7 +54,8 @@ struct FleetSweepScale {
   double rps = 1.0;
   int32_t record_bytes = 512 * 1024;
   int32_t reducers = 8;
-  /// Host worker threads (wall-clock only; metrics identical at any value).
+  /// Host worker threads for task payloads and feed generation
+  /// (wall-clock only; metrics identical at any value).
   int32_t threads = 1;
 };
 
@@ -139,7 +140,7 @@ class CountingFeed : public BatchFeed {
 };
 
 inline std::unique_ptr<SyntheticFeed> FleetFeed(const FleetSweepScale& s) {
-  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval);
+  auto feed = std::make_unique<SyntheticFeed>(s.batch_interval, s.threads);
   WccGeneratorOptions options;
   options.seed = 1998;
   options.record_logical_bytes = s.record_bytes;

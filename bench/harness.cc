@@ -27,8 +27,9 @@
 //                 for CI perf-smoke; full paper scale otherwise
 //   --out=FILE    write the BENCH JSON there (default BENCH_redoop.json)
 //   --only=SUBSTR run only suites whose name contains SUBSTR
-//   --threads=N   host worker threads for task payloads, N >= 1 (default
-//                 1; simulated metrics are identical at any setting)
+//   --threads=N   host worker threads for task payloads and feed
+//                 generation, N >= 1 (default 1; simulated metrics are
+//                 identical at any setting)
 //   --journal-out=FILE
 //                 dump the fig7 overlap_90 redoop run's journal (JSONL)
 //                 there; redoop_inspect reproduces the fig7 per_query
@@ -71,8 +72,9 @@
 namespace redoop::bench {
 namespace {
 
-/// Host worker threads for task payloads (--threads). Purely a wall-clock
-/// knob: every simulated metric is identical at any setting.
+/// Host worker threads for task payloads and feed generation (--threads).
+/// Purely a wall-clock knob: every simulated metric is identical at any
+/// setting.
 int32_t g_threads = 1;
 
 /// When non-empty, the fig7 overlap_90 redoop run dumps its journal here
@@ -135,7 +137,7 @@ std::shared_ptr<const RateProfile> MakeScaledRate(const Scale& scale,
 
 std::unique_ptr<SyntheticFeed> MakeScaledWccFeed(const Scale& scale,
                                                  const WorkloadSpec& w) {
-  auto feed = std::make_unique<SyntheticFeed>(scale.batch_interval);
+  auto feed = std::make_unique<SyntheticFeed>(scale.batch_interval, g_threads);
   WccGeneratorOptions options;
   options.seed = w.seed;
   options.record_logical_bytes = w.record_bytes;
@@ -146,7 +148,7 @@ std::unique_ptr<SyntheticFeed> MakeScaledWccFeed(const Scale& scale,
 
 std::unique_ptr<SyntheticFeed> MakeScaledFfgFeed(const Scale& scale,
                                                  const WorkloadSpec& w) {
-  auto feed = std::make_unique<SyntheticFeed>(scale.batch_interval);
+  auto feed = std::make_unique<SyntheticFeed>(scale.batch_interval, g_threads);
   FfgGeneratorOptions options;
   options.seed = w.seed;
   options.grid_cells_x = 180;

@@ -41,7 +41,14 @@ void TaskExecutor::Post(std::shared_ptr<internal::Ticket> ticket) {
     std::lock_guard<std::mutex> lock(deques_[target]->mu);
     deques_[target]->items.push_back(std::move(ticket));
   }
-  pending_.fetch_add(1, std::memory_order_release);
+  {
+    // Publish under idle_mu_: a worker that just found `pending_ == 0`
+    // holds idle_mu_ until its wait has started, so this raise lands
+    // either before its predicate check or after it sleeps, and the
+    // notify below cannot fall into the gap between the two.
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    pending_.fetch_add(1, std::memory_order_release);
+  }
   idle_cv_.notify_one();
 }
 

@@ -82,7 +82,7 @@ class TaskExecutor {
   int32_t thread_count() const { return static_cast<int32_t>(workers_.size()); }
 
   /// max(1, std::thread::hardware_concurrency()) — the `threads = 0` ("auto")
-  /// resolution shared by the CLI and JobRunner.
+  /// resolution shared by the CLI, JobRunner and SyntheticFeed.
   static int32_t DefaultThreadCount();
 
   /// Submits a nullary payload; returns a future for its result. Safe from

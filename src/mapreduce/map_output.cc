@@ -1,6 +1,7 @@
 #include "mapreduce/map_output.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <string_view>
 
@@ -45,31 +46,49 @@ bool MemberLess(const FlatKvBuffer& flat, const Member& a, const Member& b) {
   return a.index < b.index;
 }
 
+/// A combine group: the positions of one key's pairs, chained through
+/// CombineScratch::next in arrival order.
+struct Group {
+  uint64_t hash = 0;
+  uint32_t head = 0;  // First position in idx (defines the group key).
+  uint32_t tail = 0;
+};
+
+/// CombinePartition's working memory, reused across a map task's
+/// partitions: a partition allocates only when it outgrows the largest
+/// one before it.
+struct CombineScratch {
+  std::vector<uint32_t> table;  // slot -> group id
+  std::vector<Group> groups;
+  std::vector<uint32_t> next;   // Intrusive chain of each group's positions.
+  std::vector<Member> by_pos;
+  std::vector<Member> sorted;
+  std::vector<uint32_t> members;
+};
+
 /// Map-side combine over one partition's pairs (`idx`, in emission order)
 /// without sorting the raw pairs first: an open-addressing hash table
-/// groups equal keys, the combiner runs per group, and only the (smaller)
-/// combined output pays a sort before it is appended to `out`.
+/// groups equal keys and the combiner runs per group, appending to `out`
+/// in group order; the caller sorts only the (smaller) combined output.
 /// Determinism does not depend on the hash: groups are visited in
 /// first-occurrence order and each group's members are ordered by (value,
 /// emission index) — exactly the sequence a sort-then-scan combine would
 /// present.
 void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
-                      const Reducer* combiner, FlatKvBuffer* out) {
+                      const Reducer* combiner, CombineScratch* scratch,
+                      ReduceContext* out) {
   if (idx.empty()) return;
   // Table capacity: power of two, load factor <= 0.5.
   size_t cap = 16;
   while (cap < idx.size() * 2) cap <<= 1;
-  std::vector<uint32_t> table(cap, kNoSlot);  // slot -> group id
-  struct Group {
-    uint64_t hash = 0;
-    uint32_t head = 0;  // First position in idx (defines the group key).
-    uint32_t tail = 0;
-    uint32_t count = 0;
-  };
-  std::vector<Group> groups;
-  // Intrusive chain threading each group's positions, in arrival order.
-  std::vector<uint32_t> next(idx.size(), kNoSlot);
-  std::vector<Member> by_pos(idx.size());
+  std::vector<uint32_t>& table = scratch->table;
+  std::vector<Group>& groups = scratch->groups;
+  std::vector<uint32_t>& next = scratch->next;
+  std::vector<Member>& by_pos = scratch->by_pos;
+  table.assign(cap, kNoSlot);
+  groups.clear();
+  next.assign(idx.size(), kNoSlot);
+  by_pos.resize(idx.size());
   for (uint32_t pos = 0; pos < static_cast<uint32_t>(idx.size()); ++pos) {
     const std::string_view key = flat.key(idx[pos]);
     const std::string_view value = flat.value(idx[pos]);
@@ -84,7 +103,6 @@ void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
         Group g;
         g.hash = h;
         g.head = g.tail = pos;
-        g.count = 1;
         groups.push_back(g);
         break;
       }
@@ -92,15 +110,13 @@ void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
       if (g.hash == h && flat.key(idx[g.head]) == key) {
         next[g.tail] = pos;
         g.tail = pos;
-        ++g.count;
         break;
       }
       slot = (slot + 1) & (cap - 1);
     }
   }
-  ReduceContext combine_out;
-  std::vector<Member> sorted;
-  std::vector<uint32_t> members;
+  std::vector<Member>& sorted = scratch->sorted;
+  std::vector<uint32_t>& members = scratch->members;
   for (const Group& g : groups) {
     sorted.clear();
     for (uint32_t pos = g.head;; pos = next[pos]) {
@@ -116,11 +132,8 @@ void CombinePartition(const FlatKvBuffer& flat, std::span<const uint32_t> idx,
     members.clear();
     for (const Member& m : sorted) members.push_back(m.index);
     combiner->ReduceFlat(flat.key(members.front()), KvRange(flat, members),
-                         &combine_out);
+                         out);
   }
-  // One sorted pass over the (combined, smaller) output.
-  const FlatKvBuffer& combined = combine_out.flat();
-  for (const uint32_t i : combined.SortedOrder()) out->AppendFrom(combined, i);
 }
 
 }  // namespace
@@ -156,31 +169,40 @@ MapOutput BuildMapOutput(const FlatKvBuffer& emitted,
     order[out.partitions[pair_partition[i]].end++] = static_cast<uint32_t>(i);
   }
 
+  // The pairs the output is laid out from: the emitted ones, or with a
+  // combiner their combined groups.
+  const FlatKvBuffer* source = &emitted;
+  ReduceContext combined;
   if (combiner != nullptr) {
-    // Map-side combine: key groups collapse before the spill/shuffle, and
-    // every partition's index entry is re-pointed at its combined run.
+    // Map-side combine: key groups collapse before the spill/shuffle, each
+    // partition's groups appended to `combined` in partition order, and
+    // every index entry is re-pointed at its combined run.
+    CombineScratch scratch;
     for (MapOutput::Partition& part : out.partitions) {
       const std::span<const uint32_t> slice(order.data() + part.begin,
                                             part.end - part.begin);
-      const int64_t bytes_before = out.pairs.total_logical_bytes();
-      part.begin = static_cast<uint32_t>(out.pairs.size());
-      CombinePartition(emitted, slice, combiner, &out.pairs);
-      part.end = static_cast<uint32_t>(out.pairs.size());
-      part.logical_bytes = out.pairs.total_logical_bytes() - bytes_before;
+      const int64_t bytes_before = combined.flat().total_logical_bytes();
+      part.begin = static_cast<uint32_t>(combined.flat().size());
+      CombinePartition(emitted, slice, combiner, &scratch, &combined);
+      part.end = static_cast<uint32_t>(combined.flat().size());
+      part.logical_bytes = combined.flat().total_logical_bytes() - bytes_before;
     }
-    return out;
+    source = &combined.flat();
+    order.resize(source->size());
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    data_bytes = source->data_bytes();
   }
-  std::vector<KvSortEntry> scratch;
+  std::vector<KvSortEntry> sort_scratch;
   for (const MapOutput::Partition& part : out.partitions) {
     if (part.end - part.begin > 1) {
-      SortSliceIndices(emitted,
+      SortSliceIndices(*source,
                        std::span<uint32_t>(order.data() + part.begin,
                                            part.end - part.begin),
-                       &scratch);
+                       &sort_scratch);
     }
   }
   out.pairs.Reserve(order.size(), data_bytes);
-  for (const uint32_t i : order) out.pairs.AppendFrom(emitted, i);
+  for (const uint32_t i : order) out.pairs.AppendFrom(*source, i);
   return out;
 }
 

@@ -18,8 +18,8 @@ FfgGenerator::FfgGenerator(std::shared_ptr<const RateProfile> rate,
   REDOOP_CHECK(options_.grid_cells_x > 0 && options_.grid_cells_y > 0);
 }
 
-std::vector<Record> FfgGenerator::RecordsForSecond(SourceId source,
-                                                   Timestamp second) const {
+void FfgGenerator::RenderSecond(SourceId source, Timestamp second,
+                                RecordImage* image) const {
   Random rng(HashCombine(HashCombine(options_.seed, Mix64(
                  static_cast<uint64_t>(source))),
                          static_cast<uint64_t>(second)));
@@ -28,8 +28,6 @@ std::vector<Record> FfgGenerator::RecordsForSecond(SourceId source,
   int64_t count = static_cast<int64_t>(rps);
   if (rng.NextDouble() < rps - std::floor(rps)) ++count;
 
-  std::vector<Record> records;
-  records.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     const uint64_t sensor =
         rng.Uniform(static_cast<uint64_t>(options_.num_sensors));
@@ -49,27 +47,24 @@ std::vector<Record> FfgGenerator::RecordsForSecond(SourceId source,
     const double vx = rng.NextGaussian() * 3.0;
     const double vy = rng.NextGaussian() * 3.0;
     // "cell-%d-%d" and "s%d-%lu,%.1f,%.1f,%.2f,%.2f", rendered on the
-    // stack and assigned once.
+    // stack.
     char key[32];
     char value[128];
-    Record r;
-    r.timestamp = second;
-    r.key = CharWriter(key)
-                .Append("cell-").AppendInt(cell_x)
-                .Append("-").AppendInt(cell_y)
-                .view();
-    r.value = CharWriter(value)
-                  .Append("s").AppendInt(source)
-                  .Append("-").AppendInt(sensor)
-                  .Append(",").AppendFixed(x, 1)
-                  .Append(",").AppendFixed(y, 1)
-                  .Append(",").AppendFixed(vx, 2)
-                  .Append(",").AppendFixed(vy, 2)
-                  .view();
-    r.logical_bytes = options_.record_logical_bytes;
-    records.push_back(std::move(r));
+    image->Add(second,
+               CharWriter(key)
+                   .Append("cell-").AppendInt(cell_x)
+                   .Append("-").AppendInt(cell_y)
+                   .view(),
+               CharWriter(value)
+                   .Append("s").AppendInt(source)
+                   .Append("-").AppendInt(sensor)
+                   .Append(",").AppendFixed(x, 1)
+                   .Append(",").AppendFixed(y, 1)
+                   .Append(",").AppendFixed(vx, 2)
+                   .Append(",").AppendFixed(vy, 2)
+                   .view(),
+               options_.record_logical_bytes);
   }
-  return records;
 }
 
 }  // namespace redoop

@@ -28,8 +28,8 @@ class FfgGenerator : public RecordGenerator {
   FfgGenerator(std::shared_ptr<const RateProfile> rate,
                FfgGeneratorOptions options = {});
 
-  std::vector<Record> RecordsForSecond(SourceId source,
-                                       Timestamp second) const override;
+  void RenderSecond(SourceId source, Timestamp second,
+                    RecordImage* image) const override;
 
   const FfgGeneratorOptions& options() const { return options_; }
 

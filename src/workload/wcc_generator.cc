@@ -29,8 +29,8 @@ WccGenerator::WccGenerator(std::shared_ptr<const RateProfile> rate,
   REDOOP_CHECK(rate_ != nullptr);
 }
 
-std::vector<Record> WccGenerator::RecordsForSecond(SourceId source,
-                                                   Timestamp second) const {
+void WccGenerator::RenderSecond(SourceId source, Timestamp second,
+                                RecordImage* image) const {
   // Seed from (seed, source, second): a pure function of time, so replays
   // are identical across drivers and runs.
   Random rng(HashCombine(HashCombine(options_.seed, Mix64(
@@ -45,8 +45,6 @@ std::vector<Record> WccGenerator::RecordsForSecond(SourceId source,
   static constexpr std::string_view kMethods[] = {"GET", "POST", "HEAD"};
   static constexpr int kStatuses[] = {200, 200, 200, 200, 304, 404, 500};
 
-  std::vector<Record> records;
-  records.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     const uint64_t client = clients_.Next(&rng);
     const uint64_t object = objects_.Next(&rng);
@@ -56,24 +54,20 @@ std::vector<Record> WccGenerator::RecordsForSecond(SourceId source,
     const std::string_view method = kMethods[rng.Uniform(3)];
     const int status = kStatuses[rng.Uniform(7)];
     const int64_t bytes = 64 + static_cast<int64_t>(rng.Uniform(32768));
-    // "client-%lu" and "obj-%lu,%s,%d,reg-%d,%ld", rendered on the stack
-    // and assigned once.
+    // "client-%lu" and "obj-%lu,%s,%d,reg-%d,%ld", rendered on the stack.
     char key[32];
     char value[128];
-    Record r;
-    r.timestamp = second;
-    r.key = CharWriter(key).Append("client-").AppendInt(client).view();
-    r.value = CharWriter(value)
-                  .Append("obj-").AppendInt(object)
-                  .Append(",").Append(method)
-                  .Append(",").AppendInt(status)
-                  .Append(",reg-").AppendInt(region)
-                  .Append(",").AppendInt(bytes)
-                  .view();
-    r.logical_bytes = options_.record_logical_bytes;
-    records.push_back(std::move(r));
+    image->Add(second,
+               CharWriter(key).Append("client-").AppendInt(client).view(),
+               CharWriter(value)
+                   .Append("obj-").AppendInt(object)
+                   .Append(",").Append(method)
+                   .Append(",").AppendInt(status)
+                   .Append(",reg-").AppendInt(region)
+                   .Append(",").AppendInt(bytes)
+                   .view(),
+               options_.record_logical_bytes);
   }
-  return records;
 }
 
 }  // namespace redoop

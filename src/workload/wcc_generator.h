@@ -32,8 +32,8 @@ class WccGenerator : public RecordGenerator {
   WccGenerator(std::shared_ptr<const RateProfile> rate,
                WccGeneratorOptions options = {});
 
-  std::vector<Record> RecordsForSecond(SourceId source,
-                                       Timestamp second) const override;
+  void RenderSecond(SourceId source, Timestamp second,
+                    RecordImage* image) const override;
 
   const WccGeneratorOptions& options() const { return options_; }
 

@@ -1,9 +1,11 @@
 #include "exec/task_executor.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,33 @@ TEST(TaskExecutorTest, DestructorCompletesUnjoinedPayloads) {
     // No Take()/Wait(): the destructor must still run every ticket.
   }
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(TaskExecutorTest, IdleWorkersWakeForEveryPost) {
+  // Completion is polled through a counter, never a helping Wait, so only
+  // the workers run payloads. Each round posts a few payloads just as the
+  // workers go idle after the last round: a post whose wakeup is lost
+  // leaves its payload queued with every worker asleep, and the round
+  // never completes.
+  TaskExecutor pool(2);
+  std::atomic<int64_t> done{0};
+  int64_t posted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    for (int i = 0; i <= round % 3; ++i) {
+      pool.Submit([&done] {
+        return done.fetch_add(1, std::memory_order_acq_rel);
+      });
+      ++posted;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (done.load(std::memory_order_acquire) < posted) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "round " << round << ": " << posted - done.load()
+          << " payload(s) never ran";
+      std::this_thread::yield();
+    }
+  }
 }
 
 TEST(TaskExecutorTest, ThreadCountClampedToAtLeastOne) {

@@ -120,6 +120,118 @@ TEST(SyntheticFeedTest, MisalignedRangeAborts) {
   EXPECT_DEATH(feed->BatchesFor(2, 0, 60), "unknown source");
 }
 
+// ---------------------------------------------------------------------------
+// Parallel feed: a request's batches render on worker threads and are built
+// on the calling thread, identical at every thread count.
+// ---------------------------------------------------------------------------
+
+constexpr Timestamp kFeedInterval = 60;
+
+/// A WCC or FFG generator at a fractional rate, so per-second record
+/// counts vary.
+std::shared_ptr<const RecordGenerator> MakeFeedGenerator(bool ffg) {
+  auto rate = std::make_shared<ConstantRate>(2.5);
+  if (ffg) {
+    FfgGeneratorOptions options;
+    options.seed = 2013;
+    return std::make_shared<FfgGenerator>(rate, options);
+  }
+  WccGeneratorOptions options;
+  options.seed = 1998;
+  return std::make_shared<WccGenerator>(rate, options);
+}
+
+/// A WCC feed on source 1, or an FFG feed on sources 1 and 2.
+std::unique_ptr<SyntheticFeed> MakeThreadedFeed(bool ffg, int32_t threads) {
+  auto feed = std::make_unique<SyntheticFeed>(kFeedInterval, threads);
+  const std::shared_ptr<const RecordGenerator> gen = MakeFeedGenerator(ffg);
+  feed->AddSource(1, gen);
+  if (ffg) feed->AddSource(2, gen);
+  return feed;
+}
+
+/// The batches of [begin, end) as the concatenation of each second's
+/// RecordsForSecond, second by second.
+std::vector<RecordBatch> ReferenceBatches(const RecordGenerator& gen,
+                                          SourceId source, Timestamp begin,
+                                          Timestamp end) {
+  std::vector<RecordBatch> batches;
+  for (Timestamp t = begin; t < end; t += kFeedInterval) {
+    RecordBatch batch;
+    batch.start = t;
+    batch.end = t + kFeedInterval;
+    for (Timestamp s = t; s < batch.end; ++s) {
+      for (Record& r : gen.RecordsForSecond(source, s)) {
+        batch.records.push_back(std::move(r));
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+TEST(SyntheticFeedTest, BatchesIdenticalAtEveryThreadCount) {
+  struct Range {
+    Timestamp begin;
+    Timestamp end;
+  };
+  const Range ranges[] = {
+      {600, 660},     // A single batch.
+      {0, 14400},     // 240 batches.
+      {7260, 10860},  // 60 batches from mid-horizon.
+      {600, 600},     // Empty.
+  };
+  for (const bool ffg : {false, true}) {
+    const std::shared_ptr<const RecordGenerator> gen = MakeFeedGenerator(ffg);
+    const std::vector<SourceId> sources =
+        ffg ? std::vector<SourceId>{1, 2} : std::vector<SourceId>{1};
+    for (const int32_t threads : {1, 2, 8}) {
+      const std::unique_ptr<SyntheticFeed> feed =
+          MakeThreadedFeed(ffg, threads);
+      for (const Range& range : ranges) {
+        for (const SourceId source : sources) {
+          SCOPED_TRACE(::testing::Message()
+                       << (ffg ? "ffg" : "wcc") << " threads=" << threads
+                       << " range [" << range.begin << "," << range.end
+                       << ") source " << source);
+          const std::vector<RecordBatch> want =
+              ReferenceBatches(*gen, source, range.begin, range.end);
+          const std::vector<RecordBatch> got =
+              feed->BatchesFor(source, range.begin, range.end);
+          ASSERT_EQ(got.size(), static_cast<size_t>(
+                                    (range.end - range.begin) / kFeedInterval));
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t b = 0; b < got.size(); ++b) {
+            EXPECT_EQ(got[b].start, want[b].start);
+            EXPECT_EQ(got[b].end, want[b].end);
+            EXPECT_EQ(got[b].records.capacity(), got[b].records.size())
+                << "batch " << b;
+            ASSERT_EQ(got[b].records.size(), want[b].records.size())
+                << "batch " << b;
+            for (size_t r = 0; r < got[b].records.size(); ++r) {
+              const Record& g = got[b].records[r];
+              const Record& w = want[b].records[r];
+              ASSERT_EQ(g.timestamp, w.timestamp)
+                  << "batch " << b << " record " << r;
+              ASSERT_EQ(g.key, w.key) << "batch " << b << " record " << r;
+              ASSERT_EQ(g.value, w.value) << "batch " << b << " record " << r;
+              ASSERT_EQ(g.logical_bytes, w.logical_bytes)
+                  << "batch " << b << " record " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SyntheticFeedTest, MisalignedRangeAbortsOnThreadedFeed) {
+  const std::unique_ptr<SyntheticFeed> feed = MakeThreadedFeed(false, 8);
+  EXPECT_DEATH(feed->BatchesFor(1, 0, 90), "aligned");
+  EXPECT_DEATH(feed->BatchesFor(1, 30, 120), "aligned");
+  EXPECT_DEATH(feed->BatchesFor(2, 0, 60), "unknown source");
+}
+
 TEST(WccGeneratorTest, RateControlsVolume) {
   WccGeneratorOptions options;
   WccGenerator gen(std::make_shared<ConstantRate>(20.0), options);

@@ -80,9 +80,10 @@ void PrintUsage() {
       "  --spiked                   double the rate on windows 2,3,5,6,...\n"
       "  --spike-multiplier=M       spike factor (default 2)\n"
       "  --proactive-threshold=F    adaptive budget fraction (default 0.15)\n"
-      "  --threads=N                host worker threads for task payloads,\n"
-      "                             N >= 1 (default: all hardware threads;\n"
-      "                             results are identical at any setting)\n"
+      "  --threads=N                host worker threads for task payloads\n"
+      "                             and feed generation, N >= 1 (default:\n"
+      "                             all hardware threads; results are\n"
+      "                             identical at any setting)\n"
       "  --cache-budget-bytes=N     logical-byte budget of each Redoop\n"
       "                             driver's cache store (default 0 =\n"
       "                             unbounded)\n"
@@ -192,7 +193,8 @@ std::shared_ptr<const RateProfile> MakeRate(const CliOptions& options) {
 }
 
 std::unique_ptr<SyntheticFeed> MakeFeed(const CliOptions& options) {
-  auto feed = std::make_unique<SyntheticFeed>(options.batch_interval);
+  auto feed =
+      std::make_unique<SyntheticFeed>(options.batch_interval, options.threads);
   if (options.query == "join") {
     FfgGeneratorOptions gen;
     gen.seed = options.seed;
