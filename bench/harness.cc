@@ -424,7 +424,8 @@ enum class Injection { kNone, kNodeFailure, kCacheRemoval };
 /// Per-window failure injection from the second window on. kNodeFailure
 /// kills a rotating node fail_delay_s into the window; kCacheRemoval
 /// wipes the victim's cache files for the window's oldest pane before the
-/// window runs.
+/// window runs. The report's observability snapshot is built as Run()
+/// builds it.
 template <typename Driver>
 RunReport RunWithFailures(const Scale& scale, Cluster* cluster, Driver* driver,
                           const std::string& label, Injection injection) {
@@ -454,6 +455,7 @@ RunReport RunWithFailures(const Scale& scale, Cluster* cluster, Driver* driver,
       cluster->dfs().ReplicateMissing();
     }
   }
+  report.observability = RunObservability(*driver->observability());
   return report;
 }
 

@@ -331,16 +331,19 @@ double BestOf(int reps, uint64_t* sink, Fn&& fn) {
 }
 
 /// BestOf plus the allocation delta of the *last* repetition (steady-state
-/// allocation, after any lazy init).
+/// allocation, after any lazy init) and, when `worst` is set, the slowest
+/// repetition's time.
 template <typename Fn>
 double BestOfCounted(int reps, uint64_t* sink, uint64_t* alloc_bytes,
-                     Fn&& fn) {
+                     Fn&& fn, double* worst = nullptr) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const uint64_t before = g_alloc_bytes;
     const auto start = Clock::now();
     *sink += fn();
-    best = std::min(best, SecondsSince(start));
+    const double seconds = SecondsSince(start);
+    best = std::min(best, seconds);
+    if (worst != nullptr) *worst = r == 0 ? seconds : std::max(*worst, seconds);
     *alloc_bytes = g_alloc_bytes - before;
   }
   return best;
@@ -620,7 +623,12 @@ int Main(int argc, char** argv) {
     }
   }
   {
-    // Hash combine vs sort+scan combine over one partition's pairs.
+    // Hash combine vs sort+scan combine over one map task's pairs, split
+    // into the 16 reduce partitions a production map task writes, so the
+    // scratch the combine reuses across a task's partitions shows. Both
+    // sides partition by the same hash. A second line gives the slowest
+    // repetition of each side: the row's run-to-run spread.
+    constexpr int32_t kPartitions = 16;
     std::vector<KeyValue> base_input;
     base_input.reserve(kEmitN);
     EmitPairs(kEmitN, 79, [&](std::string_view k, std::string_view v) {
@@ -629,18 +637,37 @@ int Main(int argc, char** argv) {
     const FlatKvBuffer flat_input = FlatKvBuffer::FromKeyValues(base_input);
     const CountCombiner combiner;
     uint64_t base_alloc = 0, flat_alloc = 0;
-    const double base_s = BestOfCounted(reps, &sink, &base_alloc, [&] {
-      return SortCombineStrings(base_input).size();
-    });
-    const double flat_s = BestOfCounted(reps, &sink, &flat_alloc, [&] {
-      return BuildMapOutput(flat_input, Fnv1aPartitioner(), 1, &combiner)
-          .pairs.size();
-    });
-    report.Line("%-24s %10.3f %10.3f %6.2fx %9.1f %9.1f %9.1f", "hash-combine",
-                base_s * 1e3, flat_s * 1e3, base_s / flat_s,
-                static_cast<double>(kEmitN) / flat_s / 1e6,
+    double base_worst = 0.0, flat_worst = 0.0;
+    const double base_s = BestOfCounted(
+        reps, &sink, &base_alloc,
+        [&] {
+          std::vector<std::vector<KeyValue>> buckets(kPartitions);
+          for (const KeyValue& kv : base_input) {
+            buckets[Fnv1a(kv.key) % kPartitions].push_back(kv);
+          }
+          size_t pairs = 0;
+          for (std::vector<KeyValue>& bucket : buckets) {
+            pairs += SortCombineStrings(std::move(bucket)).size();
+          }
+          return pairs;
+        },
+        &base_worst);
+    const double flat_s = BestOfCounted(
+        reps, &sink, &flat_alloc,
+        [&] {
+          return BuildMapOutput(flat_input, Fnv1aPartitioner(), kPartitions,
+                                &combiner)
+              .pairs.size();
+        },
+        &flat_worst);
+    report.Line("%-24s %10.3f %10.3f %6.2fx %9.1f %9.1f %9.1f",
+                "hash-combine p=16", base_s * 1e3, flat_s * 1e3,
+                base_s / flat_s, static_cast<double>(kEmitN) / flat_s / 1e6,
                 static_cast<double>(base_alloc) / 1e6,
                 static_cast<double>(flat_alloc) / 1e6);
+    report.Line("%-24s %10.3f %10.3f %6.2fx  slowest of %d reps",
+                "  hash-combine spread", base_worst * 1e3, flat_worst * 1e3,
+                base_worst / flat_worst, reps);
   }
   {
     // Full map pipeline at 1M pairs: emit -> partition -> combine -> sorted

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/string_utils.h"
-#include "obs/slo/slo_tracker.h"
 
 namespace redoop {
 
@@ -188,8 +187,6 @@ WindowReport HadoopRecurringDriver::RunRecurrence(int64_t recurrence) {
     previous_output_ = report.output;
   }
 
-  scope_.Increment(obs::metric::kWindowsCompleted);
-  scope_.Record(obs::metric::kWindowResponseTime, report.response_time);
   scope_.EmitAt(report.finished_at, obs::event::kWindowComplete)
       .With("recurrence", recurrence)
       .With("trigger", trigger)
@@ -207,11 +204,7 @@ RunReport HadoopRecurringDriver::Run(int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     report.windows.push_back(RunRecurrence(i));
   }
-  report.observability = obs_->metrics().Snapshot();
-  obs::analysis::AnalysisOptions slo_options;
-  slo_options.group_by_query = true;
-  obs::slo::ExportTo(obs::slo::ComputeSlo(obs_->journal(), slo_options),
-                     &report.observability);
+  report.observability = RunObservability(*obs_);
   return report;
 }
 

@@ -68,12 +68,6 @@ NodeId CacheAwareScheduler::SelectNodeForReduce(
       }
     }
     const double io_cost = ReduceIoCost(request, best);
-    scope_.Increment(obs::metric::kSchedReduceAssignments);
-    if (considered) {
-      scope_.Increment(taken ? obs::metric::kSchedCacheAffinityTaken
-                             : obs::metric::kSchedCacheAffinityMissed);
-    }
-    scope_.Record(obs::metric::kSchedReduceIoCost, io_cost);
     scope_.Emit(obs::event::kSchedAssign)
         .With("kind", "reduce")
         .With("policy", "cache_aware")

@@ -143,8 +143,6 @@ void WindowAwareCacheController::AddSignature(CacheSignature signature,
     if (!indexed) q->caches_by_pane.insert({key, name});
   }
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kCacheAdds);
-    scope_.Increment(obs::metric::kCacheAddBytes, signature.bytes);
     scope_.Emit(obs::event::kCacheAdd)
         .With("name", name)
         .With("node", signature.node)
@@ -278,7 +276,6 @@ void WindowAwareCacheController::ExpireCache(
   sig.done_query_mask[static_cast<size_t>(q->mask_bit)] = true;
   if (!sig.Expired()) return;
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kCacheEvictions);
     scope_.Emit(obs::event::kCacheEvict)
         .With("name", sig.name)
         .With("node", sig.node)
@@ -375,7 +372,6 @@ WindowAwareCacheController::HandleLostCache(NodeId node,
   signatures_.erase(it);
   impact.lost_caches.push_back(PurgeNotification{node, name});
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kCacheInvalidations);
     scope_.Emit(obs::event::kCacheInvalidate)
         .With("name", name)
         .With("node", node)
@@ -421,7 +417,6 @@ WindowAwareCacheController::HandleLostCache(NodeId node,
         map_task_list_.push_back(rebuild);
         impact.rebuilds.push_back(rebuild);
         if (scope_.active()) {
-          scope_.Increment(obs::metric::kCacheRebuilds);
           scope_.Emit(obs::event::kCacheRebuild)
               .With("query", q->query.id)
               .With("source", sig.source)
@@ -508,7 +503,6 @@ NodeId WindowAwareCacheController::DropSignature(const std::string& name) {
   if (it == signatures_.end()) return kInvalidNode;
   const NodeId node = it->second.node;
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kCacheInvalidations);
     scope_.Emit(obs::event::kCacheInvalidate)
         .With("name", name)
         .With("node", node)

@@ -156,8 +156,8 @@ class WindowAwareCacheController {
 
   /// Journals cache lifecycle decisions (add/evict/invalidate/rebuild,
   /// pane readiness, matrix transitions) through an attribution scope:
-  /// events carry the scope's query/window and counters land on the
-  /// labeled per-query series too.
+  /// events carry the scope's query/window, which also labels the
+  /// metrics folded from them.
   void set_telemetry(obs::TelemetryScope scope) {
     scope_ = std::move(scope);
   }

@@ -14,9 +14,7 @@ void CacheStore::Lease::Release() {
   store_ = nullptr;
 }
 
-CacheStore::CacheStore(Options options) : options_(std::move(options)) {
-  UpdateGauges(GaugeSnapshot{});
-}
+CacheStore::CacheStore(Options options) : options_(std::move(options)) {}
 
 void CacheStore::Put(const CacheKey& key,
                      std::shared_ptr<const FlatKvBuffer> payload,
@@ -25,7 +23,6 @@ void CacheStore::Put(const CacheKey& key,
   REDOOP_CHECK(stats.bytes >= 0 && stats.records >= 0);
   REDOOP_CHECK(payload != nullptr);
   std::vector<EvictionNotice> notices;
-  GaugeSnapshot after;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key.name());
@@ -42,9 +39,8 @@ void CacheStore::Put(const CacheKey& key,
     it->second->recency_ = order.insert(order.end(), it);
     peak_bytes_ = std::max(peak_bytes_, total_bytes_);
     EvictLocked(/*exclude=*/it->second.get(), &notices);
-    after = SnapshotLocked();
   }
-  PublishEvictions(notices, after);
+  PublishEvictions(notices);
 }
 
 const CacheStore::Entry* CacheStore::Find(const CacheKey& key) const {
@@ -58,15 +54,9 @@ const CacheStore::Entry* CacheStore::Find(const CacheKey& key) const {
 }
 
 void CacheStore::Remove(const CacheKey& key) {
-  GaugeSnapshot after;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key.name());
-    if (it == entries_.end()) return;
-    EraseLocked(it);
-    after = SnapshotLocked();
-  }
-  UpdateGauges(after);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key.name());
+  if (it != entries_.end()) EraseLocked(it);
 }
 
 CacheStore::Lease CacheStore::Acquire(const CacheKey& key) {
@@ -87,13 +77,11 @@ void CacheStore::ReleasePin(const std::string& name, uint64_t serial) {
 
 void CacheStore::EnforceBudget() {
   std::vector<EvictionNotice> notices;
-  GaugeSnapshot after;
   {
     std::lock_guard<std::mutex> lock(mu_);
     EvictLocked(/*exclude=*/nullptr, &notices);
-    after = SnapshotLocked();
   }
-  PublishEvictions(notices, after);
+  PublishEvictions(notices);
 }
 
 size_t CacheStore::size() const {
@@ -166,21 +154,10 @@ void CacheStore::EraseLocked(EntryMap::iterator it) {
   entries_.erase(it);
 }
 
-CacheStore::GaugeSnapshot CacheStore::SnapshotLocked() const {
-  GaugeSnapshot snapshot;
-  snapshot.bytes = total_bytes_;
-  snapshot.pinned_bytes = pinned_bytes_;
-  snapshot.entries = entries_.size();
-  return snapshot;
-}
-
-void CacheStore::PublishEvictions(const std::vector<EvictionNotice>& notices,
-                                  const GaugeSnapshot& after) {
+void CacheStore::PublishEvictions(const std::vector<EvictionNotice>& notices) {
   const obs::TelemetryScope& scope = options_.telemetry;
   for (const EvictionNotice& notice : notices) {
     if (scope.active()) {
-      scope.Increment(obs::metric::kCacheEvictedEntries);
-      scope.Increment(obs::metric::kCacheEvictedBytes, notice.bytes);
       scope.Emit(obs::event::kCachePaneEvict)
           .With("name", notice.key.name())
           .With("bytes", notice.bytes)
@@ -189,18 +166,6 @@ void CacheStore::PublishEvictions(const std::vector<EvictionNotice>& notices,
     }
     if (options_.on_evict) options_.on_evict(notice);
   }
-  UpdateGauges(after);
-}
-
-void CacheStore::UpdateGauges(const GaugeSnapshot& snapshot) {
-  const obs::TelemetryScope& scope = options_.telemetry;
-  if (!scope.active()) return;
-  scope.SetGauge(obs::metric::kCacheStoreBytes,
-                 static_cast<double>(snapshot.bytes));
-  scope.SetGauge(obs::metric::kCacheStorePinnedBytes,
-                 static_cast<double>(snapshot.pinned_bytes));
-  scope.SetGauge(obs::metric::kCacheStoreEntries,
-                 static_cast<double>(snapshot.entries));
 }
 
 }  // namespace redoop

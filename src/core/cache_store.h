@@ -131,8 +131,7 @@ class CacheStore {
   struct Options {
     /// Logical-byte budget; 0 = unbounded (never evicts).
     int64_t budget_bytes = 0;
-    /// Keeps cache.store.* gauges current and emits cache.pane.evict
-    /// events (global and per-query labeled series via the scope).
+    /// Emits a cache.pane.evict event per budget eviction.
     obs::TelemetryScope telemetry;
     /// Invoked once per evicted entry, after the entry is gone and the
     /// mutex is released. Must not call back into this store.
@@ -221,12 +220,6 @@ class CacheStore {
   int64_t budget_bytes() const { return options_.budget_bytes; }
 
  private:
-  struct GaugeSnapshot {
-    int64_t bytes = 0;
-    int64_t pinned_bytes = 0;
-    size_t entries = 0;
-  };
-
   /// Evicts until the budget holds; lock held. `exclude` (may be null)
   /// is never picked. Removed entries are appended to `notices`.
   void EvictLocked(const Entry* exclude,
@@ -235,10 +228,7 @@ class CacheStore {
   /// held.
   void EraseLocked(EntryMap::iterator it);
   void ReleasePin(const std::string& name, uint64_t serial);
-  GaugeSnapshot SnapshotLocked() const;
-  void PublishEvictions(const std::vector<EvictionNotice>& notices,
-                        const GaugeSnapshot& after);
-  void UpdateGauges(const GaugeSnapshot& snapshot);
+  void PublishEvictions(const std::vector<EvictionNotice>& notices);
 
   const Options options_;
   mutable std::mutex mu_;

@@ -35,7 +35,6 @@ void ExecutionProfiler::Observe(double execution_time,
   ++count_;
 
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kProfilerObservations);
     obs::Event& e = scope_.Emit(obs::event::kProfilerObserve);
     e.With("observation", count_)
         .With("actual", execution_time)
@@ -44,11 +43,6 @@ void ExecutionProfiler::Observe(double execution_time,
         .With("trend", trend_);
     if (had_forecast) {
       const double abs_error = std::abs(predicted - execution_time);
-      scope_.Record(obs::metric::kProfilerAbsErr, abs_error);
-      if (execution_time > 0.0) {
-        scope_.Record(obs::metric::kProfilerRelErr,
-                               abs_error / execution_time);
-      }
       e.With("predicted", predicted).With("abs_error", abs_error);
     }
   }

@@ -92,11 +92,6 @@ std::vector<RecordBatch> SharedScanView::BatchesFor(SourceId source,
   SharedScanFeed::ScanDelta delta;
   std::vector<RecordBatch> out = shared_->BatchesFor(source, begin, end, &delta);
   if (scope_.active() && (delta.hits > 0 || delta.misses > 0)) {
-    scope_.Increment(obs::metric::kFleetScanRequests);
-    scope_.Increment(obs::metric::kFleetScanHits, delta.hits);
-    scope_.Increment(obs::metric::kFleetScanMisses, delta.misses);
-    scope_.Increment(obs::metric::kFleetScanBytesServed, delta.bytes_served);
-    scope_.Increment(obs::metric::kFleetScanBytesScanned, delta.bytes_scanned);
     scope_.Emit(obs::event::kFleetScan)
         .With("source", static_cast<int64_t>(source))
         .With("begin", static_cast<int64_t>(begin))

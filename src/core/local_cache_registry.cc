@@ -61,7 +61,6 @@ int64_t LocalCacheRegistry::PurgeMatching(TaskNode* node,
       const int64_t bytes = node->DeleteLocalFile(it->first);
       freed += bytes;
       if (scope_.active()) {
-        scope_.Increment(obs::metric::kCachePurgedBytes, bytes);
         scope_.Emit(obs::event::kCachePurge)
             .With("name", it->first)
             .With("node", node_)

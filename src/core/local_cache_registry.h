@@ -67,8 +67,8 @@ class LocalCacheRegistry {
 
   std::vector<LocalCacheEntry> Entries() const;
 
-  /// Journals physical deletions (cache.purge events, purged-bytes
-  /// counter). The driver hands a node-labeled scope so purge bytes are
+  /// Journals physical deletions as cache.purge events carrying this
+  /// registry's node, so the purged-bytes metric folded from them is
   /// attributable per query AND per node.
   void set_telemetry(obs::TelemetryScope scope) {
     scope_ = std::move(scope);

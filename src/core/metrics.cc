@@ -1,5 +1,7 @@
 #include "core/metrics.h"
 
+#include "obs/slo/slo_tracker.h"
+
 namespace redoop {
 
 namespace {
@@ -33,6 +35,15 @@ WindowDelta ComputeWindowDelta(const std::vector<KeyValue>& previous,
   for (; i < previous.size(); ++i) delta.removed.push_back(previous[i]);
   for (; j < current.size(); ++j) delta.added.push_back(current[j]);
   return delta;
+}
+
+obs::MetricsSnapshot RunObservability(const obs::ObservabilityContext& obs) {
+  obs::MetricsSnapshot snapshot = obs.Snapshot();
+  obs::analysis::AnalysisOptions slo_options;
+  slo_options.group_by_query = true;
+  obs::slo::ExportTo(obs::slo::ComputeSlo(obs.journal(), slo_options),
+                     &snapshot);
+  return snapshot;
 }
 
 }  // namespace redoop

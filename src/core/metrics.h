@@ -10,6 +10,7 @@
 #include "mapreduce/kv.h"
 #include "mapreduce/task.h"
 #include "obs/metric_registry.h"
+#include "obs/observability.h"
 
 namespace redoop {
 
@@ -65,10 +66,10 @@ struct RunReport {
   std::string system;  // "hadoop", "redoop", "redoop-adaptive", ...
   std::vector<WindowReport> windows;
   /// End-of-run metrics snapshot (cache hit rates, scheduler decisions,
-  /// task/DFS totals) from the driver's observability context. Benchmarks
-  /// and tests assert on it; e.g.
-  /// `observability.HitRate(observability.Counter(obs::metric::kCachePaneHits),
-  ///                        observability.Counter(obs::metric::kCachePaneMisses))`.
+  /// task/DFS totals, per-query SLOs) from the driver's observability
+  /// context, built by RunObservability. Benchmarks and tests assert on
+  /// it; e.g. `observability.HitRate(obs::metric::kCachePaneHits,
+  /// obs::metric::kCachePaneMisses)`.
   obs::MetricsSnapshot observability;
 
   SimDuration TotalResponseTime() const {
@@ -87,6 +88,12 @@ struct RunReport {
     return total;
   }
 };
+
+/// The snapshot RunReport::observability holds once `obs` has seen a run:
+/// the metrics folded from its journal plus the per-query SLO rollup of
+/// that journal (`slo.*`). Every driver's Run() and any loop over
+/// RunRecurrence() build it here, so both yield the same snapshot.
+obs::MetricsSnapshot RunObservability(const obs::ObservabilityContext& obs);
 
 }  // namespace redoop
 

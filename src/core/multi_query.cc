@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/string_utils.h"
-#include "obs/slo/slo_tracker.h"
 
 namespace redoop {
 
@@ -201,12 +200,8 @@ StatusOr<std::vector<RunReport>> MultiQueryCoordinator::Run(
   // shared observability context the labeled series disambiguate queries;
   // ComputeSlo's per-query grouping does the same for the journal.
   for (size_t i = 0; i < entries_.size(); ++i) {
-    obs::ObservabilityContext* obs = entries_[i].driver->observability();
-    reports[i].observability = obs->metrics().Snapshot();
-    obs::analysis::AnalysisOptions slo_options;
-    slo_options.group_by_query = true;
-    obs::slo::ExportTo(obs::slo::ComputeSlo(obs->journal(), slo_options),
-                       &reports[i].observability);
+    reports[i].observability =
+        RunObservability(*entries_[i].driver->observability());
   }
   return reports;
 }

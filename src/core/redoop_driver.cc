@@ -10,7 +10,6 @@
 #include "common/string_utils.h"
 #include "core/fleet.h"
 #include "core/pane_naming.h"
-#include "obs/slo/slo_tracker.h"
 
 namespace redoop {
 
@@ -154,7 +153,7 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
   for (int32_t n = 0; n < cluster_->num_nodes(); ++n) {
     registries_.push_back(
         std::make_unique<LocalCacheRegistry>(n, purge_cycle));
-    registries_.back()->set_telemetry(scope_.WithNode(n));
+    registries_.back()->set_telemetry(scope_);
   }
   ingested_until_.assign(query_.sources.size(), 0);
 
@@ -972,14 +971,12 @@ void RedoopDriver::PrepareJoinWindow(int64_t recurrence) {
     const int64_t misses = static_cast<int64_t>(missing.size());
     const int64_t hits = span * span - misses;
     if (hits > 0) {
-      scope_.Increment(obs::metric::kCachePairHits, hits);
       counters_accum_.Increment(counter::kCachePairHits, hits);
       scope_.Emit(obs::event::kCachePairHit)
           .With("recurrence", recurrence)
           .With("count", hits);
     }
     if (misses > 0) {
-      scope_.Increment(obs::metric::kCachePairMisses, misses);
       counters_accum_.Increment(counter::kCachePairMisses, misses);
       scope_.Emit(obs::event::kCachePairMiss)
           .With("recurrence", recurrence)
@@ -1056,15 +1053,8 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
       const bool built_now =
           panes_built_this_recurrence_.count({qs.id, p}) > 0;
       const bool hit = cached && !built_now;
-      if (hit) {
-        scope_.Increment(obs::metric::kCachePaneHits);
-        scope_.Increment(obs::metric::kCachePaneHitBytes, ps.bytes);
-        counters_accum_.Increment(counter::kCachePaneHits);
-      } else {
-        scope_.Increment(obs::metric::kCachePaneMisses);
-        scope_.Increment(obs::metric::kCachePaneMissBytes, ps.bytes);
-        counters_accum_.Increment(counter::kCachePaneMisses);
-      }
+      counters_accum_.Increment(hit ? counter::kCachePaneHits
+                                    : counter::kCachePaneMisses);
       obs::Event& verdict =
           scope_.Emit(hit ? obs::event::kCachePaneHit
                           : obs::event::kCachePaneMiss)
@@ -1267,10 +1257,6 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
   // bracket so per-tenant slot-wait lands on the right recurrence.
   if (pending_admission_.has_value()) {
     const FleetAdmission& adm = *pending_admission_;
-    scope_.Increment(obs::metric::kFleetAdmitted);
-    scope_.Record(obs::metric::kFleetAdmissionWait, adm.wait_s);
-    scope_.SetGauge(obs::metric::kFleetQueueDepth,
-                    static_cast<double>(adm.queued));
     scope_.EmitAt(sim.Now(), obs::event::kFleetAdmit)
         .With("recurrence", recurrence)
         .With("wait", adm.wait_s)
@@ -1322,9 +1308,6 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
   fresh_bytes_accum_ = 0;
   counters_accum_ = Counters();
 
-  scope_.Increment(obs::metric::kWindowsCompleted);
-  scope_.Record(obs::metric::kWindowResponseTime,
-                         report.response_time);
   // Always-sample-on-SLO-violation: an unsampled window that blew its
   // deadline is promoted retroactively, so its completion record (and the
   // teardown that follows) is traceable; the marker explains why stamps
@@ -1448,14 +1431,7 @@ StatusOr<RunReport> RedoopDriver::Run(int64_t n) {
     REDOOP_RETURN_IF_ERROR(window.status());
     report.windows.push_back(std::move(window).value());
   }
-  report.observability = obs_->metrics().Snapshot();
-  // Fold the per-query SLO rollup (deadline attainment, lag, cache hit
-  // rate) into the exported snapshot. Derived from the journal alone, so
-  // redoop_inspect reproduces these figures from the journal file.
-  obs::analysis::AnalysisOptions slo_options;
-  slo_options.group_by_query = true;
-  obs::slo::ExportTo(obs::slo::ComputeSlo(obs_->journal(), slo_options),
-                     &report.observability);
+  report.observability = RunObservability(*obs_);
   return report;
 }
 
@@ -1668,8 +1644,6 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
   cluster_->heartbeat_bus().DeliverUpTo(cluster_->simulator().Now());
   ++fleet->stats().dedup_adoptions;
   fleet->stats().dedup_bytes += adopted_bytes;
-  scope_.Increment(obs::metric::kFleetDedupAdoptions);
-  scope_.Increment(obs::metric::kFleetDedupBytes, adopted_bytes);
   scope_.Emit(obs::event::kFleetAdopt)
       .With("source", static_cast<int64_t>(source))
       .With("pane", static_cast<int64_t>(pane))
@@ -1705,7 +1679,6 @@ void RedoopDriver::PublishFleetPane(
                                   std::move(images));
   fleet_pane_keys_[{source, pane}] = content_key;
   ++options_.fleet->stats().dedup_published;
-  scope_.Increment(obs::metric::kFleetDedupPublished);
 }
 
 void RedoopDriver::EvictFleetPane(const CacheKey& image) {
@@ -1740,7 +1713,6 @@ void RedoopDriver::EvictFleetPane(const CacheKey& image) {
   }
   // Manifests stay intact: EnsureWindowPanes sees a missing window-read
   // entry and rebuilds the pane lazily, only when a window reads it.
-  scope_.Increment(obs::metric::kFleetDedupEvictFanout);
   scope_.Emit(obs::event::kFleetEvictFanout)
       .With("source", static_cast<int64_t>(image.source()))
       .With("pane", static_cast<int64_t>(image.pane()))

@@ -61,9 +61,6 @@ StatusOr<FileId> Dfs::CreateFileWithHeader(std::string_view name,
   DfsFile* stored = file.get();
   files_[id] = std::move(file);
   if (obs_ != nullptr) {
-    obs_->metrics().Increment(obs::metric::kDfsFilesCreated);
-    obs_->metrics().Increment(obs::metric::kDfsBytesWritten,
-                              stored->size_bytes);
     obs_->Emit(obs::event::kDfsFileCreate)
         .With("file", stored->name)
         .With("bytes", stored->size_bytes)
@@ -173,7 +170,6 @@ Status Dfs::DeleteFile(std::string_view name) {
     }
   }
   if (obs_ != nullptr) {
-    obs_->metrics().Increment(obs::metric::kDfsFilesDeleted);
     obs_->Emit(obs::event::kDfsFileDelete)
         .With("file", fit->second->name)
         .With("bytes", fit->second->size_bytes);
@@ -262,9 +258,6 @@ int64_t Dfs::ReplicateMissing() {
         ++created;
       }
     }
-  }
-  if (obs_ != nullptr && created > 0) {
-    obs_->metrics().Increment(obs::metric::kDfsReplicasRestored, created);
   }
   return created;
 }

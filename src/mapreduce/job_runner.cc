@@ -321,10 +321,6 @@ void JobRunner::StartMapTask(RunState* run, MapTaskState* task, NodeId node) {
                                task->replica_nodes.end(),
                                node) != task->replica_nodes.end();
   if (scope_.active()) {
-    scope_.Increment(
-        local ? obs::metric::kDfsReadLocalBytes
-              : obs::metric::kDfsReadRemoteBytes,
-        task->input_bytes);
     scope_.EmitAt(cluster_->simulator().Now(), obs::event::kDfsRead)
         .With("file", task->file->name)
         .With("node", node)
@@ -475,10 +471,6 @@ void JobRunner::FinishMapTask(RunState* run, MapTaskState* task,
   c.Increment(counter::kHdfsReadBytes, task->input_bytes);
 
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kTasksMap);
-    scope_.Record(
-        obs::metric::kTaskMapDuration,
-        report.timing.finished_at - report.timing.scheduled_at);
     scope_.EmitAt(report.timing.finished_at, obs::event::kTaskFinish)
         .With("kind", "map")
         .With("task", report.id)
@@ -619,17 +611,9 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
     } else if (side.location == node) {
       task->timing.read += cost.LocalReadTime(side.bytes);
       counters.Increment(counter::kCacheReadLocalBytes, side.bytes);
-      if (scope_.active()) {
-        scope_.Increment(obs::metric::kCacheReadLocalBytes,
-                                          side.bytes);
-      }
     } else {
       task->timing.read += cost.RemoteReadTime(side.bytes);
       counters.Increment(counter::kCacheReadRemoteBytes, side.bytes);
-      if (scope_.active()) {
-        scope_.Increment(obs::metric::kCacheReadRemoteBytes,
-                                          side.bytes);
-      }
     }
     cached_bytes += side.bytes;
     cached_records += side.records;
@@ -888,10 +872,6 @@ void JobRunner::FinishReduceTask(RunState* run, ReduceTaskState* task,
   run->result.counters.Increment(counter::kReduceTasks);
 
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kTasksReduce);
-    scope_.Record(
-        obs::metric::kTaskReduceDuration,
-        report.timing.finished_at - report.timing.scheduled_at);
     scope_.EmitAt(report.timing.finished_at, obs::event::kTaskFinish)
         .With("kind", "reduce")
         .With("task", report.id)
@@ -967,7 +947,6 @@ SimDuration JobRunner::ArmAttempt(RunState* run, TaskStateT* task,
         task->backup_id = next_task_id_++;
         const TaskId backup_id = task->backup_id;
         if (scope_.active()) {
-          scope_.Increment(obs::metric::kTaskSpeculations);
           scope_.EmitAt(cluster_->simulator().Now(),
                        obs::event::kTaskSpeculate)
               .With("kind", is_map ? "map" : "reduce")
@@ -1096,7 +1075,6 @@ void JobRunner::FailTaskAttempt(RunState* run, TaskType type, int64_t index) {
         is_map ? run->maps[static_cast<size_t>(index)].get() : nullptr;
     const auto* reduce_task =
         is_map ? nullptr : run->reduces[static_cast<size_t>(index)].get();
-    scope_.Increment(obs::metric::kTaskFailures);
     // The work identity (source/pane or partition) lets the trace link the
     // re-issued attempt — which gets a fresh task id — back to this
     // failure with a follows-from edge.
@@ -1239,7 +1217,6 @@ JobResult JobRunner::Run(const JobSpec& spec) {
   }
 
   if (scope_.active()) {
-    scope_.Increment(obs::metric::kJobs);
     scope_.EmitAt(run.result.submitted_at, obs::event::kJobStart)
         .With("job", spec.config.name)
         .With("maps", static_cast<int64_t>(run.maps.size()))

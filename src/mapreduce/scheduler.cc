@@ -41,8 +41,6 @@ void EmitMapAssignment(const obs::TelemetryScope& scope,
                        const char* policy) {
   if (!scope.active() || node == kInvalidNode) return;
   const bool data_local = HoldsReplica(request, node);
-  scope.Increment(data_local ? obs::metric::kSchedMapLocal
-                             : obs::metric::kSchedMapRemote);
   scope.Emit(obs::event::kSchedAssign)
       .With("kind", "map")
       .With("policy", policy)
@@ -84,7 +82,6 @@ NodeId DefaultScheduler::SelectNodeForReduce(
   const NodeId best =
       scheduler_internal::LeastLoadedWithFreeSlot(cluster, /*map_slot=*/false);
   if (scope_.active() && best != kInvalidNode) {
-    scope_.Increment(obs::metric::kSchedReduceAssignments);
     scope_.Emit(obs::event::kSchedAssign)
         .With("kind", "reduce")
         .With("policy", "default")

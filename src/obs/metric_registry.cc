@@ -2,12 +2,157 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
+#include "obs/event_journal.h"
+#include "obs/observability.h"
 
 namespace redoop {
 namespace obs {
+
+namespace {
+
+enum class Kind : uint8_t { kCounter, kHistogram, kGauge };
+constexpr Kind kCounter = Kind::kCounter;
+constexpr Kind kHistogram = Kind::kHistogram;
+constexpr Kind kGauge = Kind::kGauge;
+
+/// A rule's condition on one event field: a string payload equal to `str`,
+/// or (when `str` is null) an integer payload equal to `num`.
+struct FieldTest {
+  constexpr FieldTest() = default;
+  constexpr FieldTest(const char* k, const char* s) : key(k), str(s) {}
+  constexpr FieldTest(const char* k, int n) : key(k), num(n) {}
+
+  const char* key = nullptr;  ///< nullptr: no test.
+  const char* str = nullptr;
+  int64_t num = 0;
+};
+
+/// One metric and the events that feed it.
+struct Rule {
+  const char* event;
+  const char* metric;
+  Kind kind;
+  /// Field carrying the counter delta or the sample; nullptr counts 1.
+  const char* value = nullptr;
+  FieldTest when[2] = {};
+  /// Divisor field: the sample is value / per, fed only when per > 0.
+  const char* per = nullptr;
+  /// Label by the event's `node` as well as its `query`.
+  bool by_node = false;
+};
+
+// The metric table. Each metric has exactly one rule, and the rules of one
+// event type are adjacent.
+constexpr Rule kRules[] = {
+    // Cache controller and per-node stores (§4).
+    {event::kCacheAdd, metric::kCacheAdds, kCounter},
+    {event::kCacheAdd, metric::kCacheAddBytes, kCounter, "bytes"},
+    {event::kCacheEvict, metric::kCacheEvictions, kCounter},
+    {event::kCacheInvalidate, metric::kCacheInvalidations, kCounter},
+    {event::kCacheRebuild, metric::kCacheRebuilds, kCounter},
+    {.event = event::kCachePurge,
+     .metric = metric::kCachePurgedBytes,
+     .kind = kCounter,
+     .value = "bytes",
+     .by_node = true},
+    // Pane and pane-pair reuse (window assembly, cache status matrix).
+    {event::kCachePaneHit, metric::kCachePaneHits, kCounter},
+    {event::kCachePaneHit, metric::kCachePaneHitBytes, kCounter, "bytes"},
+    {event::kCachePaneMiss, metric::kCachePaneMisses, kCounter},
+    {event::kCachePaneMiss, metric::kCachePaneMissBytes, kCounter, "bytes"},
+    {event::kCachePaneEvict, metric::kCacheEvictedEntries, kCounter},
+    {event::kCachePaneEvict, metric::kCacheEvictedBytes, kCounter, "bytes"},
+    {event::kCachePairHit, metric::kCachePairHits, kCounter, "count"},
+    {event::kCachePairMiss, metric::kCachePairMisses, kCounter, "count"},
+    // Scheduler placement.
+    {event::kSchedAssign, metric::kSchedMapLocal, kCounter, nullptr,
+     {{"kind", "map"}, {"locality", "data_local"}}},
+    {event::kSchedAssign, metric::kSchedMapRemote, kCounter, nullptr,
+     {{"kind", "map"}, {"locality", "remote"}}},
+    {event::kSchedAssign, metric::kSchedReduceAssignments, kCounter, nullptr,
+     {{"kind", "reduce"}}},
+    {event::kSchedAssign, metric::kSchedCacheAffinityTaken, kCounter,
+     nullptr, {{"affinity_taken", 1}}},
+    {event::kSchedAssign, metric::kSchedCacheAffinityMissed, kCounter,
+     nullptr, {{"affinity_considered", 1}, {"affinity_taken", 0}}},
+    {event::kSchedAssign, metric::kSchedReduceIoCost, kHistogram, "io_cost"},
+    // Profiler forecasts (§3.3); only a forecast carries abs_error.
+    {event::kProfilerObserve, metric::kProfilerObservations, kCounter},
+    {event::kProfilerObserve, metric::kProfilerAbsErr, kHistogram,
+     "abs_error"},
+    {.event = event::kProfilerObserve,
+     .metric = metric::kProfilerRelErr,
+     .kind = kHistogram,
+     .value = "abs_error",
+     .per = "actual"},
+    // DFS traffic.
+    {event::kDfsRead, metric::kDfsReadLocalBytes, kCounter, "bytes",
+     {{"locality", "local"}}},
+    {event::kDfsRead, metric::kDfsReadRemoteBytes, kCounter, "bytes",
+     {{"locality", "remote"}}},
+    {event::kDfsFileCreate, metric::kDfsFilesCreated, kCounter},
+    {event::kDfsFileCreate, metric::kDfsBytesWritten, kCounter, "bytes"},
+    {event::kDfsFileDelete, metric::kDfsFilesDeleted, kCounter},
+    // Tasks and jobs.
+    {event::kTaskFinish, metric::kTasksMap, kCounter, nullptr,
+     {{"kind", "map"}}},
+    {event::kTaskFinish, metric::kTaskMapDuration, kHistogram, "duration",
+     {{"kind", "map"}}},
+    {event::kTaskFinish, metric::kTasksReduce, kCounter, nullptr,
+     {{"kind", "reduce"}}},
+    {event::kTaskFinish, metric::kTaskReduceDuration, kHistogram, "duration",
+     {{"kind", "reduce"}}},
+    {event::kTaskFail, metric::kTaskFailures, kCounter},
+    {event::kTaskSpeculate, metric::kTaskSpeculations, kCounter},
+    {event::kJobStart, metric::kJobs, kCounter},
+    // Recurring windows.
+    {event::kWindowComplete, metric::kWindowsCompleted, kCounter},
+    {event::kWindowComplete, metric::kWindowResponseTime, kHistogram,
+     "response_time"},
+    // Fleet serving (DESIGN §17).
+    {event::kFleetAdmit, metric::kFleetAdmitted, kCounter},
+    {event::kFleetAdmit, metric::kFleetAdmissionWait, kHistogram, "wait"},
+    {event::kFleetAdmit, metric::kFleetQueueDepth, kGauge, "queued"},
+    {event::kFleetScan, metric::kFleetScanRequests, kCounter},
+    {event::kFleetScan, metric::kFleetScanHits, kCounter, "hits"},
+    {event::kFleetScan, metric::kFleetScanMisses, kCounter, "misses"},
+    {event::kFleetScan, metric::kFleetScanBytesServed, kCounter, "bytes"},
+    {event::kFleetScan, metric::kFleetScanBytesScanned, kCounter,
+     "scanned_bytes"},
+    {event::kFleetAdopt, metric::kFleetDedupAdoptions, kCounter},
+    {event::kFleetAdopt, metric::kFleetDedupBytes, kCounter, "bytes"},
+    {event::kFleetEvictFanout, metric::kFleetDedupEvictFanout, kCounter},
+};
+constexpr size_t kNumRules = std::size(kRules);
+
+int64_t AsInt(const EventField& f) {
+  if (f.kind == EventField::Kind::kInt) return f.i64;
+  if (f.kind == EventField::Kind::kDouble) return static_cast<int64_t>(f.f64);
+  return 0;
+}
+
+double AsDouble(const EventField& f) {
+  if (f.kind == EventField::Kind::kDouble) return f.f64;
+  if (f.kind == EventField::Kind::kInt) return static_cast<double>(f.i64);
+  return 0.0;
+}
+
+bool Passes(const Event& e, const FieldTest& test) {
+  if (test.key == nullptr) return true;
+  const EventField* f = e.Find(test.key);
+  if (f == nullptr) return false;
+  if (test.str != nullptr) {
+    return f->kind == EventField::Kind::kString && f->str() == test.str;
+  }
+  return f->kind == EventField::Kind::kInt && f->i64 == test.num;
+}
+
+}  // namespace
 
 std::string FormatDouble(double value) {
   if (value == 0.0) return "0";  // Collapses -0 as well.
@@ -15,38 +160,22 @@ std::string FormatDouble(double value) {
   return s;
 }
 
-bool LabelSet::operator<(const LabelSet& o) const {
-  if (query != o.query) return query < o.query;
-  if (window != o.window) return window < o.window;
-  if (node != o.node) return node < o.node;
-  return phase < o.phase;
-}
-
-std::string LabelSet::Encode() const {
-  if (empty()) return "";
-  std::string out = "{";
-  const char* sep = "";
+std::string LabeledName(std::string_view name, std::string_view query,
+                        int32_t node) {
+  std::string out(name);
+  if (query.empty() && node < 0) return out;
+  out += '{';
   if (!query.empty()) {
-    out += StringPrintf("%squery=%s", sep, query.c_str());
-    sep = ",";
-  }
-  if (window >= 0) {
-    out += StringPrintf("%swindow=%lld", sep, static_cast<long long>(window));
-    sep = ",";
+    out += "query=";
+    out += query;
   }
   if (node >= 0) {
-    out += StringPrintf("%snode=%d", sep, node);
-    sep = ",";
+    if (!query.empty()) out += ',';
+    out += "node=";
+    out += std::to_string(node);
   }
-  if (!phase.empty()) {
-    out += StringPrintf("%sphase=%s", sep, phase.c_str());
-  }
-  out += "}";
+  out += '}';
   return out;
-}
-
-std::string LabeledName(std::string_view name, const LabelSet& labels) {
-  return std::string(name) + labels.Encode();
 }
 
 int32_t Histogram::BucketIndex(double value) {
@@ -77,30 +206,19 @@ double Histogram::BucketMidpoint(int32_t index) {
 }
 
 void Histogram::Record(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (snapshot_.count == 0) {
-    snapshot_.min = value;
-    snapshot_.max = value;
+  if (count == 0) {
+    min = value;
+    max = value;
   } else {
-    snapshot_.min = std::min(snapshot_.min, value);
-    snapshot_.max = std::max(snapshot_.max, value);
+    min = std::min(min, value);
+    max = std::max(max, value);
   }
-  ++snapshot_.count;
-  snapshot_.sum += value;
-  ++snapshot_.buckets[BucketIndex(value)];
+  ++count;
+  sum += value;
+  ++buckets[BucketIndex(value)];
 }
 
-int64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_.count;
-}
-
-HistogramSnapshot Histogram::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_;
-}
-
-double HistogramSnapshot::Quantile(double q) const {
+double Histogram::Quantile(double q) const {
   if (count <= 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   if (q <= 0.0) return min;
@@ -113,33 +231,10 @@ double HistogramSnapshot::Quantile(double q) const {
   for (const auto& [index, bucket_count] : buckets) {
     seen += bucket_count;
     if (seen >= rank) {
-      return std::clamp(Histogram::BucketMidpoint(index), min, max);
+      return std::clamp(BucketMidpoint(index), min, max);
     }
   }
   return max;
-}
-
-void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
-  // The empty snapshot is the identity on BOTH sides: its min/max are the
-  // 0.0 placeholders, not observations, and must never fold into a real
-  // extremum (the seed keyed emptiness off `count` alone, which dropped
-  // synthetic bucket-only snapshots and broke associativity for them).
-  const bool other_empty = other.count == 0 && other.buckets.empty();
-  if (other_empty) return;
-  const bool self_empty = count == 0 && buckets.empty();
-  if (self_empty) {
-    *this = other;
-    return;
-  }
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  sum += other.sum;
-  count += other.count;
-  // Safe under self-merge: value updates on existing keys only, no
-  // insertion happens mid-iteration.
-  for (const auto& [index, bucket_count] : other.buckets) {
-    buckets[index] += bucket_count;
-  }
 }
 
 int64_t MetricsSnapshot::Counter(std::string_view name) const {
@@ -157,38 +252,6 @@ double MetricsSnapshot::HitRate(std::string_view hits,
   const double h = static_cast<double>(Counter(hits));
   const double total = h + static_cast<double>(Counter(misses));
   return total > 0.0 ? h / total : 0.0;
-}
-
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  // Gauges add (see header): merges fold disjoint books, where a level is
-  // the sum of its shards. The seed's last-writer-wins made the result
-  // depend on fold order.
-  for (const auto& [name, value] : other.gauges) gauges[name] += value;
-  for (const auto& [name, histogram] : other.histograms) {
-    histograms[name].MergeFrom(histogram);
-  }
-}
-
-std::string MetricsSnapshot::ToText() const {
-  std::string out;
-  for (const auto& [name, value] : counters) {
-    out += StringPrintf("counter   %-44s %lld\n", name.c_str(),
-                        static_cast<long long>(value));
-  }
-  for (const auto& [name, value] : gauges) {
-    out += StringPrintf("gauge     %-44s %s\n", name.c_str(),
-                        FormatDouble(value).c_str());
-  }
-  for (const auto& [name, h] : histograms) {
-    out += StringPrintf(
-        "histogram %-44s count=%lld mean=%s p50=%s p95=%s p99=%s max=%s\n",
-        name.c_str(), static_cast<long long>(h.count),
-        FormatDouble(h.Mean()).c_str(), FormatDouble(h.P50()).c_str(),
-        FormatDouble(h.P95()).c_str(), FormatDouble(h.P99()).c_str(),
-        FormatDouble(h.max).c_str());
-  }
-  return out;
 }
 
 namespace {
@@ -251,228 +314,109 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-std::string MetricsSnapshot::ToCsv() const {
-  std::string out = "kind,name,value,count,sum,min,max,p50,p95,p99\n";
-  for (const auto& [name, value] : counters) {
-    out += StringPrintf("counter,%s,%lld,,,,,,,\n", name.c_str(),
-                        static_cast<long long>(value));
-  }
-  for (const auto& [name, value] : gauges) {
-    out += StringPrintf("gauge,%s,%s,,,,,,,\n", name.c_str(),
-                        FormatDouble(value).c_str());
-  }
-  for (const auto& [name, h] : histograms) {
-    out += StringPrintf("histogram,%s,,%lld,%s,%s,%s,%s,%s,%s\n", name.c_str(),
-                        static_cast<long long>(h.count),
-                        FormatDouble(h.sum).c_str(), FormatDouble(h.min).c_str(),
-                        FormatDouble(h.max).c_str(), FormatDouble(h.P50()).c_str(),
-                        FormatDouble(h.P95()).c_str(),
-                        FormatDouble(h.P99()).c_str());
-  }
-  return out;
-}
-
-MetricRegistry::MetricRegistry() {
-  // LabelId 0 is always the empty set: label-agnostic call sites can pass
-  // kNoLabels and land on the plain unlabeled series.
-  label_entries_.push_back(LabelEntry{});
-  label_ids_.emplace(LabelSet{}, kNoLabels);
-}
-
-namespace {
-
-// Charset rule from the LabelSet contract: keep encoded names parseable.
-void CheckLabelValue(const char* dim, const std::string& value) {
-  for (char c : value) {
-    REDOOP_CHECK(c != '{' && c != '}' && c != ',' && c != '=' && c != '"' &&
-                 c != '\n' && c != '\r')
-        << "label value for '" << dim << "' contains a reserved character: "
-        << value;
+MetricRegistry::MetricRegistry() : global_(kNumRules) {
+  for (size_t i = 0; i < kNumRules; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      REDOOP_CHECK(std::strcmp(kRules[i].metric, kRules[j].metric) != 0)
+          << "two rules feed " << kRules[i].metric;
+    }
   }
 }
 
-}  // namespace
-
-LabelId MetricRegistry::InternLabels(const LabelSet& labels) {
-  CheckLabelValue("query", labels.query);
-  CheckLabelValue("phase", labels.phase);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = label_ids_.find(labels);
-  if (it != label_ids_.end()) return it->second;
-  const LabelId id = static_cast<LabelId>(label_entries_.size());
-  label_entries_.push_back(LabelEntry{labels, labels.Encode()});
-  label_ids_.emplace(labels, id);
-  return id;
-}
-
-LabelSet MetricRegistry::label_set(LabelId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  REDOOP_CHECK(id >= 0 && static_cast<size_t>(id) < label_entries_.size())
-      << "unknown LabelId " << id;
-  return label_entries_[id].labels;
-}
-
-namespace {
-
-// Shared lookup shape for the three labeled maps: find-or-create the
-// per-name slot, then the per-label instance. Transparent string_view
-// find on the outer map means no allocation after first use.
-template <typename T, typename LabeledMapT>
-T& GetLabeled(LabeledMapT& map, std::string_view name, LabelId labels) {
-  auto it = map.find(name);
-  if (it == map.end()) {
-    it = map.emplace(std::string(name),
-                     typename LabeledMapT::mapped_type())
-             .first;
+const MetricRegistry::Dispatch& MetricRegistry::RulesFor(
+    const std::string& type) {
+  Dispatch& d = dispatch_[&type];
+  if (d.type == type) return d;
+  // First event at this address: a new type, or a pointer a later store
+  // reused for another one.
+  d.type = type;
+  d.first = 0;
+  d.count = 0;
+  for (size_t i = 0; i < kNumRules; ++i) {
+    if (type != kRules[i].event) continue;
+    if (d.count == 0) d.first = i;
+    REDOOP_CHECK(i == d.first + d.count)
+        << "the rules of " << type << " are not adjacent";
+    ++d.count;
   }
-  auto& per_label = it->second;
-  auto lit = per_label.find(labels);
-  if (lit == per_label.end()) {
-    lit = per_label.emplace(labels, std::make_unique<T>()).first;
+  return d;
+}
+
+MetricRegistry::Books& MetricRegistry::LabeledBooks(std::string_view query,
+                                                    int32_t node) {
+  auto it = labeled_.find(LabelView{query, node});
+  if (it == labeled_.end()) {
+    it = labeled_.emplace(LabelKey{std::string(query), node}, Books()).first;
   }
-  return *lit->second;
+  return it->second;
 }
 
-}  // namespace
-
-Counter& MetricRegistry::GetCounter(std::string_view name, LabelId labels) {
-  if (labels == kNoLabels) return GetCounter(name);
-  std::lock_guard<std::mutex> lock(mu_);
-  REDOOP_CHECK(static_cast<size_t>(labels) < label_entries_.size())
-      << "unknown LabelId " << labels;
-  return GetLabeled<Counter>(labeled_counters_, name, labels);
-}
-
-Gauge& MetricRegistry::GetGauge(std::string_view name, LabelId labels) {
-  if (labels == kNoLabels) return GetGauge(name);
-  std::lock_guard<std::mutex> lock(mu_);
-  REDOOP_CHECK(static_cast<size_t>(labels) < label_entries_.size())
-      << "unknown LabelId " << labels;
-  return GetLabeled<Gauge>(labeled_gauges_, name, labels);
-}
-
-Histogram& MetricRegistry::GetHistogram(std::string_view name,
-                                        LabelId labels) {
-  if (labels == kNoLabels) return GetHistogram(name);
-  std::lock_guard<std::mutex> lock(mu_);
-  REDOOP_CHECK(static_cast<size_t>(labels) < label_entries_.size())
-      << "unknown LabelId " << labels;
-  return GetLabeled<Histogram>(labeled_histograms_, name, labels);
-}
-
-void MetricRegistry::Increment(std::string_view name, LabelId labels,
-                               int64_t delta) {
-  GetCounter(name, labels).Increment(delta);
-}
-
-void MetricRegistry::SetGauge(std::string_view name, LabelId labels,
-                              double value) {
-  GetGauge(name, labels).Set(value);
-}
-
-void MetricRegistry::AddGauge(std::string_view name, LabelId labels,
-                              double delta) {
-  GetGauge(name, labels).Add(delta);
-}
-
-void MetricRegistry::Record(std::string_view name, LabelId labels,
-                            double value) {
-  GetHistogram(name, labels).Record(value);
-}
-
-Counter& MetricRegistry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
+void MetricRegistry::Fold(const Event& e) {
+  const Dispatch& d = RulesFor(e.type());
+  if (d.count == 0) return;
+  std::string_view query;
+  const EventField* query_field = e.Find("query");
+  if (query_field != nullptr &&
+      query_field->kind == EventField::Kind::kString) {
+    query = query_field->str();
   }
-  return *it->second;
-}
-
-Gauge& MetricRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
+  Books* query_books = nullptr;  // Looked up once, on first use.
+  for (size_t i = d.first; i < d.first + d.count; ++i) {
+    const Rule& rule = kRules[i];
+    if (!Passes(e, rule.when[0]) || !Passes(e, rule.when[1])) continue;
+    int64_t delta = 1;
+    double sample = 0.0;
+    if (rule.value != nullptr) {
+      const EventField* f = e.Find(rule.value);
+      if (f == nullptr) continue;
+      delta = AsInt(*f);
+      sample = AsDouble(*f);
+    }
+    if (rule.per != nullptr) {
+      const EventField* f = e.Find(rule.per);
+      if (f == nullptr || AsDouble(*f) <= 0.0) continue;
+      sample /= AsDouble(*f);
+    }
+    auto feed = [&rule, delta, sample](Series& s) {
+      s.touched = true;
+      switch (rule.kind) {
+        case Kind::kCounter: s.counter += delta; break;
+        case Kind::kGauge: s.gauge = sample; break;
+        case Kind::kHistogram: s.histogram.Record(sample); break;
+      }
+    };
+    feed(global_[i]);
+    if (rule.by_node) {
+      const int32_t node = static_cast<int32_t>(e.IntOr("node", -1));
+      if (!query.empty() || node >= 0) feed(LabeledBooks(query, node)[i]);
+    } else if (!query.empty()) {
+      if (query_books == nullptr) query_books = &LabeledBooks(query, -1);
+      feed((*query_books)[i]);
+    }
   }
-  return *it->second;
-}
-
-Histogram& MetricRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
-void MetricRegistry::Increment(std::string_view name, int64_t delta) {
-  GetCounter(name).Increment(delta);
-}
-
-void MetricRegistry::SetGauge(std::string_view name, double value) {
-  GetGauge(name).Set(value);
-}
-
-void MetricRegistry::AddGauge(std::string_view name, double delta) {
-  GetGauge(name).Add(delta);
-}
-
-void MetricRegistry::Record(std::string_view name, double value) {
-  GetHistogram(name).Record(value);
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
-  // Fold order is pinned here: plain series iterate name-sorted, labeled
-  // series iterate name-sorted then LabelId-sorted, and each Counter folds
-  // its shards in fixed index order — so two snapshots of identical
-  // registry state are identical element-for-element, independent of
-  // which threads wrote what.
-  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snapshot;
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters[name] = counter->value();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges[name] = gauge->value();
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snapshot.histograms[name] = histogram->Snapshot();
-  }
-  for (const auto& [name, per_label] : labeled_counters_) {
-    for (const auto& [id, counter] : per_label) {
-      snapshot.counters[name + label_entries_[id].suffix] = counter->value();
+  auto put = [&snapshot](size_t rule, std::string name, const Series& s) {
+    switch (kRules[rule].kind) {
+      case Kind::kCounter: snapshot.counters[std::move(name)] = s.counter; break;
+      case Kind::kGauge: snapshot.gauges[std::move(name)] = s.gauge; break;
+      case Kind::kHistogram:
+        snapshot.histograms[std::move(name)] = s.histogram;
+        break;
     }
+  };
+  for (size_t i = 0; i < kNumRules; ++i) {
+    if (global_[i].touched) put(i, kRules[i].metric, global_[i]);
   }
-  for (const auto& [name, per_label] : labeled_gauges_) {
-    for (const auto& [id, gauge] : per_label) {
-      snapshot.gauges[name + label_entries_[id].suffix] = gauge->value();
-    }
-  }
-  for (const auto& [name, per_label] : labeled_histograms_) {
-    for (const auto& [id, histogram] : per_label) {
-      snapshot.histograms[name + label_entries_[id].suffix] =
-          histogram->Snapshot();
+  for (const auto& [label, books] : labeled_) {
+    const std::string suffix = LabeledName("", label.query, label.node);
+    for (const auto& [rule, series] : books) {
+      put(rule, kRules[rule].metric + suffix, series);
     }
   }
   return snapshot;
-}
-
-void MetricRegistry::Reset() {
-  // Contract: callers quiesce all writers first — clearing destroys every
-  // metric instance Get* handed out. Interned label ids survive: scopes
-  // cache them for their lifetime, and the intern table is metadata, not
-  // metric state.
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  labeled_counters_.clear();
-  labeled_gauges_.clear();
-  labeled_histograms_.clear();
 }
 
 }  // namespace obs

@@ -12,24 +12,28 @@
 namespace redoop {
 namespace obs {
 
-/// Bundles the metric registry and event journal for one simulated run and
-/// carries the clock used to timestamp events. Drivers point the time
-/// source at their Simulator; components without a clock (profiler, cache
-/// controller, scheduler) call Now() through the context.
+/// Bundles the event journal of one simulated run with the metrics folded
+/// from it, and carries the clock used to timestamp events. Drivers point
+/// the time source at their Simulator; components without a clock
+/// (profiler, cache controller, scheduler) call Now() through the context.
 ///
 /// Instance-based by design: every RunSystem invocation in the CLI (or
 /// every driver in a test) gets its own context, so concurrent simulated
 /// systems never interleave events and runs stay bit-for-bit reproducible.
 /// All instrumentation hooks accept a nullable ObservabilityContext*; a
 /// null context disables emission at negligible cost.
+///
+/// Metrics are a fold of the journal (MetricRegistry): the newest event is
+/// folded once it is complete, which is at the next Emit, before the
+/// journal's retention budget can evict it. Snapshot() folds the newest
+/// event into a copy, so it is never counted twice. Append events through
+/// Emit only, not through journal() directly: the fold reads the newest.
 class ObservabilityContext {
  public:
   ObservabilityContext() = default;
   ObservabilityContext(const ObservabilityContext&) = delete;
   ObservabilityContext& operator=(const ObservabilityContext&) = delete;
 
-  MetricRegistry& metrics() { return metrics_; }
-  const MetricRegistry& metrics() const { return metrics_; }
   EventJournal& journal() { return journal_; }
   const EventJournal& journal() const { return journal_; }
 
@@ -39,23 +43,45 @@ class ObservabilityContext {
   double Now() const { return now_ ? now_() : 0.0; }
 
   /// Appends a journal event stamped with the context clock.
-  Event& Emit(std::string_view type) { return journal_.Append(Now(), type); }
+  Event& Emit(std::string_view type) { return EmitAt(Now(), type); }
   /// Appends a journal event with an explicit timestamp (for emitters that
   /// know a better time than "now", e.g. task completion callbacks).
   Event& EmitAt(double time, std::string_view type) {
+    if (const Event* done = Pending()) metrics_.Fold(*done);
+    pending_ = true;
     return journal_.Append(time, type);
   }
 
-  MetricsSnapshot Snapshot() const { return metrics_.Snapshot(); }
+  /// The metrics of every event emitted so far.
+  MetricsSnapshot Snapshot() const {
+    const Event* newest = Pending();
+    if (newest == nullptr) return metrics_.Snapshot();
+    MetricRegistry books = metrics_;
+    books.Fold(*newest);
+    return books.Snapshot();
+  }
 
  private:
+  /// The newest journal event while it is still unfolded: the last one
+  /// Emit appended, unless a Clear() dropped it.
+  const Event* Pending() const {
+    return pending_ && !journal_.empty() ? &journal_.events().back()
+                                         : nullptr;
+  }
+
   MetricRegistry metrics_;
   EventJournal journal_;
+  bool pending_ = false;
   std::function<double()> now_;
 };
 
-/// Metric names. One flat dot-separated namespace; every name is listed
-/// here so DESIGN.md's metric table has a single source of truth.
+/// Metric names. One flat dot-separated namespace. Every name here is fed
+/// by exactly one rule of the fold's rule table (metric_registry.cc), which
+/// names the event and field behind it; DESIGN §8 reproduces that table.
+/// What no event carries is not a metric: reduce-time cache reads live in
+/// WindowReport::counters, store levels in CacheStore's accessors, DFS
+/// re-replication in Dfs::ReplicateMissing's result and fleet publishes
+/// in FleetStats.
 namespace metric {
 
 // Pane-level cache reuse (reduce-input / reduce-output caches). A pane
@@ -80,14 +106,6 @@ inline constexpr const char* kCachePurgedBytes = "cache.purged.bytes";
 // cache.evictions above).
 inline constexpr const char* kCacheEvictedEntries = "cache.evicted.entries";
 inline constexpr const char* kCacheEvictedBytes = "cache.evicted.bytes";
-inline constexpr const char* kCacheStoreBytes = "cache.store.bytes";    // gauge
-inline constexpr const char* kCacheStoreEntries = "cache.store.entries";  // gauge
-inline constexpr const char* kCacheStorePinnedBytes =
-    "cache.store.pinned.bytes";  // gauge
-
-// Cache reads at reduce time (local = side input on the reducer's node).
-inline constexpr const char* kCacheReadLocalBytes = "cache.read.local.bytes";
-inline constexpr const char* kCacheReadRemoteBytes = "cache.read.remote.bytes";
 
 // Scheduler decisions.
 inline constexpr const char* kSchedMapLocal = "sched.map.data_local";
@@ -110,7 +128,6 @@ inline constexpr const char* kDfsReadRemoteBytes = "dfs.read.remote.bytes";
 inline constexpr const char* kDfsFilesCreated = "dfs.files.created";
 inline constexpr const char* kDfsFilesDeleted = "dfs.files.deleted";
 inline constexpr const char* kDfsBytesWritten = "dfs.bytes.written";
-inline constexpr const char* kDfsReplicasRestored = "dfs.replicas.restored";
 
 // Tasks and jobs.
 inline constexpr const char* kTasksMap = "tasks.map";
@@ -136,7 +153,6 @@ inline constexpr const char* kFleetScanMisses = "fleet.scan.misses";
 inline constexpr const char* kFleetScanBytesServed = "fleet.scan.bytes.served";
 inline constexpr const char* kFleetScanBytesScanned =
     "fleet.scan.bytes.scanned";
-inline constexpr const char* kFleetDedupPublished = "fleet.dedup.published";
 inline constexpr const char* kFleetDedupAdoptions = "fleet.dedup.adoptions";
 inline constexpr const char* kFleetDedupBytes = "fleet.dedup.bytes";
 inline constexpr const char* kFleetDedupEvictFanout =

@@ -88,13 +88,11 @@ SloReport ComputeSlo(const EventJournal& journal,
 
 void ExportTo(const SloReport& report, MetricsSnapshot* snapshot) {
   for (const QuerySlo& q : report.queries) {
-    LabelSet labels;
-    labels.query = q.query;
     auto counter = [&](const char* name, int64_t value) {
-      snapshot->counters[LabeledName(name, labels)] = value;
+      snapshot->counters[LabeledName(name, q.query)] = value;
     };
     auto gauge = [&](const char* name, double value) {
-      snapshot->gauges[LabeledName(name, labels)] = value;
+      snapshot->gauges[LabeledName(name, q.query)] = value;
     };
     counter("slo.windows", q.windows);
     if (q.windows_with_deadline > 0) {

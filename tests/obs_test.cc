@@ -1,9 +1,10 @@
-// Tests for the observability layer: metric registry semantics, histogram
-// quantile accuracy, snapshot merging, event-journal JSONL round-trips,
-// and end-to-end determinism of instrumented driver runs.
+// Tests for the observability layer: the metric fold and its snapshot,
+// histogram quantile accuracy, event-journal JSONL round-trips, and
+// end-to-end determinism of instrumented driver runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
@@ -15,6 +16,7 @@
 #include "obs/event_journal.h"
 #include "obs/metric_registry.h"
 #include "obs/observability.h"
+#include "obs/telemetry_scope.h"
 #include "tests/test_util.h"
 
 namespace redoop {
@@ -24,63 +26,153 @@ using ::redoop::testing::MakeWccFeed;
 using ::redoop::testing::SmallClusterConfig;
 
 // ---------------------------------------------------------------------------
-// MetricRegistry
+// MetricRegistry: the fold of journal events into metric series
 // ---------------------------------------------------------------------------
 
 TEST(MetricRegistryTest, CounterSemantics) {
-  obs::MetricRegistry registry;
-  registry.Increment("a");
-  registry.Increment("a", 4);
-  registry.Increment("b", 0);
-  EXPECT_EQ(registry.GetCounter("a").value(), 5);
-  EXPECT_EQ(registry.GetCounter("b").value(), 0);
+  obs::ObservabilityContext ctx;
+  ctx.Emit(obs::event::kCacheAdd).With("bytes", 4);
+  ctx.Emit(obs::event::kCacheAdd).With("bytes", 1);
+  ctx.Emit(obs::event::kCacheAdd);  // No value field: counted, adds no bytes.
+  ctx.Emit(obs::event::kCachePurge).With("bytes", 0);
+  ctx.Emit("not.a.metric.event").With("bytes", 99);
 
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.Counter("a"), 5);
-  EXPECT_EQ(snap.Counter("b"), 0);
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_EQ(snap.Counter(obs::metric::kCacheAdds), 3) << "one per event";
+  EXPECT_EQ(snap.Counter(obs::metric::kCacheAddBytes), 5)
+      << "the bytes field is the delta";
+  EXPECT_EQ(snap.counters.count(obs::metric::kCachePurgedBytes), 1u)
+      << "a zero delta still creates the series";
+  EXPECT_EQ(snap.counters.count(obs::metric::kCacheEvictions), 0u)
+      << "a metric no event fed is absent";
   EXPECT_EQ(snap.Counter("never-touched"), 0) << "absent counters read as 0";
 }
 
-TEST(MetricRegistryTest, GaugeSetAndAdd) {
-  obs::MetricRegistry registry;
-  registry.SetGauge("level", 10.0);
-  registry.AddGauge("level", -2.5);
-  EXPECT_DOUBLE_EQ(registry.Snapshot().Gauge("level"), 7.5);
-  registry.SetGauge("level", 1.0);
-  EXPECT_DOUBLE_EQ(registry.Snapshot().Gauge("level"), 1.0)
-      << "Set overwrites, it does not accumulate";
+TEST(MetricRegistryTest, GaugeKeepsTheLastLevel) {
+  obs::ObservabilityContext ctx;
+  ctx.Emit(obs::event::kFleetAdmit).With("wait", 0.5).With("queued", 10);
+  ctx.Emit(obs::event::kFleetAdmit).With("wait", 1.5).With("queued", 1);
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Gauge(obs::metric::kFleetQueueDepth), 1.0)
+      << "a later level overwrites, it does not accumulate";
+  EXPECT_EQ(snap.Counter(obs::metric::kFleetAdmitted), 2);
+  EXPECT_DOUBLE_EQ(snap.histograms.at(obs::metric::kFleetAdmissionWait).sum,
+                   2.0);
 }
 
-TEST(MetricRegistryTest, StableReferencesAcrossInsertions) {
+TEST(MetricRegistryTest, FieldTestsPickTheSeries) {
+  obs::ObservabilityContext ctx;
+  ctx.Emit(obs::event::kTaskFinish).With("kind", "map").With("duration", 2.0);
+  ctx.Emit(obs::event::kTaskFinish).With("kind", "reduce")
+      .With("duration", 3.0);
+  ctx.Emit(obs::event::kSchedAssign).With("kind", "map")
+      .With("locality", "remote");
+  ctx.Emit(obs::event::kSchedAssign).With("kind", "reduce")
+      .With("affinity_considered", 1).With("affinity_taken", 0)
+      .With("io_cost", 0.5);
+  ctx.Emit(obs::event::kSchedAssign).With("kind", "reduce");  // Default policy.
+  ctx.Emit(obs::event::kProfilerObserve).With("actual", 4.0);
+  ctx.Emit(obs::event::kProfilerObserve).With("actual", 4.0)
+      .With("abs_error", 1.0);
+
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_EQ(snap.Counter(obs::metric::kTasksMap), 1);
+  EXPECT_EQ(snap.Counter(obs::metric::kTasksReduce), 1);
+  EXPECT_DOUBLE_EQ(snap.histograms.at(obs::metric::kTaskReduceDuration).sum,
+                   3.0);
+  EXPECT_EQ(snap.Counter(obs::metric::kSchedMapRemote), 1);
+  EXPECT_EQ(snap.counters.count(obs::metric::kSchedMapLocal), 0u);
+  EXPECT_EQ(snap.Counter(obs::metric::kSchedReduceAssignments), 2);
+  EXPECT_EQ(snap.Counter(obs::metric::kSchedCacheAffinityMissed), 1);
+  EXPECT_EQ(snap.counters.count(obs::metric::kSchedCacheAffinityTaken), 0u);
+  EXPECT_EQ(snap.histograms.at(obs::metric::kSchedReduceIoCost).count, 1)
+      << "only events that carry io_cost feed the histogram";
+  EXPECT_EQ(snap.Counter(obs::metric::kProfilerObservations), 2);
+  EXPECT_EQ(snap.histograms.at(obs::metric::kProfilerAbsErr).count, 1);
+  EXPECT_DOUBLE_EQ(snap.histograms.at(obs::metric::kProfilerRelErr).max, 0.25)
+      << "relative error is abs_error / actual";
+}
+
+TEST(MetricRegistryTest, DispatchSurvivesAReusedTypeAddress) {
+  // Standalone events intern their type in a private store that dies with
+  // them, so consecutive events may hand the fold the same type address
+  // for different types.
   obs::MetricRegistry registry;
-  obs::Counter& a = registry.GetCounter("a");
-  for (int i = 0; i < 100; ++i) {
-    registry.Increment("c" + std::to_string(i));
+  for (int i = 0; i < 50; ++i) {
+    registry.Fold(obs::Event(0.0, obs::event::kJobStart));
+    registry.Fold(obs::Event(0.0, obs::event::kTaskFail));
   }
-  a.Increment(7);
-  EXPECT_EQ(registry.Snapshot().Counter("a"), 7)
-      << "handles must survive later registrations";
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.Counter(obs::metric::kJobs), 50);
+  EXPECT_EQ(snap.Counter(obs::metric::kTaskFailures), 50);
 }
 
-TEST(MetricRegistryTest, ResetClearsEverything) {
-  obs::MetricRegistry registry;
-  registry.Increment("c", 3);
-  registry.SetGauge("g", 1.0);
-  registry.Record("h", 2.0);
-  registry.Reset();
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-  EXPECT_TRUE(snap.histograms.empty());
+TEST(MetricRegistryTest, LabeledSeriesExportUnderEncodedNames) {
+  EXPECT_EQ(obs::LabeledName("cache.pane.hits", ""), "cache.pane.hits");
+  EXPECT_EQ(obs::LabeledName("cache.purged.bytes", "join", 0),
+            "cache.purged.bytes{query=join,node=0}")
+      << "fixed dimension order, set dims only";
+  EXPECT_EQ(obs::LabeledName("cache.purged.bytes", "", 3),
+            "cache.purged.bytes{node=3}");
+
+  obs::ObservabilityContext ctx;
+  obs::TelemetryScope wcc(&ctx, "wcc");
+  wcc.Emit(obs::event::kCachePaneHit).With("bytes", 5);
+  ctx.Emit(obs::event::kCachePaneHit).With("bytes", 2);  // Unattributed.
+  wcc.Emit(obs::event::kCachePurge).With("node", 3).With("bytes", 7);
+  wcc.Emit(obs::event::kWindowComplete).With("response_time", 0.25);
+  // An integer `query` field (the controller's query id) labels nothing.
+  ctx.Emit(obs::event::kCacheRebuild).With("query", 7);
+
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_EQ(snap.Counter("cache.pane.hits"), 2) << "global series";
+  EXPECT_EQ(snap.Counter("cache.pane.hits{query=wcc}"), 1);
+  EXPECT_EQ(snap.Counter("cache.pane.hit.bytes{query=wcc}"), 5);
+  EXPECT_EQ(snap.Counter("cache.purged.bytes{query=wcc,node=3}"), 7);
+  EXPECT_EQ(snap.counters.count("cache.purged.bytes{query=wcc}"), 0u)
+      << "a rule labeled by node keeps only the (query, node) series";
+  EXPECT_EQ(snap.histograms.at("window.response_time_s{query=wcc}").count, 1);
+  EXPECT_EQ(snap.Counter("cache.rebuilds"), 1);
+  EXPECT_EQ(snap.counters.count("cache.rebuilds{query=7}"), 0u);
 }
 
 TEST(MetricsSnapshotTest, HitRate) {
-  obs::MetricRegistry registry;
-  EXPECT_DOUBLE_EQ(registry.Snapshot().HitRate("h", "m"), 0.0)
+  obs::MetricsSnapshot snap;
+  EXPECT_DOUBLE_EQ(snap.HitRate("h", "m"), 0.0)
       << "no observations -> 0, not NaN";
-  registry.Increment("h", 3);
-  registry.Increment("m", 1);
-  EXPECT_DOUBLE_EQ(registry.Snapshot().HitRate("h", "m"), 0.75);
+  snap.counters["h"] = 3;
+  snap.counters["m"] = 1;
+  EXPECT_DOUBLE_EQ(snap.HitRate("h", "m"), 0.75);
+}
+
+// ---------------------------------------------------------------------------
+// ObservabilityContext: when the fold sees an event
+// ---------------------------------------------------------------------------
+
+TEST(ObservabilityContextTest, FoldsEachEventOnceWhenComplete) {
+  obs::ObservabilityContext ctx;
+  obs::Event& add = ctx.Emit(obs::event::kCacheAdd);
+  EXPECT_EQ(ctx.Snapshot().Counter(obs::metric::kCacheAdds), 1)
+      << "Snapshot() sees the newest event";
+  add.With("bytes", 6);  // Still open: its fields count until the next Emit.
+  EXPECT_EQ(ctx.Snapshot().Counter(obs::metric::kCacheAddBytes), 6);
+  ctx.Emit(obs::event::kJobStart);
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_EQ(snap.Counter(obs::metric::kCacheAdds), 1) << "counted once";
+  EXPECT_EQ(snap.Counter(obs::metric::kCacheAddBytes), 6);
+  EXPECT_EQ(snap.Counter(obs::metric::kJobs), 1);
+  EXPECT_EQ(snap.ToJson(), ctx.Snapshot().ToJson()) << "snapshots are reads";
+}
+
+TEST(ObservabilityContextTest, EvictedEventsStillCount) {
+  obs::ObservabilityContext ctx;
+  ctx.journal().SetRetentionBudget(1024);
+  for (int i = 0; i < 1000; ++i) {
+    ctx.Emit(obs::event::kCacheAdd).With("name", "x").With("bytes", 2);
+  }
+  EXPECT_GT(ctx.journal().dropped_events(), 900);
+  EXPECT_EQ(ctx.Snapshot().Counter(obs::metric::kCacheAdds), 1000);
+  EXPECT_EQ(ctx.Snapshot().Counter(obs::metric::kCacheAddBytes), 2000);
 }
 
 // ---------------------------------------------------------------------------
@@ -97,13 +189,12 @@ double ExactQuantile(const std::vector<double>& sorted, double q) {
 }
 
 TEST(HistogramTest, QuantilesOnUniformDistribution) {
-  obs::MetricRegistry registry;
+  obs::Histogram h;
   std::vector<double> values;
   for (int i = 1; i <= 1000; ++i) {
     values.push_back(static_cast<double>(i));
-    registry.Record("h", static_cast<double>(i));
+    h.Record(static_cast<double>(i));
   }
-  const obs::HistogramSnapshot h = registry.Snapshot().histograms.at("h");
   EXPECT_EQ(h.count, 1000);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 1000.0);
@@ -124,20 +215,19 @@ TEST(HistogramTest, QuantilesOnUniformDistribution) {
 TEST(HistogramTest, QuantilesOnSkewedDistribution) {
   // 95 fast observations at ~1.0 and 5 slow outliers at ~100.0: p50 must
   // report the fast mode, p99 the slow tail.
-  obs::Histogram hist;
+  obs::Histogram h;
   std::vector<double> values;
   for (int i = 0; i < 95; ++i) {
     const double v = 1.0 + 0.01 * i;
     values.push_back(v);
-    hist.Record(v);
+    h.Record(v);
   }
   for (int i = 0; i < 5; ++i) {
     const double v = 100.0 + i;
     values.push_back(v);
-    hist.Record(v);
+    h.Record(v);
   }
   std::sort(values.begin(), values.end());
-  const obs::HistogramSnapshot h = hist.Snapshot();
   EXPECT_NEAR(h.Quantile(0.50), ExactQuantile(values, 0.50),
               ExactQuantile(values, 0.50) * 0.05);
   EXPECT_NEAR(h.Quantile(0.99), ExactQuantile(values, 0.99),
@@ -147,10 +237,9 @@ TEST(HistogramTest, QuantilesOnSkewedDistribution) {
 }
 
 TEST(HistogramTest, TinyAndZeroValuesCollapseIntoBucketZero) {
-  obs::Histogram hist;
-  hist.Record(0.0);
-  hist.Record(1e-12);
-  const obs::HistogramSnapshot h = hist.Snapshot();
+  obs::Histogram h;
+  h.Record(0.0);
+  h.Record(1e-12);
   EXPECT_EQ(h.count, 2);
   EXPECT_EQ(h.buckets.count(0), 1u);
   EXPECT_LE(h.Quantile(0.5), obs::Histogram::kMinTrackable);
@@ -158,9 +247,8 @@ TEST(HistogramTest, TinyAndZeroValuesCollapseIntoBucketZero) {
 
 TEST(HistogramTest, SingleSampleQuantilesAreExact) {
   for (const double v : {42.0, 0.0, -7.5, 1e-12}) {
-    obs::Histogram hist;
-    hist.Record(v);
-    const obs::HistogramSnapshot h = hist.Snapshot();
+    obs::Histogram h;
+    h.Record(v);
     for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
       EXPECT_DOUBLE_EQ(h.Quantile(q), v)
           << "single-sample histograms must be exact at q=" << q
@@ -170,11 +258,10 @@ TEST(HistogramTest, SingleSampleQuantilesAreExact) {
 }
 
 TEST(HistogramTest, ZeroIsAnExactQuantile) {
-  obs::Histogram hist;
-  hist.Record(-5.0);
-  hist.Record(0.0);
-  hist.Record(5.0);
-  const obs::HistogramSnapshot h = hist.Snapshot();
+  obs::Histogram h;
+  h.Record(-5.0);
+  h.Record(0.0);
+  h.Record(5.0);
   EXPECT_DOUBLE_EQ(h.Quantile(0.0), -5.0);
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0)
       << "the zero bucket's representative value is exactly 0";
@@ -182,11 +269,10 @@ TEST(HistogramTest, ZeroIsAnExactQuantile) {
 }
 
 TEST(HistogramTest, NegativeValuesKeepValueOrder) {
-  obs::Histogram hist;
-  hist.Record(-1.0);
-  hist.Record(-2.0);
-  hist.Record(-4.0);
-  const obs::HistogramSnapshot h = hist.Snapshot();
+  obs::Histogram h;
+  h.Record(-1.0);
+  h.Record(-2.0);
+  h.Record(-4.0);
   EXPECT_DOUBLE_EQ(h.min, -4.0);
   EXPECT_DOUBLE_EQ(h.max, -1.0);
   EXPECT_NEAR(h.Quantile(0.5), -2.0, 2.0 * 0.05)
@@ -194,76 +280,33 @@ TEST(HistogramTest, NegativeValuesKeepValueOrder) {
   EXPECT_LT(h.Quantile(0.1), h.Quantile(0.9))
       << "quantiles must be monotone across negative buckets";
   // Mixed signs: negative buckets sort before positive ones.
-  hist.Record(3.0);
-  hist.Record(8.0);
-  const obs::HistogramSnapshot mixed = hist.Snapshot();
-  EXPECT_LT(mixed.Quantile(0.2), 0.0);
-  EXPECT_GT(mixed.Quantile(0.9), 0.0);
+  h.Record(3.0);
+  h.Record(8.0);
+  EXPECT_LT(h.Quantile(0.2), 0.0);
+  EXPECT_GT(h.Quantile(0.9), 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot merge
-// ---------------------------------------------------------------------------
-
-TEST(MetricsSnapshotTest, MergeCombinesCountersGaugesHistograms) {
-  obs::MetricRegistry a;
-  obs::MetricRegistry b;
-  a.Increment("shared", 2);
-  b.Increment("shared", 3);
-  b.Increment("only-b", 1);
-  a.SetGauge("g", 1.0);
-  b.SetGauge("g", 9.0);
-  for (int i = 1; i <= 50; ++i) a.Record("h", static_cast<double>(i));
-  for (int i = 51; i <= 100; ++i) b.Record("h", static_cast<double>(i));
-
-  obs::MetricsSnapshot merged = a.Snapshot();
-  merged.MergeFrom(b.Snapshot());
-  EXPECT_EQ(merged.Counter("shared"), 5) << "counters add";
-  EXPECT_EQ(merged.Counter("only-b"), 1);
-  EXPECT_DOUBLE_EQ(merged.Gauge("g"), 10.0)
-      << "gauges add: levels from disjoint sources (per-node queue depths, "
-         "store bytes) combine, and addition is fold-order independent";
-
-  // The merged histogram must equal one built from all 100 values.
-  obs::MetricRegistry whole;
-  for (int i = 1; i <= 100; ++i) whole.Record("h", static_cast<double>(i));
-  const obs::HistogramSnapshot expect = whole.Snapshot().histograms.at("h");
-  const obs::HistogramSnapshot got = merged.histograms.at("h");
-  EXPECT_EQ(got.count, expect.count);
-  EXPECT_DOUBLE_EQ(got.sum, expect.sum);
-  EXPECT_DOUBLE_EQ(got.min, expect.min);
-  EXPECT_DOUBLE_EQ(got.max, expect.max);
-  EXPECT_EQ(got.buckets, expect.buckets) << "bucket-exact merge";
-  EXPECT_DOUBLE_EQ(got.P95(), expect.P95());
-}
-
-// ---------------------------------------------------------------------------
-// Exporters
+// Exporter
 // ---------------------------------------------------------------------------
 
 TEST(MetricsSnapshotTest, ExportersAreDeterministicAndWellFormed) {
-  obs::MetricRegistry registry;
-  registry.Increment("z.counter", 5);
-  registry.Increment("a.counter", 1);
-  registry.SetGauge("g", -0.0);  // Negative zero must normalize.
-  registry.Record("lat", 0.25);
+  obs::MetricsSnapshot snap;
+  snap.counters["z.counter"] = 5;
+  snap.counters["a.counter"] = 1;
+  snap.gauges["g"] = -0.0;  // Negative zero must normalize.
+  snap.histograms["lat"].Record(0.25);
 
-  const obs::MetricsSnapshot snap = registry.Snapshot();
   const std::string json = snap.ToJson();
   EXPECT_NE(json.find("\"a.counter\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"z.counter\": 5"), std::string::npos);
   EXPECT_LT(json.find("a.counter"), json.find("z.counter"))
       << "exporters emit names sorted";
   EXPECT_EQ(json.find("-0"), std::string::npos) << "no negative zero";
-
-  const std::string csv = snap.ToCsv();
-  EXPECT_EQ(csv.rfind("kind,name,value,count,sum,min,max,p50,p95,p99\n", 0),
-            0u);
-  EXPECT_NE(csv.find("counter,a.counter,1"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat,"), std::string::npos);
-  EXPECT_NE(snap.ToText().find("a.counter"), std::string::npos);
-
-  EXPECT_EQ(json, registry.Snapshot().ToJson()) << "snapshotting is stable";
+  EXPECT_NE(json.find("\"lat\": {\"count\": 1, \"sum\": 0.25"),
+            std::string::npos);
+  EXPECT_EQ(json, obs::MetricsSnapshot(snap).ToJson())
+      << "snapshotting is stable";
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +511,7 @@ InstrumentedRun RunInstrumentedAggregation() {
   RunReport report = driver.Run(3).value();
   InstrumentedRun run;
   run.journal_jsonl = ctx.journal().ToJsonl();
-  run.metrics_json = ctx.metrics().Snapshot().ToJson();
+  run.metrics_json = ctx.Snapshot().ToJson();
   run.snapshot = report.observability;
   return run;
 }
@@ -513,89 +556,6 @@ TEST(ObservabilityIntegrationTest, OverlappingWindowsHitThePaneCaches) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-safety and merge-associativity contracts (parallel engine support)
-// ---------------------------------------------------------------------------
-
-TEST(MetricRegistryTest, ShardedCountersFoldExactlyUnderConcurrency) {
-  obs::MetricRegistry registry;
-  obs::Counter& counter = registry.GetCounter("parallel.total");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kPerThread; ++i) counter.Increment(3);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.value(), int64_t{3} * kThreads * kPerThread)
-      << "shard fold must lose nothing regardless of thread placement";
-  EXPECT_EQ(registry.Snapshot().Counter("parallel.total"),
-            int64_t{3} * kThreads * kPerThread);
-}
-
-TEST(MetricRegistryTest, ConcurrentGetAndRecordIsSafe) {
-  obs::MetricRegistry registry;
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      for (int i = 0; i < 500; ++i) {
-        registry.Increment("shared.counter");
-        registry.Record("shared.histogram", 1.0 + t);
-        registry.Increment("per.thread." + std::to_string(t));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.Counter("shared.counter"), kThreads * 500);
-  EXPECT_EQ(snap.histograms.at("shared.histogram").count, kThreads * 500);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(snap.Counter("per.thread." + std::to_string(t)), 500);
-  }
-}
-
-TEST(HistogramTest, SnapshotMergeIsAssociativeAndCommutative) {
-  // Values chosen dyadic so double sums are exact and grouping-invariant.
-  auto snap_of = [](std::initializer_list<double> values) {
-    obs::Histogram h;
-    for (double v : values) h.Record(v);
-    return h.Snapshot();
-  };
-  const obs::HistogramSnapshot a = snap_of({0.25, 8.0});
-  const obs::HistogramSnapshot b = snap_of({-4.5});
-  const obs::HistogramSnapshot c = snap_of({0.5, 0.5, 1024.0});
-  const obs::HistogramSnapshot empty;
-
-  auto merge = [](obs::HistogramSnapshot x, const obs::HistogramSnapshot& y) {
-    x.MergeFrom(y);
-    return x;
-  };
-  const obs::HistogramSnapshot left = merge(merge(a, b), c);
-  const obs::HistogramSnapshot right = merge(a, merge(b, c));
-  EXPECT_EQ(left.count, right.count);
-  EXPECT_EQ(left.min, right.min);
-  EXPECT_EQ(left.max, right.max);
-  EXPECT_EQ(left.sum, right.sum);
-  EXPECT_EQ(left.buckets, right.buckets);
-
-  const obs::HistogramSnapshot ab = merge(a, b);
-  const obs::HistogramSnapshot ba = merge(b, a);
-  EXPECT_EQ(ab.min, ba.min);
-  EXPECT_EQ(ab.max, ba.max);
-  EXPECT_EQ(ab.buckets, ba.buckets);
-
-  // The empty snapshot is a two-sided identity: its placeholder min/max
-  // must never leak into a real extremum (all-negative data would
-  // otherwise pick up a spurious max of 0).
-  EXPECT_EQ(merge(b, empty).max, -4.5);
-  EXPECT_EQ(merge(empty, b).max, -4.5);
-  EXPECT_EQ(merge(merge(empty, a), empty).min, 0.25);
-}
-
 TEST(EventJournalTest, ParseDoesNotRestampCommonFieldsOfTarget) {
   obs::EventJournal source;
   source.Append(1.0, "x").With("k", "v");
@@ -629,92 +589,15 @@ TEST(EventJournalDeathTest, CrossThreadAppendViolatesSingleWriter) {
 #endif  // GTEST_HAS_DEATH_TEST
 
 // ---------------------------------------------------------------------------
-// Dimensional labels + TelemetryScope
+// TelemetryScope
 // ---------------------------------------------------------------------------
 
-TEST(MetricsSnapshotTest, GaugeMergeIsFoldOrderIndependent) {
-  // Three disjoint books with integer-valued levels; any fold order (and
-  // grouping) must produce one snapshot. The seed's last-writer-wins merge
-  // made the result depend on which shard folded last.
-  obs::MetricRegistry a, b, c;
-  a.SetGauge("store.bytes", 100.0);
-  b.SetGauge("store.bytes", 7.0);
-  c.SetGauge("store.bytes", 3000.0);
-  c.SetGauge("only-c", 5.0);
-
-  obs::MetricsSnapshot abc = a.Snapshot();
-  abc.MergeFrom(b.Snapshot());
-  abc.MergeFrom(c.Snapshot());
-
-  obs::MetricsSnapshot cba = c.Snapshot();
-  cba.MergeFrom(b.Snapshot());
-  cba.MergeFrom(a.Snapshot());
-
-  obs::MetricsSnapshot grouped = b.Snapshot();  // (b + c) + a
-  grouped.MergeFrom(c.Snapshot());
-  grouped.MergeFrom(a.Snapshot());
-
-  EXPECT_DOUBLE_EQ(abc.Gauge("store.bytes"), 3107.0);
-  EXPECT_EQ(abc.ToJson(), cba.ToJson()) << "fold order must not show";
-  EXPECT_EQ(abc.ToJson(), grouped.ToJson()) << "fold grouping must not show";
-}
-
-TEST(MetricRegistryTest, LabelSetEncodingAndInterning) {
-  obs::LabelSet empty;
-  EXPECT_EQ(empty.Encode(), "");
-  obs::LabelSet full;
-  full.query = "wcc";
-  full.window = 12;
-  full.node = 3;
-  full.phase = "map";
-  EXPECT_EQ(full.Encode(), "{query=wcc,window=12,node=3,phase=map}")
-      << "fixed dimension order, set dims only";
-  obs::LabelSet partial;
-  partial.query = "join";
-  partial.node = 0;
-  EXPECT_EQ(obs::LabeledName("cache.pane.hits", partial),
-            "cache.pane.hits{query=join,node=0}");
-
-  obs::MetricRegistry registry;
-  EXPECT_EQ(registry.InternLabels(empty), obs::kNoLabels);
-  const obs::LabelId id = registry.InternLabels(partial);
-  EXPECT_NE(id, obs::kNoLabels);
-  EXPECT_EQ(registry.InternLabels(partial), id) << "interning dedups";
-  EXPECT_EQ(registry.label_set(id), partial);
-}
-
-TEST(MetricRegistryTest, LabeledSeriesExportUnderEncodedNames) {
-  obs::MetricRegistry registry;
-  obs::LabelSet wcc;
-  wcc.query = "wcc";
-  const obs::LabelId id = registry.InternLabels(wcc);
-
-  registry.Increment("hits", 2);       // Global series.
-  registry.Increment("hits", id, 5);   // Labeled series: separate cell.
-  registry.SetGauge("level", id, 9.0);
-  registry.Record("lat", id, 0.25);
-  registry.Increment("plain", obs::kNoLabels, 3);  // Aliases the plain cell.
-
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.Counter("hits"), 2);
-  EXPECT_EQ(snap.Counter("hits{query=wcc}"), 5);
-  EXPECT_DOUBLE_EQ(snap.Gauge("level{query=wcc}"), 9.0);
-  EXPECT_EQ(snap.histograms.at("lat{query=wcc}").count, 1);
-  EXPECT_EQ(snap.Counter("plain"), 3);
-
-  registry.Reset();
-  EXPECT_EQ(registry.Snapshot().counters.size(), 0u);
-  // Handles stay valid across Reset (intern table survives).
-  registry.Increment("hits", id, 1);
-  EXPECT_EQ(registry.Snapshot().Counter("hits{query=wcc}"), 1);
-}
-
 #if GTEST_HAS_DEATH_TEST
+// The query a scope stamps becomes a series label, so the charset rule for
+// label values is enforced where the query is bound: scope construction.
 TEST(MetricRegistryDeathTest, LabelValueCharsetIsEnforced) {
-  obs::MetricRegistry registry;
-  obs::LabelSet bad;
-  bad.query = "a{b";
-  EXPECT_DEATH(registry.InternLabels(bad), "label value");
+  obs::ObservabilityContext ctx;
+  EXPECT_DEATH({ obs::TelemetryScope scope(&ctx, "a{b"); }, "label value");
 }
 #endif  // GTEST_HAS_DEATH_TEST
 
@@ -726,8 +609,7 @@ TEST(TelemetryScopeTest, StampsAttributionAndDualWritesMetrics) {
   scope.Emit("custom").With("k", 1);  // window < 0: no window field.
   window_cell = 4;
   scope.Emit("custom2");
-  scope.Increment("c", 2);
-  scope.Record("h", 1.5);
+  scope.Emit(obs::event::kJobStart);
 
   const obs::Event& first = ctx.journal().events()[0];
   EXPECT_EQ(first.StrOr("query", ""), "wcc");
@@ -735,22 +617,19 @@ TEST(TelemetryScopeTest, StampsAttributionAndDualWritesMetrics) {
   const obs::Event& second = ctx.journal().events()[1];
   EXPECT_EQ(second.IntOr("window", -1), 4);
 
-  const obs::MetricsSnapshot snap = ctx.metrics().Snapshot();
-  EXPECT_EQ(snap.Counter("c"), 2) << "global series still written";
-  EXPECT_EQ(snap.Counter("c{query=wcc}"), 2);
-  EXPECT_EQ(snap.histograms.at("h{query=wcc}").count, 1);
+  // The stamped query is what the fold labels by: one event feeds the
+  // global series and the query's series, and no window label exists.
+  const obs::MetricsSnapshot snap = ctx.Snapshot();
+  EXPECT_EQ(snap.Counter("jobs"), 1) << "global series";
+  EXPECT_EQ(snap.Counter("jobs{query=wcc}"), 1);
+  EXPECT_EQ(snap.counters.size(), 2u);
 
-  // Derived scopes extend the label set; query/window plumbing carries.
-  obs::TelemetryScope node_scope = scope.WithNode(3);
-  node_scope.Increment("c");
-  EXPECT_EQ(ctx.metrics().Snapshot().Counter("c{query=wcc,node=3}"), 1);
-  EXPECT_EQ(node_scope.window(), 4);
-
-  // Inactive scopes ignore metric writes.
-  obs::TelemetryScope inactive;
-  EXPECT_FALSE(inactive.active());
-  inactive.Increment("ignored");
-  EXPECT_EQ(ctx.metrics().Snapshot().Counter("ignored"), 0);
+  // An unattributed scope stamps nothing, so it feeds the global series
+  // only.
+  obs::TelemetryScope plain(&ctx);
+  plain.Emit(obs::event::kJobStart);
+  EXPECT_EQ(ctx.Snapshot().Counter("jobs"), 2);
+  EXPECT_EQ(ctx.Snapshot().Counter("jobs{query=wcc}"), 1);
 }
 
 // ---------------------------------------------------------------------------
