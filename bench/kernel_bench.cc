@@ -56,9 +56,6 @@
 #include "mapreduce/map_output.h"
 #include "mapreduce/partitioner.h"
 #include "mapreduce/reducer.h"
-#include "obs/observability.h"
-#include "obs/telemetry_scope.h"
-#include "obs/trace/trace_context.h"
 #include "queries/join_query.h"
 
 // ---------------------------------------------------------------------------
@@ -692,75 +689,6 @@ int Main(int argc, char** argv) {
     if (speedup >= 2.0) pipeline_target_met = true;
   }
 
-  bool trace_target_met = false;
-  double trace_overhead = 0.0;
-  {
-    // Tracing overhead: what the tracer adds to one map pipeline at the
-    // default sample_period=1 policy — a task.start stamped with the
-    // trace id, enclosing span, and the serialized per-task TraceContext
-    // propagation token, plus a task.finish, per map/reduce task through
-    // a TelemetryScope whose trace cell is active and sampled. The
-    // lifecycle events themselves predate tracing — the tracer only adds
-    // the stamp fields — so the overhead is the stamped-vs-unstamped
-    // emission delta. Spans are per task, never per record, so that
-    // delta is independent of pipeline size; timing full pipelines
-    // head-to-head would just difference two noisy ~pipeline-sized
-    // numbers, so the emission batches are timed directly (amortized
-    // over many batches for resolution) and the delta is compared
-    // against the pipeline's time. Acceptance bar: < 2% slowdown.
-    const size_t n = 1'000'000 / scale;
-    const size_t partitions = 32;
-    obs::ObservabilityContext obs_ctx;
-    int64_t window_cell = 0;
-    obs::trace::TraceContext trace_ctx;
-    trace_ctx.trace_id = obs::trace::TraceIdFor("kernel_bench", "pipeline");
-    trace_ctx.span_id = obs::trace::WindowSpanId(trace_ctx.trace_id, 0);
-    trace_ctx.window = 0;
-    obs::TelemetryScope traced(&obs_ctx, "pipeline", &window_cell,
-                               &trace_ctx);
-    obs::TelemetryScope untraced(&obs_ctx, "pipeline", &window_cell);
-    const double base_s = BestOf(reps, &sink, [&] {
-      return PipelineFlat(n, partitions, 81);
-    });
-    const int batches = 200;
-    const auto emit_batches = [&](const obs::TelemetryScope& scope,
-                                  bool stamp_ctx) -> uint64_t {
-      obs_ctx.journal().Clear();
-      for (int b = 0; b < batches; ++b) {
-        for (size_t p = 0; p < partitions; ++p) {
-          const int64_t task = static_cast<int64_t>(b) * partitions +
-                               static_cast<int64_t>(p);
-          obs::Event& start = scope.EmitAt(0.0, obs::event::kTaskStart)
-                                  .With("task", task)
-                                  .With("attempt", static_cast<int64_t>(0));
-          if (stamp_ctx) {
-            start.With("ctx",
-                       trace_ctx
-                           .Child(obs::trace::TaskSpanId(trace_ctx.trace_id,
-                                                         task, 0))
-                           .Serialize());
-          }
-          scope.EmitAt(0.0, obs::event::kTaskFinish)
-              .With("task", task)
-              .With("attempt", static_cast<int64_t>(0));
-        }
-      }
-      return obs_ctx.journal().size();
-    };
-    const double plain_s = BestOf(reps, &sink, [&] {
-      return emit_batches(untraced, false);
-    }) / batches;
-    const double stamped_s = BestOf(reps, &sink, [&] {
-      return emit_batches(traced, true);
-    }) / batches;
-    trace_overhead = std::max(0.0, stamped_s - plain_s) / base_s;
-    char label[64];
-    std::snprintf(label, sizeof(label), "trace-overhead n=%zu", n);
-    report.Line("%-24s %10.3f %10.3f %+6.2f%%", label, plain_s * 1e3,
-                stamped_s * 1e3, trace_overhead * 100.0);
-    if (trace_overhead < 0.02) trace_target_met = true;
-  }
-
   {
     // Range merge on recbench's two shapes (report-only): a window's ten
     // pane partials of ~200 keys, and a pane job's 450 map slices of two
@@ -889,10 +817,6 @@ int Main(int argc, char** argv) {
               radix_target_met ? "PASS"
                                : (smoke ? "FAIL (not enforced in smoke)"
                                         : "FAIL"));
-  report.Line("tracing overhead <2%% on map pipeline: %s",
-              trace_target_met ? "PASS"
-                               : (smoke ? "FAIL (not enforced in smoke)"
-                                        : "FAIL"));
 
   if (!report.out_path.empty()) {
     if (std::FILE* f = std::fopen(report.out_path.c_str(), "w")) {
@@ -905,8 +829,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (smoke) return 0;  // Smoke runs report, full runs enforce.
-  return (assembly_target_met && pipeline_target_met && radix_target_met &&
-          trace_target_met)
+  return (assembly_target_met && pipeline_target_met && radix_target_met)
              ? 0
              : 2;
 }

@@ -32,7 +32,7 @@ HadoopRecurringDriver::HadoopRecurringDriver(Cluster* cluster, BatchFeed* feed,
                      : nullptr),
       obs_(runner_options.obs != nullptr ? runner_options.obs
                                          : owned_obs_.get()),
-      scope_(obs_, query_.name, &telemetry_window_, &trace_ctx_),
+      scope_(obs_, query_.name, &telemetry_window_),
       runner_(cluster, &scheduler_,
               WithTelemetry(runner_options, obs_, &scope_)) {
   REDOOP_CHECK(cluster_ != nullptr);
@@ -103,12 +103,6 @@ WindowReport HadoopRecurringDriver::RunRecurrence(int64_t recurrence) {
   const Timestamp trigger = geometry_.TriggerTime(recurrence);
 
   telemetry_window_ = recurrence;
-  trace_ctx_.trace_id = obs::trace::TraceIdFor(
-      obs_->journal().CommonFieldOr("system", ""), query_.name);
-  trace_ctx_.span_id =
-      obs::trace::WindowSpanId(trace_ctx_.trace_id, recurrence);
-  trace_ctx_.window = recurrence;
-  trace_ctx_.sampled = true;
   obs::Event& open =
       scope_.EmitAt(cluster_->simulator().Now(), obs::event::kWindowOpen)
           .With("recurrence", recurrence)
@@ -194,7 +188,6 @@ WindowReport HadoopRecurringDriver::RunRecurrence(int64_t recurrence) {
       .With("output_records", report.output_records)
       .With("fresh_bytes", report.fresh_input_bytes);
   telemetry_window_ = -1;
-  trace_ctx_ = obs::trace::TraceContext();
   return report;
 }
 

@@ -72,9 +72,6 @@ class HadoopRecurringDriver {
   /// Current recurrence for event attribution (-1 outside a recurrence);
   /// declared before scope_, which captures its address.
   int64_t telemetry_window_ = -1;
-  /// Current window's trace context (same cell mechanism as the Redoop
-  /// driver; the baseline traces every window — no sampling knob).
-  obs::trace::TraceContext trace_ctx_;
   /// Query-attributed scope — the baseline is instrumented identically to
   /// Redoop so per-query SLO/lag figures are comparable across systems.
   obs::TelemetryScope scope_;

@@ -58,7 +58,7 @@ void WindowAwareCacheController::OnPaneInHdfs(
     state.ready = CacheReady::kHdfsAvailable;
     if (scope_.active()) {
       scope_.Emit(obs::event::kPaneReady)
-          .With("query", query)
+          .With("query_id", query)
           .With("source", source)
           .With("pane", pane)
           .With("ready", static_cast<int32_t>(CacheReady::kHdfsAvailable));
@@ -87,7 +87,7 @@ void WindowAwareCacheController::OnPaneCached(QueryId query, SourceId source,
   state.in_map_list = false;
   if (scope_.active()) {
     scope_.Emit(obs::event::kPaneReady)
-        .With("query", query)
+        .With("query_id", query)
         .With("source", source)
         .With("pane", pane)
         .With("ready", static_cast<int32_t>(CacheReady::kCacheAvailable));
@@ -191,7 +191,7 @@ void WindowAwareCacheController::MarkPanePairDone(QueryId query, PaneId left,
   q->matrix->MarkDone(left, right);
   if (scope_.active()) {
     scope_.Emit(obs::event::kMatrixDone)
-        .With("query", query)
+        .With("query_id", query)
         .With("left", left)
         .With("right", right);
   }
@@ -301,7 +301,7 @@ std::vector<PurgeNotification> WindowAwareCacheController::FinishRecurrence(
     auto [left_purged, right_purged] = q->matrix->Shift(recurrence);
     if (scope_.active()) {
       scope_.Emit(obs::event::kMatrixShift)
-          .With("query", query)
+          .With("query_id", query)
           .With("recurrence", recurrence)
           .With("purged_left", static_cast<int64_t>(left_purged.size()))
           .With("purged_right", static_cast<int64_t>(right_purged.size()))
@@ -418,7 +418,7 @@ WindowAwareCacheController::HandleLostCache(NodeId node,
         impact.rebuilds.push_back(rebuild);
         if (scope_.active()) {
           scope_.Emit(obs::event::kCacheRebuild)
-              .With("query", q->query.id)
+              .With("query_id", q->query.id)
               .With("source", sig.source)
               .With("pane", sig.pane)
               .With("partition", sig.partition)

@@ -56,8 +56,7 @@ struct WindowReport {
   /// Changes versus the previous recurrence's result; populated when the
   /// query sets `emit_deltas` (the whole first window counts as added).
   WindowDelta delta;
-  /// Per-task execution reports for every job this window ran (exportable
-  /// as a Chrome trace via mapreduce/trace.h).
+  /// Per-task execution reports for every job this window ran.
   std::vector<TaskReport> task_reports;
 };
 

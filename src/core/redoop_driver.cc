@@ -103,10 +103,9 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
   obs_->SetTimeSource(
       [cluster = cluster_] { return cluster->simulator().Now(); });
   // Attribution: one query-labeled scope, copied into every component.
-  // telemetry_window_ / trace_ctx_ are the driver-owned cells the scopes
-  // read at emit time. DFS stays cluster-scoped (shared across drivers).
-  scope_ = obs::TelemetryScope(obs_, query_.name, &telemetry_window_,
-                               &trace_ctx_);
+  // telemetry_window_ is the driver-owned cell the scopes read at emit
+  // time. DFS stays cluster-scoped (shared across drivers).
+  scope_ = obs::TelemetryScope(obs_, query_.name, &telemetry_window_);
   controller_.set_telemetry(scope_);
   {
     CacheStore::Options store_options;
@@ -1078,7 +1077,7 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
   }
 }
 
-WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
+StatusOr<WindowReport> RedoopDriver::AssembleWindow(int64_t recurrence) {
   const EffectivePattern pattern = Effective(query_.pattern, options_);
   const PaneRange panes = geometry_.PanesForRecurrence(recurrence);
   const int32_t num_partitions = query_.config.num_reducers;
@@ -1163,12 +1162,17 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
           for (int32_t part = 0; part < num_partitions; ++part) {
             const CacheSignature* sig = controller_.Find(
                 JoinOutputCacheName(query_.id, l, r, part));
-            REDOOP_CHECK(sig != nullptr)
-                << "missing pair output " << l << "x" << r << " R" << part;
+            if (sig == nullptr) {
+              return Status::Internal(StringPrintf(
+                  "missing pair output %ldx%ld R%d", l, r, part));
+            }
             if (sig->records == 0) continue;
             const CacheStore::Entry* entry =
                 store_->Find(CacheKey::FromName(sig->name));
-            REDOOP_CHECK(entry != nullptr);
+            if (entry == nullptr) {
+              return Status::Internal("pair output not in the cache store: " +
+                                      sig->name);
+            }
             pair_outputs.push_back(entry->payload());
             output_bytes += pair_outputs.back()->total_logical_bytes();
           }
@@ -1232,17 +1236,6 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
 
   panes_built_this_recurrence_.clear();
   telemetry_window_ = recurrence;  // Scopes stamp this onto every event.
-  // Window trace context: every scope copy points at trace_ctx_, so one
-  // store here makes the whole component tree stamp this window's ids.
-  // The trace id hashes the same system/query labels the journal stamps.
-  const int64_t sample_period = options_.trace.sample_period;
-  trace_ctx_.trace_id = obs::trace::TraceIdFor(
-      obs_->journal().CommonFieldOr("system", ""), query_.name);
-  trace_ctx_.span_id =
-      obs::trace::WindowSpanId(trace_ctx_.trace_id, recurrence);
-  trace_ctx_.window = recurrence;
-  trace_ctx_.sampled =
-      sample_period > 0 && recurrence % sample_period == 0;
   obs::Event& open =
       scope_.EmitAt(sim.Now(), obs::event::kWindowOpen)
           .With("recurrence", recurrence)
@@ -1286,7 +1279,9 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
   DrainWorkLists();
   EnsureWindowPanes(recurrence);
   PrepareJoinWindow(recurrence);
-  WindowReport report = AssembleWindow(recurrence);
+  StatusOr<WindowReport> assembled = AssembleWindow(recurrence);
+  REDOOP_RETURN_IF_ERROR(assembled.status());
+  WindowReport report = std::move(assembled).value();
 
   report.trigger_time = trigger;
   report.finished_at = sim.Now();
@@ -1308,17 +1303,6 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
   fresh_bytes_accum_ = 0;
   counters_accum_ = Counters();
 
-  // Always-sample-on-SLO-violation: an unsampled window that blew its
-  // deadline is promoted retroactively, so its completion record (and the
-  // teardown that follows) is traceable; the marker explains why stamps
-  // appear mid-window.
-  if (!trace_ctx_.sampled && trace_ctx_.active() && deadline > 0 &&
-      report.response_time > deadline) {
-    trace_ctx_.sampled = true;
-    scope_.EmitAt(report.finished_at, obs::event::kTraceSample)
-        .With("recurrence", recurrence)
-        .With("reason", "slo_violation");
-  }
   scope_.EmitAt(report.finished_at, obs::event::kWindowComplete)
       .With("recurrence", recurrence)
       .With("trigger", trigger)
@@ -1328,7 +1312,6 @@ StatusOr<WindowReport> RedoopDriver::RunRecurrence(int64_t recurrence) {
 
   AfterRecurrence(recurrence, report);
   telemetry_window_ = -1;  // Between-recurrence events are unattributed.
-  trace_ctx_ = obs::trace::TraceContext();  // ... and untraced.
   return report;
 }
 

@@ -84,16 +84,6 @@ struct SchedulerOptions {
   double load_weight_s = 30.0;
 };
 
-/// Causal-tracing knobs (DESIGN §14).
-struct TraceOptions {
-  /// Head sampling: stamp trace/span ids on every event of one window in
-  /// `sample_period` (window `r` is sampled when r % period == 0). 1 =
-  /// trace every window (default); 0 disables stamping entirely. A window
-  /// that misses its SLO deadline is promoted to sampled retroactively
-  /// regardless of the period (always-sample-on-SLO-violation).
-  int64_t sample_period = 1;
-};
-
 struct RedoopDriverOptions {
   /// Caching behaviour (reduce-input/output caches, join strategy, purge).
   CacheOptions cache;
@@ -103,8 +93,6 @@ struct RedoopDriverOptions {
   ProfilerOptions profiler;
   /// Task-placement policy.
   SchedulerOptions scheduler;
-  /// Causal-trace sampling policy.
-  TraceOptions trace;
   /// Prefix for the query's DFS pane files, so several drivers can consume
   /// the same source on one cluster without name collisions.
   std::string file_namespace;
@@ -145,7 +133,6 @@ class RedoopDriverOptions::Builder {
   Builder& Adaptive(AdaptiveOptions v) { opts_.adaptive = v; return *this; }
   Builder& Profiler(ProfilerOptions v) { opts_.profiler = v; return *this; }
   Builder& Scheduler(SchedulerOptions v) { opts_.scheduler = v; return *this; }
-  Builder& Trace(TraceOptions v) { opts_.trace = v; return *this; }
   Builder& Runner(JobRunnerOptions v) {
     opts_.runner = std::move(v);
     return *this;
@@ -155,24 +142,11 @@ class RedoopDriverOptions::Builder {
   Builder& CacheReduceInput(bool v) { opts_.cache.reduce_input = v; return *this; }
   Builder& CacheReduceOutput(bool v) { opts_.cache.reduce_output = v; return *this; }
   Builder& HybridJoinStrategy(bool v) { opts_.cache.hybrid_join_strategy = v; return *this; }
-  Builder& PurgeCycle(double seconds) { opts_.cache.purge_cycle_s = seconds; return *this; }
   Builder& CacheBudgetBytes(int64_t v) { opts_.cache.budget_bytes = v; return *this; }
   Builder& Adaptive(bool v) { opts_.adaptive.enabled = v; return *this; }
   Builder& ProactiveThreshold(double v) { opts_.adaptive.proactive_threshold = v; return *this; }
-  Builder& MaxSubpanes(int32_t v) { opts_.adaptive.max_subpanes = v; return *this; }
   Builder& PaneSizeOverride(Timestamp v) { opts_.adaptive.pane_size_override = v; return *this; }
-  Builder& ProfilerSmoothing(double alpha, double beta) {
-    opts_.profiler.alpha = alpha;
-    opts_.profiler.beta = beta;
-    return *this;
-  }
   Builder& CacheAwareScheduler(bool v) { opts_.scheduler.cache_aware = v; return *this; }
-  Builder& TraceSamplePeriod(int64_t v) { opts_.trace.sample_period = v; return *this; }
-  Builder& SchedulerLoadWeight(double seconds) { opts_.scheduler.load_weight_s = seconds; return *this; }
-  Builder& FileNamespace(std::string v) {
-    opts_.file_namespace = std::move(v);
-    return *this;
-  }
   Builder& Threads(int32_t v) { opts_.runner.threads = v; return *this; }
   Builder& Seed(uint64_t v) { opts_.runner.seed = v; return *this; }
   Builder& Observability(obs::ObservabilityContext* ctx) {
@@ -210,8 +184,9 @@ class RedoopDriver {
   /// typed error instead of aborting when the driver was misconfigured
   /// (InvalidArgument: `adaptive.pane_size_override` does not divide the
   /// query's win/slide; NotFound: a query source is not registered with
-  /// the feed) or when recurrences are requested out of order
-  /// (FailedPrecondition).
+  /// the feed), when recurrences are requested out of order
+  /// (FailedPrecondition), or when a join window's pane-pair output is
+  /// missing at assembly (Internal; the recurrence is abandoned).
   StatusOr<WindowReport> RunRecurrence(int64_t recurrence);
 
   /// Convenience: runs recurrences [0, n). Stops at the first error.
@@ -320,7 +295,7 @@ class RedoopDriver {
   std::vector<const CacheKey*> WindowReadManifest(
       const PaneIngestState& ps) const;
   void AccumulateJobStats(const JobResult& result);
-  WindowReport AssembleWindow(int64_t recurrence);
+  StatusOr<WindowReport> AssembleWindow(int64_t recurrence);
   /// Classifies every in-window pane as a cache hit (its window-read
   /// caches are resident and predate this recurrence) or miss (built or
   /// still unbuilt this recurrence) and journals the verdicts. Called once per window, before assembly runs
@@ -402,10 +377,6 @@ class RedoopDriver {
   /// Current recurrence, read by telemetry scopes at emit time (-1 when no
   /// recurrence is active). Must outlive every scope copy handed out.
   int64_t telemetry_window_ = -1;
-  /// Current window's trace context, read by telemetry scopes at emit time
-  /// (inactive between recurrences). Same lifetime contract as the window
-  /// cell: every scope copy points here.
-  obs::trace::TraceContext trace_ctx_;
   /// Query-attributed scope shared (by copy) with every wired component.
   obs::TelemetryScope scope_;
   SemanticAnalyzer analyzer_;

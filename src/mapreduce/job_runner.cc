@@ -291,16 +291,14 @@ void JobRunner::StartMapTask(RunState* run, MapTaskState* task, NodeId node) {
     run->first_map_start = task->timing.scheduled_at;
   }
   if (scope_.active()) {
-    obs::Event& e =
-        scope_.EmitAt(task->timing.scheduled_at, obs::event::kTaskStart)
-            .With("kind", "map")
-            .With("task", task->id)
-            .With("node", node)
-            .With("source", task->source)
-            .With("pane", task->pane)
-            .With("attempt", task->attempt)
-            .With("wait", task->timing.SlotWait());
-    StampTaskContext(task->id, task->attempt, &e);
+    scope_.EmitAt(task->timing.scheduled_at, obs::event::kTaskStart)
+        .With("kind", "map")
+        .With("task", task->id)
+        .With("node", node)
+        .With("source", task->source)
+        .With("pane", task->pane)
+        .With("attempt", task->attempt)
+        .With("wait", task->timing.SlotWait());
   }
 
   const CostModel& cost = cluster_->cost_model();
@@ -531,15 +529,13 @@ void JobRunner::StartReduceTask(RunState* run, ReduceTaskState* task,
   task->emission.reset();
   task->caches.clear();
   if (scope_.active()) {
-    obs::Event& e =
-        scope_.EmitAt(task->timing.scheduled_at, obs::event::kTaskStart)
-            .With("kind", "reduce")
-            .With("task", task->id)
-            .With("node", node)
-            .With("partition", task->partition)
-            .With("attempt", task->attempt)
-            .With("wait", task->timing.SlotWait());
-    StampTaskContext(task->id, task->attempt, &e);
+    scope_.EmitAt(task->timing.scheduled_at, obs::event::kTaskStart)
+        .With("kind", "reduce")
+        .With("task", task->id)
+        .With("node", node)
+        .With("partition", task->partition)
+        .With("attempt", task->attempt)
+        .With("wait", task->timing.SlotWait());
   }
 
   const CostModel& cost = cluster_->cost_model();
@@ -1057,15 +1053,6 @@ void JobRunner::OnNodeFailure(NodeId node) {
     }
   }
   TryScheduleTasks(run);
-}
-
-void JobRunner::StampTaskContext(int64_t task, int64_t attempt,
-                                 obs::Event* e) const {
-  const obs::trace::TraceContext* tc = scope_.trace();
-  if (tc == nullptr || !tc->active() || !tc->sampled) return;
-  e->With("ctx",
-          tc->Child(obs::trace::TaskSpanId(tc->trace_id, task, attempt))
-              .Serialize());
 }
 
 void JobRunner::FailTaskAttempt(RunState* run, TaskType type, int64_t index) {

@@ -120,10 +120,6 @@ class JobRunner {
                          SimDuration nominal_duration, bool is_map);
   void OnNodeFailure(NodeId node);
   void FailTaskAttempt(RunState* run, TaskType type, int64_t index);
-  /// Stamps the serialized per-task TraceContext ("ctx") onto a task.start
-  /// event — the propagation token a remote worker would carry across the
-  /// process boundary. No-op when the driver isn't tracing this window.
-  void StampTaskContext(int64_t task, int64_t attempt, obs::Event* e) const;
   bool AllMapsDone(const RunState& run) const;
   /// Lifts the map barrier: snapshots the map outputs for the reduces and
   /// makes every pending reduce schedulable now.

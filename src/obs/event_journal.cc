@@ -349,14 +349,6 @@ void EventJournal::SetCommonField(std::string key, std::string value) {
   common_fields_.emplace_back(std::move(key), std::move(value));
 }
 
-std::string EventJournal::CommonFieldOr(std::string_view key,
-                                        std::string_view fallback) const {
-  for (const auto& [k, v] : common_fields_) {
-    if (k == key) return v;
-  }
-  return std::string(fallback);
-}
-
 Event& EventJournal::Append(double time, std::string_view type) {
   // Single-writer assertion: the first Append (after construction, Clear,
   // or Parse) pins the owning thread; cross-thread appends are a contract

@@ -173,12 +173,6 @@ class EventJournal {
   /// appended afterwards — e.g. system=redoop for multi-system CLI runs.
   void SetCommonField(std::string key, std::string value);
 
-  /// The registered common-field value for `key`, or `fallback` when no
-  /// such registration exists (used by emitters that need to derive the
-  /// trace id from the same "system" label the journal stamps).
-  std::string CommonFieldOr(std::string_view key,
-                            std::string_view fallback) const;
-
   /// Appends an event and returns it for fluent .With(...) chaining. The
   /// reference is valid until the next Append. With a retention budget
   /// set, the previous event's size is sealed here and the oldest events
@@ -214,7 +208,7 @@ class EventJournal {
   Status WriteFile(const std::string& path) const;
 
   /// Parses journal text in the exact format ToJsonl emits (used by tests
-  /// and by TraceWriter when re-loading a journal from disk). Not a general
+  /// and by the offline tools to load a journal from disk). Not a general
   /// JSON parser: one object per line, flat string/number fields. A
   /// malformed or truncated line fails with its 1-based line number in the
   /// error message; nothing is silently skipped (blank lines excepted).
@@ -323,11 +317,6 @@ inline constexpr const char* kFleetAdmit = "fleet.admit";
 inline constexpr const char* kFleetScan = "fleet.scan";
 inline constexpr const char* kFleetAdopt = "fleet.pane.adopt";
 inline constexpr const char* kFleetEvictFanout = "fleet.pane.evict_fanout";
-
-// Head-sampling promotion: an unsampled window that violated its SLO
-// deadline is retroactively sampled (always-sample-on-SLO-violation);
-// carries query/recurrence/reason.
-inline constexpr const char* kTraceSample = "trace.sample";
 
 // Synthetic marker line a truncated flight-recorder journal leads with;
 // carries dropped_events / dropped_bytes. Never stored as an event:

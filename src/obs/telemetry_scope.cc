@@ -6,12 +6,8 @@ namespace redoop {
 namespace obs {
 
 TelemetryScope::TelemetryScope(ObservabilityContext* obs, std::string query,
-                               const int64_t* window_cell,
-                               const trace::TraceContext* trace_cell)
-    : obs_(obs),
-      query_(std::move(query)),
-      window_cell_(window_cell),
-      trace_cell_(trace_cell) {
+                               const int64_t* window_cell)
+    : obs_(obs), query_(std::move(query)), window_cell_(window_cell) {
   // The query becomes a series label (`name{query=...}`); keep encoded
   // names parseable.
   for (char c : query_) {
@@ -32,15 +28,6 @@ Event& TelemetryScope::EmitAt(double time, std::string_view type) const {
   if (!query_.empty()) e.With("query", query_);
   const int64_t w = window();
   if (w >= 0) e.With("window", w);
-  if (trace_cell_ != nullptr && trace_cell_->active() &&
-      trace_cell_->sampled) {
-    // With copies the chars, so one stack buffer serves both stamps.
-    char hex[trace::kIdHexChars];
-    e.With("trace", std::string_view(
-                        hex, trace::WriteIdHex(trace_cell_->trace_id, hex)));
-    e.With("pspan", std::string_view(
-                        hex, trace::WriteIdHex(trace_cell_->span_id, hex)));
-  }
   return e;
 }
 

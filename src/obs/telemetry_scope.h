@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/observability.h"
-#include "obs/trace/trace_context.h"
 
 namespace redoop {
 namespace obs {
@@ -38,16 +37,10 @@ class TelemetryScope {
   explicit TelemetryScope(ObservabilityContext* obs) : obs_(obs) {}
   /// Query-attributed scope. `query` may not contain '{', '}', ',', '=',
   /// '"' or a newline (checked), so labeled series names stay parseable.
-  /// `window_cell` and `trace_cell`, when non-null, must outlive the scope
-  /// and every copy of it (driver-owned members). `trace_cell` points at
-  /// the driver's current TraceContext: while it is active and sampled,
-  /// every event emitted through this scope (and all copies) is stamped
-  /// with the trace id and enclosing span id, which is how trace
-  /// propagation reaches the schedulers, runner, and cache layers without
-  /// any of them knowing about tracing.
+  /// `window_cell`, when non-null, must outlive the scope and every copy
+  /// of it (a driver-owned member).
   TelemetryScope(ObservabilityContext* obs, std::string query,
-                 const int64_t* window_cell = nullptr,
-                 const trace::TraceContext* trace_cell = nullptr);
+                 const int64_t* window_cell = nullptr);
 
   bool active() const { return obs_ != nullptr; }
   ObservabilityContext* obs() const { return obs_; }
@@ -56,9 +49,6 @@ class TelemetryScope {
   int64_t window() const {
     return window_cell_ != nullptr ? *window_cell_ : -1;
   }
-  /// The driver's trace-context cell (null for untraced scopes). Callers
-  /// that create child spans (JobRunner task envelopes) read it here.
-  const trace::TraceContext* trace() const { return trace_cell_; }
 
   double Now() const { return obs_ != nullptr ? obs_->Now() : 0.0; }
 
@@ -72,7 +62,6 @@ class TelemetryScope {
   ObservabilityContext* obs_ = nullptr;
   std::string query_;
   const int64_t* window_cell_ = nullptr;
-  const trace::TraceContext* trace_cell_ = nullptr;
 };
 
 }  // namespace obs

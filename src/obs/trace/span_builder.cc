@@ -86,10 +86,7 @@ class Builder {
   explicit Builder(Trace* out) : out_(out) {}
 
   void Consume(const EventJournal& journal) {
-    size_t index = 0;
-    for (const Event& e : journal.events()) {
-      HandleEvent(e, index++);
-    }
+    for (const Event& e : journal.events()) HandleEvent(e);
   }
 
  private:
@@ -128,52 +125,6 @@ class Builder {
     auto it = g.window_index.find(w);
     if (it != g.window_index.end()) return out_->spans[it->second].id;
     return 0;
-  }
-
-  void Mismatch(size_t index, const Event& e, const char* what,
-                const std::string& got, const std::string& want) {
-    out_->stamp_mismatches.push_back(StringPrintf(
-        "event %zu (%s): %s stamped %s, derived %s", index, e.type().c_str(),
-        what, got.c_str(), want.c_str()));
-  }
-
-  /// Cross-checks the stamped propagation fields against the derived IDs.
-  void ValidateStamps(const GroupState& g, const Event& e, size_t index) {
-    const EventField* trace_field = e.Find("trace");
-    if (trace_field != nullptr) {
-      const std::string want = IdHex(g.trace);
-      if (trace_field->str() != want) {
-        Mismatch(index, e, "trace", std::string(trace_field->str()), want);
-      }
-    }
-    const EventField* pspan = e.Find("pspan");
-    if (pspan != nullptr) {
-      const int64_t w = e.IntOr("window", -1);
-      if (w >= 0) {
-        const std::string want = IdHex(WindowSpanId(g.trace, w));
-        if (pspan->str() != want) {
-          Mismatch(index, e, "pspan", std::string(pspan->str()), want);
-        }
-      }
-    }
-    const EventField* ctx_field = e.Find("ctx");
-    if (ctx_field != nullptr) {
-      TraceContext ctx;
-      if (!TraceContext::Parse(ctx_field->str(), &ctx)) {
-        Mismatch(index, e, "ctx", std::string(ctx_field->str()),
-                 "(parseable token)");
-      } else {
-        if (ctx.trace_id != g.trace) {
-          Mismatch(index, e, "ctx.trace", IdHex(ctx.trace_id),
-                   IdHex(g.trace));
-        }
-        const SpanId want = TaskSpanId(g.trace, e.IntOr("task", -1),
-                                       e.IntOr("attempt", 0));
-        if (ctx.span_id != want) {
-          Mismatch(index, e, "ctx.span", IdHex(ctx.span_id), IdHex(want));
-        }
-      }
-    }
   }
 
   void OpenWindow(GroupState& g, const Event& e) {
@@ -239,7 +190,7 @@ class Builder {
     return slot;
   }
 
-  void StartTask(GroupState& g, const Event& e, size_t index) {
+  void StartTask(GroupState& g, const Event& e) {
     const bool is_map = e.StrOr("kind", "map") == "map";
     const int64_t task = e.IntOr("task", -1);
     const int64_t attempt = e.IntOr("attempt", 0);
@@ -278,7 +229,6 @@ class Builder {
         it->second.pop_front();
       }
     }
-    (void)index;
   }
 
   void FinishTask(GroupState& g, const Event& e) {
@@ -483,7 +433,7 @@ class Builder {
                e.IntOr("window", g.open_window), e.time());
   }
 
-  void HandleEvent(const Event& e, size_t index) {
+  void HandleEvent(const Event& e) {
     const std::string& type = e.type();
     if (type == event::kDfsNodeFailed) {
       NodeFailed(e);
@@ -493,11 +443,10 @@ class Builder {
         type == event::kSchedAssign || type == event::kProfilerObserve ||
         type == event::kMatrixDone || type == event::kMatrixShift ||
         type == event::kWindowTrigger || type == event::kTaskSpeculate ||
-        type == event::kTraceSample || type == event::kJournalTruncated) {
+        type == event::kJournalTruncated) {
       return;  // Not part of the span model.
     }
     GroupState& g = GroupFor(e);
-    ValidateStamps(g, e, index);
     if (type == event::kWindowOpen) {
       OpenWindow(g, e);
     } else if (type == event::kWindowComplete) {
@@ -507,7 +456,7 @@ class Builder {
     } else if (type == event::kJobFinish) {
       CloseJob(g);
     } else if (type == event::kTaskStart) {
-      StartTask(g, e, index);
+      StartTask(g, e);
     } else if (type == event::kTaskFinish) {
       FinishTask(g, e);
     } else if (type == event::kTaskFail) {
@@ -588,9 +537,8 @@ std::string TraceSummaryText(const Trace& trace,
   out += StringPrintf("  pane_reuse=%zu recovery=%zu\n",
                       CountEdges(trace, "pane_reuse"),
                       CountEdges(trace, "recovery"));
-  out += StringPrintf("  critical_path_s=%s stamp_mismatches=%zu\n",
-                      FormatDouble(TotalCriticalPath(journal)).c_str(),
-                      trace.stamp_mismatches.size());
+  out += StringPrintf("  critical_path_s=%s\n",
+                      FormatDouble(TotalCriticalPath(journal)).c_str());
   return out;
 }
 
@@ -601,14 +549,13 @@ std::string TraceSummaryJson(const Trace& trace,
       "\"kinds\": {\"window\": %zu, \"phase\": %zu, \"task\": %zu, "
       "\"cache_op\": %zu, \"pane\": %zu, \"failure\": %zu}, "
       "\"follows\": {\"pane_reuse\": %zu, \"recovery\": %zu}, "
-      "\"critical_path_s\": %s, \"stamp_mismatches\": %zu}\n",
+      "\"critical_path_s\": %s}\n",
       trace.spans.size(), trace.follows.size(),
       trace.CountKind(SpanKind::kWindow), trace.CountKind(SpanKind::kPhase),
       trace.CountKind(SpanKind::kTask), trace.CountKind(SpanKind::kCacheOp),
       trace.CountKind(SpanKind::kPane), trace.CountKind(SpanKind::kFailure),
       CountEdges(trace, "pane_reuse"), CountEdges(trace, "recovery"),
-      FormatDouble(TotalCriticalPath(journal)).c_str(),
-      trace.stamp_mismatches.size());
+      FormatDouble(TotalCriticalPath(journal)).c_str());
 }
 
 namespace {

@@ -7,11 +7,8 @@
 // consumed by a cache hit in W+k; node death → the rebuild/re-attempt work
 // it triggered).
 //
-// The builder derives every span ID from event content with the exact
-// derivations in trace_context.h, so a trace built from a journal equals
-// the IDs the emitters stamped at runtime; stamped fields ("trace",
-// "pspan", "ctx") are cross-checked and any disagreement is reported in
-// Trace::stamp_mismatches instead of being trusted.
+// The builder derives every span ID from event content with the
+// derivations in trace_id.h; the journal carries no ID of its own.
 
 #include <cstdint>
 #include <string>
@@ -19,7 +16,7 @@
 
 #include "common/status.h"
 #include "obs/event_journal.h"
-#include "obs/trace/trace_context.h"
+#include "obs/trace/trace_id.h"
 
 namespace redoop {
 namespace obs {
@@ -79,17 +76,13 @@ struct FollowsFrom {
 struct Trace {
   std::vector<Span> spans;          // Journal order; deterministic.
   std::vector<FollowsFrom> follows;  // Journal order; deterministic.
-  /// Human-readable reports of stamped trace fields that disagreed with
-  /// the content-derived IDs (empty on a healthy journal).
-  std::vector<std::string> stamp_mismatches;
 
   const Span* Find(SpanId id) const;
   size_t CountKind(SpanKind kind) const;
 };
 
 /// Reconstructs the span DAG from a journal. Works on any journal the
-/// drivers emit — stamped trace fields are validated when present but not
-/// required (unsampled windows reconstruct identically).
+/// drivers emit, including a flight recorder's truncated one.
 Status BuildTrace(const EventJournal& journal, Trace* out);
 
 // --- Renderers (deterministic output) --------------------------------------

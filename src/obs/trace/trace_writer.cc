@@ -1,4 +1,4 @@
-#include "mapreduce/trace.h"
+#include "obs/trace/trace_writer.h"
 
 #include <cstdio>
 
@@ -8,16 +8,11 @@
 
 #include "common/string_utils.h"
 #include "obs/trace/span_builder.h"
-#include "obs/trace/trace_context.h"
+#include "obs/trace/trace_id.h"
 
 namespace redoop {
-
-void TraceWriter::AddJob(const std::string& job_label,
-                         const std::vector<TaskReport>& reports) {
-  for (const TaskReport& report : reports) {
-    events_.push_back(Event{job_label, report});
-  }
-}
+namespace obs {
+namespace trace {
 
 void TraceWriter::AddCounterSample(const std::string& series, double time_s,
                                    double value) {
@@ -38,9 +33,9 @@ void TraceWriter::AddCacheSpan(const std::string& name, int64_t node,
       std::max(0.0, end_s - start_s) * 1e6, node, bytes, kind.c_str()));
 }
 
-void TraceWriter::AddJournal(const obs::EventJournal& journal) {
+void TraceWriter::AddJournal(const EventJournal& journal) {
   double last_time = 0.0;
-  for (const obs::Event& e : journal.events()) {
+  for (const Event& e : journal.events()) {
     last_time = std::max(last_time, e.time());
   }
 
@@ -54,9 +49,35 @@ void TraceWriter::AddJournal(const obs::EventJournal& journal) {
   double occupancy = 0.0;
   std::vector<std::pair<double, int>> task_deltas;
 
-  for (const obs::Event& e : journal.events()) {
+  for (const Event& e : journal.events()) {
     const std::string& type = e.type();
-    if (type == obs::event::kCacheAdd) {
+    if (type == event::kTaskFinish) {
+      // A map's event carries no partition or shuffle, a reduce's no
+      // source or pane; the defaults are what the attempt has instead.
+      const std::string kind = e.StrOr("kind", "");
+      const std::string job = StringPrintf(
+          "%s-w%ld", e.StrOr("system", "").c_str(), e.IntOr("window", -1));
+      const double startup = e.DoubleOr("startup", 0.0);
+      const double read = e.DoubleOr("read", 0.0);
+      const double shuffle = e.DoubleOr("shuffle", 0.0);
+      const double sort = e.DoubleOr("sort", 0.0);
+      const double compute = e.DoubleOr("compute", 0.0);
+      const double write = e.DoubleOr("write", 0.0);
+      tasks_.push_back(StringPrintf(
+          "{\"name\":\"%s %s#%ld\",\"cat\":\"%s\",\"ph\":\"X\","
+          "\"ts\":%.0f,\"dur\":%.0f,\"pid\":1,\"tid\":%ld,"
+          "\"args\":{\"job\":\"%s\",\"partition\":%ld,\"source\":%ld,"
+          "\"pane\":%ld,\"attempt\":%ld,\"startup\":%.3f,\"read\":%.3f,"
+          "\"shuffle\":%.3f,\"sort\":%.3f,\"compute\":%.3f,"
+          "\"write\":%.3f}}",
+          kind.c_str(), job.c_str(), e.IntOr("task", 0), kind.c_str(),
+          e.DoubleOr("start", 0.0) * 1e6,
+          (startup + read + shuffle + sort + compute + write) * 1e6,
+          e.IntOr("node", -1), job.c_str(), e.IntOr("partition", -1),
+          e.IntOr("source", 0), e.IntOr("pane", -1), e.IntOr("attempt", 0),
+          startup, read, shuffle, sort, compute, write));
+      task_deltas.emplace_back(e.time(), -1);
+    } else if (type == event::kCacheAdd) {
       const std::string name = e.StrOr("name", "");
       auto it = open.find(name);
       if (it != open.end()) {
@@ -74,9 +95,9 @@ void TraceWriter::AddJournal(const obs::EventJournal& journal) {
       occupancy += static_cast<double>(oc.bytes);
       open.emplace(name, std::move(oc));
       AddCounterSample("cache_bytes", e.time(), occupancy);
-    } else if (type == obs::event::kCacheEvict ||
-               type == obs::event::kCacheInvalidate ||
-               type == obs::event::kCachePurge) {
+    } else if (type == event::kCacheEvict ||
+               type == event::kCacheInvalidate ||
+               type == event::kCachePurge) {
       auto it = open.find(e.StrOr("name", ""));
       if (it == open.end()) continue;  // Purge after evict, or unknown.
       AddCacheSpan(it->first, it->second.node, it->second.start, e.time(),
@@ -84,10 +105,9 @@ void TraceWriter::AddJournal(const obs::EventJournal& journal) {
       occupancy -= static_cast<double>(it->second.bytes);
       open.erase(it);
       AddCounterSample("cache_bytes", e.time(), occupancy);
-    } else if (type == obs::event::kSchedAssign) {
+    } else if (type == event::kSchedAssign) {
       task_deltas.emplace_back(e.time(), +1);
-    } else if (type == obs::event::kTaskFinish ||
-               type == obs::event::kTaskFail) {
+    } else if (type == event::kTaskFail) {
       task_deltas.emplace_back(e.time(), -1);
     }
   }
@@ -102,10 +122,10 @@ void TraceWriter::AddJournal(const obs::EventJournal& journal) {
   // pane_reuse arrow runs from the window that built a pane to each later
   // window whose cache hit consumed it; a recovery arrow runs from a node
   // failure to the rebuild it caused.
-  obs::trace::Trace trace;
-  if (obs::trace::BuildTrace(journal, &trace).ok()) {
-    for (const obs::trace::FollowsFrom& edge : trace.follows) {
-      const obs::trace::Span* from = trace.Find(edge.from);
+  Trace trace;
+  if (BuildTrace(journal, &trace).ok()) {
+    for (const FollowsFrom& edge : trace.follows) {
+      const Span* from = trace.Find(edge.from);
       const double from_ts = from != nullptr ? from->end : edge.time;
       const int64_t tid = from != nullptr && from->node >= 0 ? from->node : 0;
       std::string name;
@@ -114,8 +134,8 @@ void TraceWriter::AddJournal(const obs::EventJournal& journal) {
       } else {
         name = edge.kind;
       }
-      const std::string id = StringPrintf(
-          "%s-%ld", obs::trace::IdHex(edge.from).c_str(), edge.window_to);
+      const std::string id =
+          StringPrintf("%s-%ld", IdHex(edge.from).c_str(), edge.window_to);
       extra_.push_back(StringPrintf(
           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"s\",\"id\":\"%s\","
           "\"ts\":%.0f,\"pid\":2,\"tid\":%ld,"
@@ -157,25 +177,11 @@ std::string TraceWriter::ToJson() const {
       "\"args\":{\"name\":\"cache lifetimes\"}},\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,"
       "\"args\":{\"name\":\"counters\"}}";
-  for (const Event& event : events_) {
-    const TaskReport& r = event.report;
-    out += ",\n";
-    const char* kind = r.type == TaskType::kMap ? "map" : "reduce";
-    out += StringPrintf(
-        "{\"name\":\"%s %s#%ld\",\"cat\":\"%s\",\"ph\":\"X\","
-        "\"ts\":%.0f,\"dur\":%.0f,\"pid\":1,\"tid\":%d,"
-        "\"args\":{\"job\":\"%s\",\"partition\":%d,\"source\":%d,"
-        "\"pane\":%ld,\"attempt\":%d,\"startup\":%.3f,\"read\":%.3f,"
-        "\"shuffle\":%.3f,\"sort\":%.3f,\"compute\":%.3f,\"write\":%.3f}}",
-        kind, event.job.c_str(), r.id, kind,
-        r.timing.scheduled_at * 1e6, r.timing.Total() * 1e6, r.node,
-        event.job.c_str(), r.partition, r.source, r.pane, r.attempt,
-        r.timing.startup, r.timing.read, r.timing.shuffle, r.timing.sort,
-        r.timing.compute, r.timing.write);
-  }
-  for (const std::string& json : extra_) {
-    out += ",\n";
-    out += json;
+  for (const std::vector<std::string>* records : {&tasks_, &extra_}) {
+    for (const std::string& json : *records) {
+      out += ",\n";
+      out += json;
+    }
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;
@@ -195,4 +201,6 @@ Status TraceWriter::WriteFile(const std::string& path) const {
   return Status::OK();
 }
 
+}  // namespace trace
+}  // namespace obs
 }  // namespace redoop

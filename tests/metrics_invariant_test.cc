@@ -5,7 +5,9 @@
 //       WindowReport::counters agree on pane and pair reuse, budget
 //       evictions, tasks and windows;
 //   (b) a run under a journal retention budget small enough to drop events
-//       yields a byte-identical snapshot.
+//       yields a byte-identical snapshot;
+//   (c) no journal event repeats a key (a reader that finds the first
+//       would miss the second).
 // Shapes: aggregation, the 512 KiB pane-pair join, aggregation at 1/20 of
 // the unbounded store peak, and a fig9-style run with node failures,
 // cache loss, stragglers and speculation; each at 1 and 4 engine threads.
@@ -14,7 +16,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "baseline/hadoop_driver.h"
@@ -76,6 +80,8 @@ struct ShapeRun {
   int64_t store_evicted_bytes = 0;
   int64_t store_peak_bytes = 0;
   int64_t journal_dropped = 0;
+  /// "<event type>.<key>" of the first event that repeats a key, or "".
+  std::string repeated_key;
 };
 
 /// Runs `shape` through a RunRecurrence loop. The failures shape fails a
@@ -140,6 +146,14 @@ ShapeRun RunShape(Shape shape, int32_t threads, int64_t journal_budget,
   run.store_evicted_bytes = driver.store().evicted_bytes();
   run.store_peak_bytes = driver.store().peak_bytes();
   run.journal_dropped = ctx.journal().dropped_events();
+  for (const obs::Event& e : ctx.journal().events()) {
+    std::set<std::string_view> keys;
+    for (const obs::EventField& f : e.fields()) {
+      if (!keys.insert(f.key()).second && run.repeated_key.empty()) {
+        run.repeated_key = e.type() + "." + std::string(f.key());
+      }
+    }
+  }
   return run;
 }
 
@@ -214,6 +228,9 @@ TEST_P(MetricsInvariantTest, SnapshotAnalysisAndWindowCountersAgree) {
   EXPECT_EQ(m.Counter(obs::metric::kTasksMap), summed.Get(counter::kMapTasks));
   EXPECT_EQ(m.Counter(obs::metric::kTasksReduce),
             summed.Get(counter::kReduceTasks));
+
+  // Event keys: each appears once per event.
+  EXPECT_EQ(run.repeated_key, "");
 
   // Windows.
   EXPECT_EQ(m.Counter(obs::metric::kWindowsCompleted), kWindows);

@@ -121,7 +121,8 @@ TEST(MetricRegistryTest, LabeledSeriesExportUnderEncodedNames) {
   ctx.Emit(obs::event::kCachePaneHit).With("bytes", 2);  // Unattributed.
   wcc.Emit(obs::event::kCachePurge).With("node", 3).With("bytes", 7);
   wcc.Emit(obs::event::kWindowComplete).With("response_time", 0.25);
-  // An integer `query` field (the controller's query id) labels nothing.
+  // An integer `query` field labels nothing (the controller journals its
+  // query id as `query_id`).
   ctx.Emit(obs::event::kCacheRebuild).With("query", 7);
 
   const obs::MetricsSnapshot snap = ctx.Snapshot();

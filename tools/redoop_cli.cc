@@ -26,11 +26,11 @@
 
 #include "baseline/hadoop_driver.h"
 #include "cli_flags.h"
-#include "mapreduce/trace.h"
 #include "common/math_utils.h"
 #include "common/string_utils.h"
 #include "core/redoop_driver.h"
 #include "obs/observability.h"
+#include "obs/trace/trace_writer.h"
 #include "queries/aggregation_query.h"
 #include "queries/join_query.h"
 #include "workload/ffg_generator.h"
@@ -100,7 +100,7 @@ void PrintUsage() {
       "  --help                     this text\n\n"
       "exit codes: 0 ok, 1 bad flags/geometry, 2 unknown system,\n"
       "            3 result mismatch, 4 unwritable output path,\n"
-      "            5 driver rejected the configuration\n");
+      "            5 driver returned an error\n");
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
@@ -252,9 +252,10 @@ RunReport RunSystem(const CliOptions& options, const std::string& system,
   RedoopDriver driver(&cluster, feed.get(), query, builder.Build());
   StatusOr<RunReport> run = driver.Run(options.windows);
   if (!run.ok()) {
-    // Typed driver errors (bad pane override, unregistered source, ...)
-    // get their own exit code, distinct from flag-parse failures.
-    std::fprintf(stderr, "driver rejected the configuration [%s]: %s\n",
+    // Typed driver errors (bad pane override, unregistered source, a
+    // missing pane-pair output, ...) get their own exit code, distinct
+    // from flag-parse failures.
+    std::fprintf(stderr, "driver returned an error [%s]: %s\n",
                  StatusCodeToString(run.status().code()),
                  run.status().message().c_str());
     std::exit(5);
@@ -443,15 +444,9 @@ int Main(int argc, char** argv) {
   }
 
   if (!options.trace_path.empty()) {
-    TraceWriter writer;
-    for (const RunReport& r : reports) {
-      for (const WindowReport& w : r.windows) {
-        writer.AddJob(r.system + "-w" + std::to_string(w.recurrence),
-                      w.task_reports);
-      }
-    }
-    // Cache-lifetime lanes and counter series, reconstructed from the
+    // Task, cache-lifetime and counter lanes, reconstructed from the
     // decision journals.
+    obs::trace::TraceWriter writer;
     for (const auto& ctx : contexts) {
       writer.AddJournal(ctx->journal());
     }
