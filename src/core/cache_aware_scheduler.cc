@@ -10,17 +10,6 @@ CacheAwareScheduler::CacheAwareScheduler(const CostModel* cost_model,
   REDOOP_CHECK(cost_model_ != nullptr);
 }
 
-NodeId CacheAwareScheduler::SelectNodeForMap(
-    const MapPlacementRequest& request, const Cluster& cluster) {
-  // Maps keep Hadoop's shape: replica-local first, then least loaded. The
-  // fallback instance carries no obs sink, so the assignment is journaled
-  // exactly once, here, under this scheduler's policy name.
-  DefaultScheduler fallback;
-  const NodeId node = fallback.SelectNodeForMap(request, cluster);
-  scheduler_internal::EmitMapAssignment(scope_, request, node, "cache_aware");
-  return node;
-}
-
 double CacheAwareScheduler::ReduceIoCost(const ReducePlacementRequest& request,
                                          NodeId node) const {
   double cost = 0.0;

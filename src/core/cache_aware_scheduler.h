@@ -33,15 +33,13 @@ struct CacheAwareSchedulerOptions {
 /// reducer inputs, higher elsewhere — the SOPA-style I/O-dominant cost
 /// model). Only nodes with a free slot of the right kind are considered: a
 /// fully occupied node loses the task even if it holds the cache.
-/// Map placement keeps Hadoop's replica locality (the map task list is
-/// FIFO, §4.3 Algorithm 2).
-class CacheAwareScheduler : public TaskScheduler {
+/// Map placement is DefaultScheduler's replica locality (the map task
+/// list is FIFO, §4.3 Algorithm 2).
+class CacheAwareScheduler : public DefaultScheduler {
  public:
   CacheAwareScheduler(const CostModel* cost_model,
                       CacheAwareSchedulerOptions options = {});
 
-  NodeId SelectNodeForMap(const MapPlacementRequest& request,
-                          const Cluster& cluster) override;
   NodeId SelectNodeForReduce(const ReducePlacementRequest& request,
                              const Cluster& cluster) override;
 

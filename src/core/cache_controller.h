@@ -161,11 +161,6 @@ class WindowAwareCacheController {
   void set_telemetry(obs::TelemetryScope scope) {
     scope_ = std::move(scope);
   }
-  /// Unattributed convenience (standalone/test use); null disables
-  /// emission.
-  void set_observability(obs::ObservabilityContext* obs) {
-    scope_ = obs::TelemetryScope(obs);
-  }
 
  private:
   struct PaneState {

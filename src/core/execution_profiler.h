@@ -47,11 +47,6 @@ class ExecutionProfiler {
   void set_telemetry(obs::TelemetryScope scope) {
     scope_ = std::move(scope);
   }
-  /// Unattributed convenience (standalone/test use); null disables
-  /// emission.
-  void set_observability(obs::ObservabilityContext* obs) {
-    scope_ = obs::TelemetryScope(obs);
-  }
 
   /// Selects (alpha, beta) by dense grid search minimizing the one-step
   /// squared forecast error over a historical series ("selected by fitting

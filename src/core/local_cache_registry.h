@@ -73,11 +73,6 @@ class LocalCacheRegistry {
   void set_telemetry(obs::TelemetryScope scope) {
     scope_ = std::move(scope);
   }
-  /// Unattributed convenience (standalone/test use); null disables
-  /// emission.
-  void set_observability(obs::ObservabilityContext* obs) {
-    scope_ = obs::TelemetryScope(obs);
-  }
 
  private:
   int64_t PurgeMatching(TaskNode* node, int64_t stop_after_bytes,

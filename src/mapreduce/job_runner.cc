@@ -252,9 +252,6 @@ void JobRunner::TryScheduleTasks(RunState* run) {
     if (task->state != TaskState::kPending) continue;
     MapPlacementRequest request;
     request.replica_nodes = task->replica_nodes;
-    request.source = task->source;
-    request.pane = task->pane;
-    request.input_bytes = task->input_bytes;
     const NodeId node = scheduler_->SelectNodeForMap(request, *cluster_);
     if (node == kInvalidNode) break;  // No free map slots anywhere.
     StartMapTask(run, task, node);
@@ -290,6 +287,13 @@ void JobRunner::StartMapTask(RunState* run, MapTaskState* task, NodeId node) {
   if (run->first_map_start < 0) {
     run->first_map_start = task->timing.scheduled_at;
   }
+  // Everything start-known is journaled and charged now, before the
+  // payload runs: the input read and its locality (on task.start), the
+  // input-sized phases, and the straggler draw. Result-dependent phases
+  // land in InstallMapResult.
+  const bool local = std::find(task->replica_nodes.begin(),
+                               task->replica_nodes.end(),
+                               node) != task->replica_nodes.end();
   if (scope_.active()) {
     scope_.EmitAt(task->timing.scheduled_at, obs::event::kTaskStart)
         .With("kind", "map")
@@ -298,7 +302,9 @@ void JobRunner::StartMapTask(RunState* run, MapTaskState* task, NodeId node) {
         .With("source", task->source)
         .With("pane", task->pane)
         .With("attempt", task->attempt)
-        .With("wait", task->timing.SlotWait());
+        .With("wait", task->timing.SlotWait())
+        .With("bytes", task->input_bytes)
+        .With("locality", local ? "local" : "remote");
   }
 
   const CostModel& cost = cluster_->cost_model();
@@ -312,22 +318,6 @@ void JobRunner::StartMapTask(RunState* run, MapTaskState* task, NodeId node) {
   }
   const int32_t num_partitions = spec.config.num_reducers;
 
-  // Everything start-known is charged and journaled now, before the
-  // payload runs: locality, the DFS read, the input-sized phases, and the
-  // straggler draw. Result-dependent phases land in InstallMapResult.
-  const bool local = std::find(task->replica_nodes.begin(),
-                               task->replica_nodes.end(),
-                               node) != task->replica_nodes.end();
-  if (scope_.active()) {
-    scope_.EmitAt(cluster_->simulator().Now(), obs::event::kDfsRead)
-        .With("file", task->file->name)
-        .With("node", node)
-        .With("task", task->id)
-        .With("bytes", task->input_bytes)
-        .With("source", task->source)
-        .With("pane", task->pane)
-        .With("locality", local ? "local" : "remote");
-  }
   task->timing.startup = cost.TaskStartupTime();
   task->timing.read = local ? cost.LocalReadTime(task->input_bytes)
                             : cost.RemoteReadTime(task->input_bytes);
@@ -479,8 +469,6 @@ void JobRunner::FinishMapTask(RunState* run, MapTaskState* task,
         .With("start", report.timing.scheduled_at)
         .With("duration", report.timing.finished_at -
                               report.timing.scheduled_at)
-        .With("bytes", task->input_bytes)
-        .With("wait", report.timing.SlotWait())
         .With("startup", report.timing.startup)
         .With("read", report.timing.read)
         .With("sort", report.timing.sort)
@@ -879,7 +867,6 @@ void JobRunner::FinishReduceTask(RunState* run, ReduceTaskState* task,
               report.timing.finished_at - report.timing.scheduled_at)
         .With("side_inputs",
               static_cast<int64_t>(task->side_inputs.size()))
-        .With("wait", report.timing.SlotWait())
         .With("startup", report.timing.startup)
         .With("read", report.timing.read)
         .With("shuffle", report.timing.shuffle)

@@ -23,36 +23,6 @@ NodeId LeastLoadedWithFreeSlot(const Cluster& cluster, bool map_slot) {
 
 }  // namespace scheduler_internal
 
-namespace {
-
-bool HoldsReplica(const MapPlacementRequest& request, NodeId node) {
-  for (NodeId candidate : request.replica_nodes) {
-    if (candidate == node) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace scheduler_internal {
-
-void EmitMapAssignment(const obs::TelemetryScope& scope,
-                       const MapPlacementRequest& request, NodeId node,
-                       const char* policy) {
-  if (!scope.active() || node == kInvalidNode) return;
-  const bool data_local = HoldsReplica(request, node);
-  scope.Emit(obs::event::kSchedAssign)
-      .With("kind", "map")
-      .With("policy", policy)
-      .With("node", node)
-      .With("source", request.source)
-      .With("pane", request.pane)
-      .With("bytes", request.input_bytes)
-      .With("locality", data_local ? "data_local" : "remote");
-}
-
-}  // namespace scheduler_internal
-
 NodeId DefaultScheduler::SelectNodeForMap(const MapPlacementRequest& request,
                                           const Cluster& cluster) {
   // Data locality first: any replica holder with a free map slot, least
@@ -72,7 +42,6 @@ NodeId DefaultScheduler::SelectNodeForMap(const MapPlacementRequest& request,
     best = scheduler_internal::LeastLoadedWithFreeSlot(cluster,
                                                        /*map_slot=*/true);
   }
-  scheduler_internal::EmitMapAssignment(scope_, request, best, "default");
   return best;
 }
 

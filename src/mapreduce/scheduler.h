@@ -15,9 +15,6 @@ namespace redoop {
 struct MapPlacementRequest {
   /// Nodes holding a replica of the task's input block (data locality).
   std::vector<NodeId> replica_nodes;
-  SourceId source = 0;
-  PaneId pane = kInvalidPane;
-  int64_t input_bytes = 0;
 };
 
 /// Everything a scheduler may consider when placing a reduce task.
@@ -45,14 +42,10 @@ class TaskScheduler {
   virtual NodeId SelectNodeForReduce(const ReducePlacementRequest& request,
                                      const Cluster& cluster) = 0;
 
-  /// Journals placement decisions (sched.assign, locality classes) with
-  /// the scope's query/window attribution.
+  /// Journals reduce placement decisions (sched.assign) with the scope's
+  /// query/window attribution. A map placement is journaled by the job
+  /// runner's task.start, which carries the node and the read's locality.
   void set_telemetry(obs::TelemetryScope scope) { scope_ = std::move(scope); }
-  /// Unattributed convenience (standalone/test use); null disables
-  /// emission.
-  void set_observability(obs::ObservabilityContext* obs) {
-    scope_ = obs::TelemetryScope(obs);
-  }
 
  protected:
   obs::TelemetryScope scope_;
@@ -73,14 +66,6 @@ namespace scheduler_internal {
 /// Least-loaded live node with a free slot of the requested kind; breaks
 /// ties by node id for determinism. Returns kInvalidNode when none.
 NodeId LeastLoadedWithFreeSlot(const Cluster& cluster, bool map_slot);
-
-/// Journals a map placement (sched.assign, locality class) through
-/// `scope`; no-op when the scope is inactive or no node was found. Shared
-/// by every scheduler so map-locality accounting is uniform across
-/// policies.
-void EmitMapAssignment(const obs::TelemetryScope& scope,
-                       const MapPlacementRequest& request, NodeId node,
-                       const char* policy);
 }  // namespace scheduler_internal
 
 }  // namespace redoop

@@ -139,7 +139,6 @@ namespace {
 
 PhaseBreakdown PhasesFromFinish(const Event& e) {
   PhaseBreakdown p;
-  p.wait = e.DoubleOr("wait", 0.0);
   p.startup = e.DoubleOr("startup", 0.0);
   p.read = e.DoubleOr("read", 0.0);
   p.shuffle = e.DoubleOr("shuffle", 0.0);
@@ -513,8 +512,7 @@ Status AnalyzeJournal(const EventJournal& journal,
       task.attempt = e.IntOr("attempt", task.attempt);
       task.duration = e.DoubleOr("duration", e.time() - task.start);
       task.phases = PhasesFromFinish(e);
-      task.wait = std::max(task.wait, task.phases.wait);
-      task.phases.wait = task.wait;
+      task.phases.wait = task.wait;  // The slot wait is journaled at start.
       task.finished = true;
       (task.is_map ? b.window.map_phases : b.window.reduce_phases)
           .Add(task.phases);

@@ -12,8 +12,9 @@
 //   window.complete
 //
 // so windows bracket jobs and jobs bracket task spans. task.start /
-// task.finish pairs are keyed by the "task" id; the finish event of the
-// winning attempt carries per-phase durations and the slot-wait.
+// task.finish pairs are keyed by the "task" id; the start carries the
+// slot-wait, and the finish event of the winning attempt the per-phase
+// durations.
 
 #include <cstdint>
 #include <string>

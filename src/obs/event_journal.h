@@ -288,15 +288,16 @@ inline constexpr const char* kSchedAssign = "sched.assign";
 // Profiler prediction vs. actual (Holt forecast, paper §4.4).
 inline constexpr const char* kProfilerObserve = "profiler.observe";
 
-// DFS activity.
-inline constexpr const char* kDfsRead = "dfs.read";
+// DFS activity. A map's input read is journaled on its task.start.
 inline constexpr const char* kDfsFileCreate = "dfs.file.create";
 inline constexpr const char* kDfsFileDelete = "dfs.file.delete";
 inline constexpr const char* kDfsNodeFailed = "dfs.node.failed";
 
 // Task attempt lifecycle. task.start / task.finish form a span pair keyed
-// by the "task" field; the winning attempt's finish carries the per-phase
-// timing breakdown and the slot-wait ("wait") duration.
+// by the "task" field. The start carries the slot wait ("wait") and, for a
+// map, its input read ("bytes", "locality": local or remote); the winning
+// attempt's finish carries the node it ran on and the per-phase timing
+// breakdown.
 inline constexpr const char* kTaskStart = "task.start";
 inline constexpr const char* kTaskFinish = "task.finish";
 inline constexpr const char* kTaskFail = "task.fail";

@@ -69,11 +69,7 @@ constexpr Rule kRules[] = {
     {event::kCachePaneEvict, metric::kCacheEvictedBytes, kCounter, "bytes"},
     {event::kCachePairHit, metric::kCachePairHits, kCounter, "count"},
     {event::kCachePairMiss, metric::kCachePairMisses, kCounter, "count"},
-    // Scheduler placement.
-    {event::kSchedAssign, metric::kSchedMapLocal, kCounter, nullptr,
-     {{"kind", "map"}, {"locality", "data_local"}}},
-    {event::kSchedAssign, metric::kSchedMapRemote, kCounter, nullptr,
-     {{"kind", "map"}, {"locality", "remote"}}},
+    // Reduce placement (a map's placement is its task.start, below).
     {event::kSchedAssign, metric::kSchedReduceAssignments, kCounter, nullptr,
      {{"kind", "reduce"}}},
     {event::kSchedAssign, metric::kSchedCacheAffinityTaken, kCounter,
@@ -91,14 +87,19 @@ constexpr Rule kRules[] = {
      .value = "abs_error",
      .per = "actual"},
     // DFS traffic.
-    {event::kDfsRead, metric::kDfsReadLocalBytes, kCounter, "bytes",
-     {{"locality", "local"}}},
-    {event::kDfsRead, metric::kDfsReadRemoteBytes, kCounter, "bytes",
-     {{"locality", "remote"}}},
     {event::kDfsFileCreate, metric::kDfsFilesCreated, kCounter},
     {event::kDfsFileCreate, metric::kDfsBytesWritten, kCounter, "bytes"},
     {event::kDfsFileDelete, metric::kDfsFilesDeleted, kCounter},
-    // Tasks and jobs.
+    // Tasks and jobs. Only a map's task.start carries a locality: it is
+    // the map's placement and its DFS input read.
+    {event::kTaskStart, metric::kSchedMapLocal, kCounter, nullptr,
+     {{"locality", "local"}}},
+    {event::kTaskStart, metric::kSchedMapRemote, kCounter, nullptr,
+     {{"locality", "remote"}}},
+    {event::kTaskStart, metric::kDfsLocalReadBytes, kCounter, "bytes",
+     {{"locality", "local"}}},
+    {event::kTaskStart, metric::kDfsRemoteReadBytes, kCounter, "bytes",
+     {{"locality", "remote"}}},
     {event::kTaskFinish, metric::kTasksMap, kCounter, nullptr,
      {{"kind", "map"}}},
     {event::kTaskFinish, metric::kTaskMapDuration, kHistogram, "duration",

@@ -123,8 +123,8 @@ inline constexpr const char* kProfilerAbsErr = "profiler.forecast.abs_error_s"; 
 inline constexpr const char* kProfilerRelErr = "profiler.forecast.rel_error";    // histogram
 
 // DFS traffic.
-inline constexpr const char* kDfsReadLocalBytes = "dfs.read.local.bytes";
-inline constexpr const char* kDfsReadRemoteBytes = "dfs.read.remote.bytes";
+inline constexpr const char* kDfsLocalReadBytes = "dfs.read.local.bytes";
+inline constexpr const char* kDfsRemoteReadBytes = "dfs.read.remote.bytes";
 inline constexpr const char* kDfsFilesCreated = "dfs.files.created";
 inline constexpr const char* kDfsFilesDeleted = "dfs.files.deleted";
 inline constexpr const char* kDfsBytesWritten = "dfs.bytes.written";

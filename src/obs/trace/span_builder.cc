@@ -212,6 +212,7 @@ class Builder {
     span.source = e.IntOr("source", -1);
     span.pane = e.IntOr("pane", -1);
     span.partition = e.IntOr("partition", -1);
+    span.bytes = e.IntOr("bytes", 0);
     const size_t span_index = AddSpan(std::move(span));
     g.task_spans[task] = span_index;
 
@@ -237,7 +238,6 @@ class Builder {
     Span& span = At(it->second);
     span.end = e.time();
     span.node = e.IntOr("node", span.node);
-    span.bytes = e.IntOr("bytes", span.bytes);
     // The phase wave extends to its last finishing task.
     const size_t phase = span.kind == SpanKind::kTask && span.parent != 0
                              ? (e.StrOr("kind", "map") == "map" ? g.map_phase
@@ -323,15 +323,7 @@ class Builder {
     Span span;
     span.trace = g.trace;
     span.id = CacheOpSpanId(g.trace, e.type(), key, occurrence);
-    // Ops inside a task attempt (dfs.read) nest under it; driver/controller
-    // ops nest under their window.
-    const EventField* task_field = e.Find("task");
-    if (task_field != nullptr &&
-        g.task_spans.count(e.IntOr("task", -1)) > 0) {
-      span.parent = At(g.task_spans[e.IntOr("task", -1)]).id;
-    } else {
-      span.parent = WindowParent(g, e);
-    }
+    span.parent = WindowParent(g, e);
     span.kind = SpanKind::kCacheOp;
     span.label = e.type();
     span.system = g.system;
@@ -341,7 +333,6 @@ class Builder {
     span.start = e.time();
     span.end = e.time();
     span.node = e.IntOr("node", -1);
-    span.task = e.IntOr("task", -1);
     span.source = e.IntOr("source", -1);
     span.pane = e.IntOr("pane", -1);
     span.partition = e.IntOr("partition", -1);
@@ -475,7 +466,7 @@ class Builder {
     } else if (type == event::kCacheAdd || type == event::kCacheEvict ||
                type == event::kCachePurge || type == event::kCachePaneMiss ||
                type == event::kCachePairHit ||
-               type == event::kCachePairMiss || type == event::kDfsRead) {
+               type == event::kCachePairMiss) {
       CacheOp(g, e);
     }
   }

@@ -2,10 +2,10 @@
 #define REDOOP_OBS_TRACE_SPAN_BUILDER_H_
 
 // Offline span reconstruction: turns an EventJournal into a causal trace —
-// spans with containment parents (window → phase → task → cache op) plus
-// follows-from edges for cross-window causality (pane produced in window W
-// consumed by a cache hit in W+k; node death → the rebuild/re-attempt work
-// it triggered).
+// spans with containment parents (window → phase → task, and window →
+// cache op) plus follows-from edges for cross-window causality (pane
+// produced in window W consumed by a cache hit in W+k; node death → the
+// rebuild/re-attempt work it triggered).
 //
 // The builder derives every span ID from event content with the
 // derivations in trace_id.h; the journal carries no ID of its own.
@@ -26,7 +26,7 @@ enum class SpanKind {
   kWindow,   // window.open .. window.complete
   kPhase,    // one map/reduce wave of one job
   kTask,     // task.start .. task.finish/task.fail
-  kCacheOp,  // instant cache/DFS decision (add, evict, hit, read, ...)
+  kCacheOp,  // instant cache decision (add, evict, hit, miss, ...)
   kPane,     // a materialized pane artifact (pane.ready -> cache-available)
   kFailure,  // dfs.node.failed or task.fail
 };

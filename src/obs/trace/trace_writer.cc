@@ -105,7 +105,7 @@ void TraceWriter::AddJournal(const EventJournal& journal) {
       occupancy -= static_cast<double>(it->second.bytes);
       open.erase(it);
       AddCounterSample("cache_bytes", e.time(), occupancy);
-    } else if (type == event::kSchedAssign) {
+    } else if (type == event::kTaskStart) {
       task_deltas.emplace_back(e.time(), +1);
     } else if (type == event::kTaskFail) {
       task_deltas.emplace_back(e.time(), -1);

@@ -35,7 +35,7 @@ class TraceWriter {
   ///     cache.evict / cache.invalidate / cache.purge; caches still live
   ///     at the journal's end close at its last event time);
   ///   - a "cache_bytes" occupancy counter stepped at every transition;
-  ///   - a "tasks_running" counter from sched.assign (+1) and
+  ///   - a "tasks_running" counter from task.start (+1) and
   ///     task.finish / task.fail (-1) deltas;
   ///   - one flow arrow per follows-from edge of the span DAG.
   void AddJournal(const EventJournal& journal);

@@ -7,7 +7,10 @@
 //   (b) a run under a journal retention budget small enough to drop events
 //       yields a byte-identical snapshot;
 //   (c) no journal event repeats a key (a reader that finds the first
-//       would miss the second).
+//       would miss the second);
+//   (d) a task attempt is journaled by the task.* events alone: no other
+//       event carries a "task" field, and the map input bytes folded from
+//       the map task.start events match the job counters.
 // Shapes: aggregation, the 512 KiB pane-pair join, aggregation at 1/20 of
 // the unbounded store peak, and a fig9-style run with node failures,
 // cache loss, stragglers and speculation; each at 1 and 4 engine threads.
@@ -82,11 +85,14 @@ struct ShapeRun {
   int64_t journal_dropped = 0;
   /// "<event type>.<key>" of the first event that repeats a key, or "".
   std::string repeated_key;
+  /// Types of the events that carry a "task" field.
+  std::set<std::string> task_field_types;
 };
 
 /// Runs `shape` through a RunRecurrence loop. The failures shape fails a
-/// node during windows 1 and 3 (recovered and re-replicated after each)
-/// and wipes one node's caches before window 2, as fig9 does.
+/// node 3 s after the trigger of windows 1 and 3 (recovered and
+/// re-replicated after each; window 3's failure kills a running map
+/// attempt) and wipes one node's caches before window 2, as fig9 does.
 ShapeRun RunShape(Shape shape, int32_t threads, int64_t journal_budget,
                   int64_t cache_budget = 0) {
   obs::ObservabilityContext ctx;
@@ -114,7 +120,7 @@ ShapeRun RunShape(Shape shape, int32_t threads, int64_t journal_budget,
       const SimTime when =
           std::max(cluster.simulator().Now(),
                    static_cast<SimTime>(driver.geometry().TriggerTime(i))) +
-          5.0;
+          3.0;
       cluster.simulator().ScheduleAt(
           when, [&cluster, victim] { cluster.FailNode(victim); });
     } else if (shape == Shape::kFailures && i == 2) {
@@ -153,6 +159,7 @@ ShapeRun RunShape(Shape shape, int32_t threads, int64_t journal_budget,
         run.repeated_key = e.type() + "." + std::string(f.key());
       }
     }
+    if (keys.count("task") > 0) run.task_field_types.insert(e.type());
   }
   return run;
 }
@@ -190,6 +197,7 @@ TEST_P(MetricsInvariantTest, SnapshotAnalysisAndWindowCountersAgree) {
       EXPECT_GT(m.Counter(obs::metric::kCacheEvictedEntries), 0);
       break;
     case Shape::kFailures:
+      EXPECT_GT(m.Counter(obs::metric::kTaskFailures), 0);
       EXPECT_GT(m.Counter(obs::metric::kTaskSpeculations), 0);
       EXPECT_GT(m.Counter(obs::metric::kCacheInvalidations), 0);
       break;
@@ -231,6 +239,27 @@ TEST_P(MetricsInvariantTest, SnapshotAnalysisAndWindowCountersAgree) {
 
   // Event keys: each appears once per event.
   EXPECT_EQ(run.repeated_key, "");
+
+  // Task attempts: only the lifecycle events name a task.
+  const std::set<std::string> lifecycle = {
+      obs::event::kTaskStart, obs::event::kTaskFinish, obs::event::kTaskFail,
+      obs::event::kTaskSpeculate};
+  for (const std::string& type : run.task_field_types) {
+    EXPECT_EQ(lifecycle.count(type), 1u) << type << " carries a task field";
+  }
+
+  // Map input reads: the bytes folded from map task.start events and the
+  // job counters. Exception: CacheStats has no read bytes. A failed
+  // attempt read its input but never finished, so under failures the
+  // journal counts at least what the counters do.
+  const int64_t read_bytes = m.Counter(obs::metric::kDfsLocalReadBytes) +
+                             m.Counter(obs::metric::kDfsRemoteReadBytes);
+  EXPECT_GT(read_bytes, 0);
+  if (shape() == Shape::kFailures) {
+    EXPECT_GE(read_bytes, summed.Get(counter::kMapInputBytes));
+  } else {
+    EXPECT_EQ(read_bytes, summed.Get(counter::kMapInputBytes));
+  }
 
   // Windows.
   EXPECT_EQ(m.Counter(obs::metric::kWindowsCompleted), kWindows);

@@ -65,7 +65,7 @@ TEST(MetricRegistryTest, FieldTestsPickTheSeries) {
   ctx.Emit(obs::event::kTaskFinish).With("kind", "map").With("duration", 2.0);
   ctx.Emit(obs::event::kTaskFinish).With("kind", "reduce")
       .With("duration", 3.0);
-  ctx.Emit(obs::event::kSchedAssign).With("kind", "map")
+  ctx.Emit(obs::event::kTaskStart).With("kind", "map")
       .With("locality", "remote");
   ctx.Emit(obs::event::kSchedAssign).With("kind", "reduce")
       .With("affinity_considered", 1).With("affinity_taken", 0)

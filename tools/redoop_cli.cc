@@ -222,8 +222,9 @@ RecurringQuery MakeQuery(const CliOptions& options) {
                               options.reducers);
 }
 
-RunReport RunSystem(const CliOptions& options, const std::string& system,
-                    obs::ObservabilityContext* ctx) {
+StatusOr<RunReport> RunSystem(const CliOptions& options,
+                              const std::string& system,
+                              obs::ObservabilityContext* ctx) {
   ctx->journal().SetCommonField("system", system);
   const RecurringQuery query = MakeQuery(options);
   Cluster cluster(options.nodes, options.cluster_config);
@@ -251,18 +252,8 @@ RunReport RunSystem(const CliOptions& options, const std::string& system,
   }
   RedoopDriver driver(&cluster, feed.get(), query, builder.Build());
   StatusOr<RunReport> run = driver.Run(options.windows);
-  if (!run.ok()) {
-    // Typed driver errors (bad pane override, unregistered source, a
-    // missing pane-pair output, ...) get their own exit code, distinct
-    // from flag-parse failures.
-    std::fprintf(stderr, "driver returned an error [%s]: %s\n",
-                 StatusCodeToString(run.status().code()),
-                 run.status().message().c_str());
-    std::exit(5);
-  }
-  RunReport report = std::move(run).value();
-  report.system = system;
-  return report;
+  if (run.ok()) run->system = system;
+  return run;
 }
 
 /// Probes that an output path is writable before any simulation runs, so a
@@ -281,6 +272,50 @@ bool ValidateOutputPath(const char* flag, const std::string& path) {
   }
   std::fclose(f);
   return true;
+}
+
+/// Writes the --events-out journal and the --trace-out timeline drawn
+/// from `contexts`, one per system run. Returns 0, or 4 when a file cannot
+/// be written.
+int WriteJournalsAndTrace(
+    const CliOptions& options,
+    const std::vector<std::unique_ptr<obs::ObservabilityContext>>& contexts) {
+  if (!options.events_path.empty()) {
+    std::string jsonl;
+    size_t events = 0;
+    for (const auto& ctx : contexts) {
+      jsonl += ctx->journal().ToJsonl();
+      events += ctx->journal().size();
+    }
+    std::FILE* f = std::fopen(options.events_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open events file: %s\n",
+                   options.events_path.c_str());
+      return 4;
+    }
+    std::fwrite(jsonl.data(), 1, jsonl.size(), f);
+    std::fclose(f);
+    std::printf("event journal with %zu events written to %s\n", events,
+                options.events_path.c_str());
+  }
+
+  if (!options.trace_path.empty()) {
+    // Task, cache-lifetime and counter lanes, reconstructed from the
+    // decision journals.
+    obs::trace::TraceWriter writer;
+    for (const auto& ctx : contexts) {
+      writer.AddJournal(ctx->journal());
+    }
+    const Status status = writer.WriteFile(options.trace_path);
+    if (!status.ok()) {
+      std::fprintf(stderr, "trace export failed: %s\n",
+                   status.ToString().c_str());
+      return 4;
+    }
+    std::printf("trace with %zu events written to %s\n",
+                writer.event_count(), options.trace_path.c_str());
+  }
+  return 0;
 }
 
 int Main(int argc, char** argv) {
@@ -325,7 +360,20 @@ int Main(int argc, char** argv) {
   std::vector<std::unique_ptr<obs::ObservabilityContext>> contexts;
   for (const std::string& system : options.systems) {
     contexts.push_back(std::make_unique<obs::ObservabilityContext>());
-    reports.push_back(RunSystem(options, system, contexts.back().get()));
+    StatusOr<RunReport> run =
+        RunSystem(options, system, contexts.back().get());
+    if (!run.ok()) {
+      // Typed driver errors (bad pane override, unregistered source, a
+      // missing pane-pair output, ...) get their own exit code, distinct
+      // from flag-parse failures. The journals of the systems run so far,
+      // the failing one's included, still show how the run got there.
+      std::fprintf(stderr, "driver returned an error [%s]: %s\n",
+                   StatusCodeToString(run.status().code()),
+                   run.status().message().c_str());
+      WriteJournalsAndTrace(options, contexts);
+      return 5;
+    }
+    reports.push_back(std::move(run).value());
   }
 
   // Cross-check every system's results against the first.
@@ -424,42 +472,7 @@ int Main(int argc, char** argv) {
                 reports.size(), options.metrics_path.c_str());
   }
 
-  if (!options.events_path.empty()) {
-    std::string jsonl;
-    size_t events = 0;
-    for (const auto& ctx : contexts) {
-      jsonl += ctx->journal().ToJsonl();
-      events += ctx->journal().size();
-    }
-    std::FILE* f = std::fopen(options.events_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open events file: %s\n",
-                   options.events_path.c_str());
-      return 4;
-    }
-    std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-    std::fclose(f);
-    std::printf("event journal with %zu events written to %s\n", events,
-                options.events_path.c_str());
-  }
-
-  if (!options.trace_path.empty()) {
-    // Task, cache-lifetime and counter lanes, reconstructed from the
-    // decision journals.
-    obs::trace::TraceWriter writer;
-    for (const auto& ctx : contexts) {
-      writer.AddJournal(ctx->journal());
-    }
-    const Status status = writer.WriteFile(options.trace_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "trace export failed: %s\n",
-                   status.ToString().c_str());
-      return 4;
-    }
-    std::printf("trace with %zu events written to %s\n",
-                writer.event_count(), options.trace_path.c_str());
-  }
-  return 0;
+  return WriteJournalsAndTrace(options, contexts);
 }
 
 }  // namespace
